@@ -20,23 +20,6 @@ from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
 # -- group-algebra dict helpers ---------------------------------------------
 
 
-def ga_add(a: dict, b: dict, scalar: ScalarRing) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = scalar.add(out.get(k, scalar.zero), v)
-        if scalar.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def ga_scale(c, a: dict, scalar: ScalarRing) -> dict:
-    if scalar.is_zero(c):
-        return {}
-    return {k: scalar.mul(c, v) for k, v in a.items()}
-
-
 def ga_mul(G: FiniteGroup, a: dict, b: dict, scalar: ScalarRing) -> dict:
     out: dict = {}
     for x, cx in a.items():
@@ -64,14 +47,6 @@ def augmentation(x: dict, scalar: ScalarRing):
     for v in x.values():
         acc = scalar.add(acc, v)
     return acc
-
-
-def is_central(G: FiniteGroup, x: dict, scalar: ScalarRing) -> bool:
-    return all(
-        scalar.is_zero(scalar.sub(x.get(k, scalar.zero), x.get(G.conj(g, k), scalar.zero)))
-        for k in x
-        for g in range(G.order)
-    )
 
 
 # -- center in the class-sum basis --------------------------------------------

@@ -364,8 +364,8 @@ def dispatch(args) -> tuple[dict, bool]:
         )
 
     elif name == "mackey-check":
+        mk = MackeyAlgebra(table, bound=span_bound)  # span bound, before any ring work
         xring = CrossedBurnsideRing(table)
-        mk = MackeyAlgebra(table, bound=span_bound)
         scalars = (
             [ring_from_tag(args.coeff)] if args.coeff else [QQ, prime_field(2)]
         )

@@ -1,16 +1,19 @@
-"""Exact dense linear algebra over the scalar rings.
+"""Exact linear algebra over the scalar rings.
 
-Everything works on lists of row lists.  Rational routines use Fraction;
-the generic routines take a ScalarRing with field operations (used for
-finite fields).  Sizes here are tiny (dimension <= ~100), so plain
-Gaussian elimination is the right tool.
+The dense routines work on lists of row lists: rational ones use
+Fraction, the generic ones take a ScalarRing with field operations (used
+for finite fields).  integer_kernel solves sparse integer systems, such as
+commutant equations, with int arithmetic only.  Sizes here are small
+(dimension <= a few hundred), so plain Gaussian elimination is the right
+tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .scalars import ScalarRing
+from .scalars import QQ, ScalarRing
 
 
 def rref_rational(rows: list[list[Fraction]]):
@@ -75,22 +78,6 @@ def solve_upper_triangular(matrix, rhs):
     return x
 
 
-def mat_mul(a, b):
-    nb = len(b)
-    ncols = len(b[0]) if nb else 0
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for k, x in enumerate(row):
-            if x:
-                bk = b[k]
-                for j in range(ncols):
-                    if bk[j]:
-                        acc[j] += x * bk[j]
-        out.append(acc)
-    return out
-
-
 def rank_field(rows, ring: ScalarRing) -> int:
     return len(_echelon_field(rows, ring)[0])
 
@@ -144,164 +131,125 @@ def in_row_span_field(rows, vector, ring: ScalarRing) -> bool:
     return rank_field(list(rows) + [list(vector)], ring) == base
 
 
-def _clear_denominators(vec) -> list[int]:
-    from math import gcd, lcm
+# -- sparse integer kernels ----------------------------------------------------
+#
+# Commutant equations have small integer coefficients and few nonzeros per
+# row, so they are eliminated as sparse rows {column: int} with plain int
+# arithmetic: fraction free over Q (each row kept primitive by its gcd),
+# modulo p over F_p.  No ScalarRing call happens inside the elimination.
 
-    denoms = [Fraction(v).denominator for v in vec]
-    m = 1
-    for d in denoms:
-        m = lcm(m, d)
-    ints = [int(Fraction(v) * m) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], c: int, p: int | None):
+    """Clear column c of row with the pivot row piv (whose column c is nonzero)."""
+    f = row[c]
+    if p:  # piv[c] == 1
+        out = dict(row)
+        for k, v in piv.items():
+            w = (out.get(k, 0) - f * v) % p
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        return out
+    a = piv[c]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _reduced_echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form, keyed by pivot column.
+
+    Each row is reduced against the pivots found so far, leading column
+    first; a row that survives adds its leading column as a new pivot.
+    Back reduction then clears every pivot column from the other pivot rows.
+    Over F_p pivot entries are 1; over Q rows are primitive integer rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in rows:
+        row = {}
+        for k, v in raw.items():
+            if p:
+                v %= p
+            if v:
+                row[k] = v
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                if p:
+                    inv = pow(row[c], -1, p)
+                    row = {k: v * inv % p for k, v in row.items()}
+                else:
+                    row = _primitive(row)
+                pivots[c] = row
+                break
+            row = _eliminate(row, piv, c, p)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _eliminate(row, pivots[k], k, p)
+        pivots[c] = row
+    return pivots
+
+
+def integer_kernel(rows, ncols: int, scalar: ScalarRing = QQ, support=None) -> list[list]:
+    """Right kernel over the scalar ring of an integer matrix in sparse rows.
+
+    rows yields dicts {column: int}.  The unknowns are the columns in
+    support (every column by default) and the rows may mention no other
+    column; the returned vectors have length ncols and are zero off the
+    support.  Over Z, Q and Z_(p) the result is a Q-basis of primitive
+    integer vectors (positive at their free column), from a fraction-free
+    elimination.  Over F_q, q = p^e, the matrix is eliminated over the ints
+    mod p and the result coerced into F_q: an integer matrix has the same
+    rank over F_p as over any extension, so an F_p basis of the kernel is an
+    F_q basis.
+    """
+    field = scalar.is_field and hasattr(scalar, "p")
+    p = scalar.p if field else None
+    pivots = _reduced_echelon(rows, p)
+    free = [c for c in (range(ncols) if support is None else support) if c not in pivots]
+    entries: dict[int, list[tuple[int, int]]] = {f: [] for f in free}
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k != c:
+                entries[k].append((c, v))
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        if p:
+            vec[f] = 1
+            for c, v in entries[f]:
+                vec[c] = -v % p
+            basis.append([scalar.coerce(v) for v in vec])
+            continue
+        scale = lcm(*(pivots[c][c] for c, _ in entries[f]))
+        vec[f] = scale
+        for c, v in entries[f]:
+            vec[c] = -v * scale // pivots[c][c]
+        g = gcd(*vec)
+        basis.append([v // g for v in vec])
+    return basis
 
 
 def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Right kernel of an integer matrix, as primitive integer vectors.
-
-    Forward elimination is fraction-free (gcd-reduced integer rows); back
-    substitution is rational and the result cleared of denominators.
-    """
-    from math import gcd
-
-    m = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                row = [p * a - f * b for a, b in zip(m[i], m[r])]
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
-                if g > 1:
-                    row = [v // g for v in row]
-                m[i] = row
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    m = m[:r]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            acc = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if m[i][c]:
-                    acc += m[i][c] * vec[c]
-            vec[pc] = -acc / m[i][pc]
-        basis.append(_clear_denominators(vec))
-    return basis
+    """Right kernel of a dense integer matrix over Q, as primitive integer vectors."""
+    return integer_kernel(({c: v for c, v in enumerate(row) if v} for row in rows), ncols)
 
 
-def kernel_intersection_int(dim: int, operators):
-    """Common right kernel of integer operator matrices, over Q.
-
-    operators yields dim x dim integer matrices; a deterministic weighted
-    combination of all of them is applied first so the working dimension
-    collapses in one elimination, then every individual kernel is
-    intersected exactly.  Returns primitive integer basis vectors.
-    """
-    ops = list(operators)
-    basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-
-    def intersect(op):
-        nonlocal basis
-        if not basis:
-            return
-        applied = []
-        for vec in basis:
-            out = [0] * dim
-            for i, row in enumerate(op):
-                acc = 0
-                for j, x in enumerate(row):
-                    if x:
-                        acc += x * vec[j]
-                out[i] = acc
-            applied.append(out)
-        columns = [[applied[k][i] for k in range(len(basis))] for i in range(dim)]
-        coeffs = nullspace_int(columns, ncols=len(basis))
-        basis = [
-            [sum(c[k] * basis[k][j] for k in range(len(basis))) for j in range(dim)]
-            for c in coeffs
-        ]
-
-    if len(ops) > 1:
-        combined = [[0] * dim for _ in range(dim)]
-        for w, op in enumerate(ops, start=1):
-            for i in range(dim):
-                row = op[i]
-                crow = combined[i]
-                for j in range(dim):
-                    if row[j]:
-                        crow[j] += w * row[j]
-        intersect(combined)
-    for op in ops:
-        intersect(op)
-    return basis
-
-
-def kernel_intersection_field(dim: int, operators, ring: ScalarRing):
-    """Same as kernel_intersection_int but over a finite field ring."""
-    ops = [[[ring.coerce(x) for x in row] for row in op] for op in operators]
-    basis = [
-        [ring.one if i == j else ring.zero for j in range(dim)] for i in range(dim)
-    ]
-
-    def intersect(op):
-        nonlocal basis
-        if not basis:
-            return
-        applied = []
-        for vec in basis:
-            out = [ring.zero] * dim
-            for i, row in enumerate(op):
-                acc = ring.zero
-                for j, x in enumerate(row):
-                    if not ring.is_zero(x):
-                        acc = ring.add(acc, ring.mul(x, vec[j]))
-                out[i] = acc
-            applied.append(out)
-        columns = [[applied[k][i] for k in range(len(basis))] for i in range(dim)]
-        coeffs = nullspace_field(columns, ring, ncols=len(basis))
-        new_basis = []
-        for c in coeffs:
-            vec = [ring.zero] * dim
-            for k in range(len(basis)):
-                if not ring.is_zero(c[k]):
-                    vec = [
-                        ring.add(v, ring.mul(c[k], basis[k][j]))
-                        for j, v in enumerate(vec)
-                    ]
-            new_basis.append(vec)
-        basis = new_basis
-
-    if len(ops) > 1:
-        combined = [[ring.zero] * dim for _ in range(dim)]
-        w = ring.zero
-        for op in ops:
-            w = ring.add(w, ring.one)
-            for i in range(dim):
-                row = op[i]
-                crow = combined[i]
-                for j in range(dim):
-                    if not ring.is_zero(row[j]):
-                        crow[j] = ring.add(crow[j], ring.mul(w, row[j]))
-        intersect(combined)
-    for op in ops:
-        intersect(op)
-    return basis
+def kernel_intersection_int(dim: int, operators) -> list[list[int]]:
+    """Common right kernel over Q of dense dim x dim integer operator matrices."""
+    return nullspace_int([row for op in operators for row in op], dim)

@@ -17,13 +17,8 @@ from fractions import Fraction
 
 from .center import CenterAlgebra, CenterElement
 from .crossed import CrossedBurnsideRing, CrossedElement
-from .groups import double_cosets
-from .linalg import (
-    kernel_intersection_field,
-    kernel_intersection_int,
-    rank_field,
-    rank_rational,
-)
+from .groups import GroupTooLarge, double_cosets
+from .linalg import integer_kernel, rank_field, rank_rational
 from .scalars import ScalarRing, ZZ
 from .subgroups import SubgroupClassTable, subgroup_key
 
@@ -88,7 +83,7 @@ class MackeyAlgebra:
     def __init__(self, table: SubgroupClassTable, bound: int = DEFAULT_SPAN_BOUND):
         G = table.group
         if G.order > bound:
-            raise ValueError(f"bound exceeded: order {G.order} > span bound {bound}")
+            raise GroupTooLarge(f"bound exceeded: order {G.order} > span bound {bound}")
         self.table = table
         self.group = G
         # Omega: one coset space per subgroup, subgroups in canonical order
@@ -115,6 +110,7 @@ class MackeyAlgebra:
             (subgroup_key(b.stabilizer), b.x, b.y): b.index for b in self.basis
         }
         self._products: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._no_product = (0,) * self.n
         self._proj: list[tuple[tuple[int, ...], ...]] | None = None
 
     # -- points ---------------------------------------------------------------
@@ -229,6 +225,10 @@ class MackeyAlgebra:
         if key not in self._products:
             G = self.group
             bi, bj = self.basis[i], self.basis[j]
+            if self.component(bi.x) != self.component(bj.y):
+                # the glued legs lie in different coset spaces: empty fiber
+                self._products[key] = self._no_product
+                return self._no_product
             Si, Sj = bi.stabilizer, bj.stabilizer
             cos_i = G.left_cosets(Si)
             cos_j = G.left_cosets(Sj)
@@ -271,17 +271,16 @@ class MackeyAlgebra:
 
     def compose(self, x: SpanElement, y: SpanElement) -> SpanElement:
         s = x.scalar
+        ys = [(j, b) for j, b in enumerate(y.coeffs) if not s.is_zero(b)]
         acc = [s.zero] * self.n
         for i, a in enumerate(x.coeffs):
             if s.is_zero(a):
                 continue
-            for j, b in enumerate(y.coeffs):
-                if s.is_zero(b):
-                    continue
+            for j, b in ys:
                 ab = s.mul(a, b)
                 for k, c in enumerate(self._basis_compose(i, j)):
                     if c:
-                        acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
+                        acc[k] = s.add(acc[k], s.mul_int(ab, c))
         return SpanElement(self, s, tuple(acc))
 
     def structure_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -292,29 +291,95 @@ class MackeyAlgebra:
 
     # -- center ------------------------------------------------------------------------
 
-    def commutator_operators(self):
-        """Integer matrices of x -> b_j x - x b_j for each basis element."""
-        self.structure_table()
-        for j in range(self.n):
-            op = [[0] * self.n for _ in range(self.n)]
-            for k in range(self.n):
-                left = self._products[(j, k)]
-                right = self._products[(k, j)]
-                for m in range(self.n):
-                    op[m][k] = left[m] - right[m]
-            yield op
+    def component(self, pid: int) -> int:
+        """Index of the subgroup H whose coset space G/H contains the point."""
+        return self.points[pid][0]
+
+    def generator_spans(self) -> list[int]:
+        """Basis indices of spans that generate the algebra, over any ring.
+
+        Thevenaz-Webb: the Mackey algebra is generated by the transfers
+        t^H_K, the restrictions r^H_K (K <= H) and the conjugations c_{g,H}.
+        Transfer and restriction along K < H are products along a chain of
+        maximal inclusions, and c_{gh,H} = c_{g,hHh^-1} c_{h,H} with every
+        element a positive word in generators of G.  So these suffice, as
+        spans (stabilizer, source point, target point):
+
+        - e_H = c_{1,H} = (H, eH, eH) for every subgroup H;
+        - t^H_K = (K, eK, eH) and r^H_K = (K, eH, eK) for every maximal
+          inclusion K < H;
+        - c_{g,H} = (gHg^-1, gH, e gHg^-1) for every H and every g in
+          small_generating_set(G).
+
+        In each the stabilizer is the full stabilizer of the point pair.
+        """
+        G = self.group
+        where = {H: si for si, H in enumerate(self.subgroups)}
+        group_gens = G.small_generating_set(range(G.order))
+        gens: set[int] = set()
+        for si, H in enumerate(self.subgroups):
+            eH = self.point_of(si, 0)
+            gens.add(self.span_index(H, eH, eH))
+            below = [K for K in self.subgroups if K < H]
+            for K in below:
+                if any(K < L for L in below):
+                    continue
+                eK = self.point_of(where[K], 0)
+                gens.add(self.span_index(K, eK, eH))
+                gens.add(self.span_index(K, eH, eK))
+            for g in group_gens:
+                gHg = G.conjugate_subgroup(g, H)
+                gens.add(self.span_index(gHg, self.point_of(si, g), self.point_of(where[gHg], 0)))
+        return sorted(gens)
 
     def center_basis(self, scalar: ScalarRing):
-        """Basis of the center, by intersecting commutator kernels."""
-        if scalar.is_field and hasattr(scalar, "p"):
-            return kernel_intersection_field(self.n, self.commutator_operators(), scalar)
-        return kernel_intersection_int(self.n, self.commutator_operators())
+        """Basis of the center over the scalar ring, as a sparse commutant.
+
+        Unknowns: the e_H = (H, eH, eH) are orthogonal idempotents summing
+        to 1, so a central z equals sum_H e_H z e_H, a combination of the
+        diagonal spans (both points in one coset space G/H).  Equations: z
+        is central as soon as it commutes with the generator_spans, since
+        it then commutes with every product of them; z a - a z = 0 for each
+        generator a is a system of integer structure constants in those
+        unknowns.  linalg.integer_kernel solves it exactly: the result is
+        primitive integer vectors over Z, Q and Z_(p), vectors of field
+        elements over F_q, each of length n.
+        """
+        diagonal: dict[int, list[int]] = {}  # coset space -> its diagonal spans
+        for b in self.basis:
+            if self.component(b.x) == self.component(b.y):
+                diagonal.setdefault(self.component(b.x), []).append(b.index)
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for a in self.generator_spans():
+            # a z and z a vanish on the diagonal blocks that a does not touch
+            source, target = self.component(self.basis[a].x), self.component(self.basis[a].y)
+            touched = diagonal[source] + (diagonal[target] if target != source else [])
+            for i in touched:
+                for sign, product in ((1, self._basis_compose(i, a)), (-1, self._basis_compose(a, i))):
+                    for k, c in enumerate(product):
+                        if c:
+                            row = rows.setdefault((a, k), {})
+                            row[i] = row.get(i, 0) + sign * c
+        support = sorted(i for block in diagonal.values() for i in block)
+        return integer_kernel(rows.values(), self.n, scalar, support=support)
 
     def is_central(self, x: SpanElement) -> bool:
-        return all(
-            self.compose(x, b).coeffs == self.compose(b, x).coeffs
-            for b in (self.basis_element(j, x.scalar) for j in range(self.n))
-        )
+        """True if x commutes with every basis span.
+
+        This is the oracle for center membership: it tests the whole basis,
+        not the generator_spans that center_basis relies on.
+        """
+        s = x.scalar
+        support = [(i, a) for i, a in enumerate(x.coeffs) if not s.is_zero(a)]
+        for j in range(self.n):
+            diff: dict[int, object] = {}
+            for i, a in support:
+                for k, (c, d) in enumerate(zip(self._basis_compose(i, j), self._basis_compose(j, i))):
+                    if c != d:
+                        diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c - d))
+            if not all(s.is_zero(v) for v in diff.values()):
+                return False
+        return True
 
     # -- projection to the Hecke algebra --------------------------------------------------
 
@@ -376,7 +441,7 @@ class HeckeAlgebra:
                             frontier.append((ma, mb))
                 self.orbits.append(orbit)
         self.n = len(self.orbits)
-        self._orbit_id = orbit_id
+        self.orbit_id = orbit_id  # orbit_id[x][y]: the orbit of the pair (x, y)
 
     def basis_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         npts = self.mackey.npoints
@@ -384,20 +449,6 @@ class HeckeAlgebra:
         for (x, y) in self.orbits[k]:
             mat[y][x] = 1  # operator sends basis point x toward y
         return tuple(tuple(row) for row in mat)
-
-    def matrix_coordinates(self, matrix, scalar: ScalarRing):
-        """Orbit coordinates; raises if the matrix is not equivariant."""
-        coords = [None] * self.n
-        npts = self.mackey.npoints
-        for x in range(npts):
-            for y in range(npts):
-                k = self._orbit_id[x][y]
-                v = matrix[y][x]
-                if coords[k] is None:
-                    coords[k] = v
-                elif coords[k] != v:
-                    raise ValueError("matrix is not constant on orbits")
-        return [scalar.coerce(c) for c in coords]
 
 
 def mat_mul_scalar(a, b, scalar: ScalarRing):

@@ -8,7 +8,6 @@ anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 class ScalarError(ValueError):
@@ -35,6 +34,10 @@ class ScalarRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def mul_int(self, a, n: int):
+        """a times the integer n."""
+        return self.mul(a, self.coerce(n))
 
     def is_zero(self, a):
         return a == self.zero
@@ -80,6 +83,9 @@ class IntegerRing(ScalarRing):
     def mul(self, a, b):
         return a * b
 
+    def mul_int(self, a, n: int):
+        return a * n
+
     def parse(self, text):
         return self.coerce(Fraction(text))
 
@@ -105,6 +111,9 @@ class RationalRing(ScalarRing):
 
     def mul(self, a, b):
         return a * b
+
+    def mul_int(self, a, n: int):
+        return a * n
 
     def inv(self, a):
         if a == 0:
@@ -146,6 +155,9 @@ class PLocalRing(ScalarRing):
 
     def mul(self, a, b):
         return a * b
+
+    def mul_int(self, a, n: int):
+        return a * n
 
     def parse(self, text):
         return self.coerce(Fraction(text))
@@ -273,6 +285,11 @@ class PrimeFieldRing(ScalarRing):
                     prod[i + j] += x * y
         return _poly_mod(prod, self.modulus, self.p)
 
+    def mul_int(self, a, n: int):
+        if self.e == 1:
+            return a * n % self.p
+        return tuple(x * n % self.p for x in a)
+
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
@@ -360,7 +377,3 @@ def ring_from_tag(tag: str) -> ScalarRing:
         if len(parts) == 2:
             return prime_field(int(parts[0]), int(parts[1]))
     raise ScalarError(f"unknown coefficient tag {tag!r}")
-
-
-def fraction_is_p_local(x: Fraction, p: int) -> bool:
-    return gcd(x.denominator, p) == 1

@@ -16,7 +16,7 @@ from .burnside import BurnsideRing
 from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_mod_p, blocks_in_rho_span, ga_equal, ga_mul
 from .crossed import CrossedBurnsideRing
 from .groups import FiniteGroup, double_cosets, fixed_cosets
-from .linalg import rank_rational
+from .linalg import integer_kernel, rank_rational
 from .mackey import (
     HeckeAlgebra,
     MackeyAlgebra,
@@ -583,47 +583,40 @@ def mackey_checks(
 
 
 def hecke_center_dimension(mk: MackeyAlgebra, hk: HeckeAlgebra, scalar: ScalarRing) -> int:
-    """Dimension of the center of the Hecke algebra over the scalar."""
-    mats = [hk.basis_matrix(k) for k in range(hk.n)]
+    """Dimension of the center of the Hecke algebra over the scalar.
 
-    def ops():
-        for j in range(hk.n):
-            # commutator with basis op j, in orbit coordinates
-            op = [[0] * hk.n for _ in range(hk.n)]
-            for k in range(hk.n):
-                prod1 = mat_mul_int(mats[j], mats[k])
-                prod2 = mat_mul_int(mats[k], mats[j])
-                diff = [
-                    [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(prod1, prod2)
-                ]
-                coords = hk.matrix_coordinates(diff, ZZ)
-                for m in range(hk.n):
-                    op[m][k] = coords[m]
-            yield op
+    The orbit operators A_k multiply by intersection numbers:
+    A_i A_j = sum_k a_ij^k A_k, where for a representative (x, y) of orbit
+    k, a_ij^k counts the points z with (z, y) in orbit i and (x, z) in
+    orbit j.  One pass over z for each orbit counts them all.
 
-    if scalar.is_field and hasattr(scalar, "p"):
-        from .linalg import kernel_intersection_field
-
-        return len(kernel_intersection_field(hk.n, ops(), scalar))
-    from .linalg import kernel_intersection_int
-
-    return len(kernel_intersection_int(hk.n, ops()))
-
-
-def mat_mul_int(a, b):
-    n = len(a)
-    m = len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if x:
-                brow = b[k]
-                for j in range(m):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
-    return out
+    The center is computed as in MackeyAlgebra.center_basis.  Span
+    projection is a surjective algebra map onto the Hecke algebra, and a
+    generator span, whose stabilizer is that of its point pair, projects to
+    the orbit operator of that pair; so those operators generate.  The
+    identities of the coset spaces G/H are orthogonal idempotents summing
+    to 1, so the unknowns are the orbits inside some G/H x G/H.  The
+    equations z A_g - A_g z = 0, in the intersection numbers, are solved by
+    linalg.integer_kernel.
+    """
+    orbit_id = hk.orbit_id
+    generators = {orbit_id[mk.basis[a].x][mk.basis[a].y] for a in mk.generator_spans()}
+    diagonal = [
+        k for k, orbit in enumerate(hk.orbits) if mk.component(orbit[0][0]) == mk.component(orbit[0][1])
+    ]
+    unknown = set(diagonal)
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for k, orbit in enumerate(hk.orbits):
+        x, y = orbit[0]
+        for z in range(mk.npoints):
+            i, j = orbit_id[z][y], orbit_id[x][z]  # one count towards a_ij^k
+            if i in unknown and j in generators:  # from z A_j with unknown A_i
+                row = rows.setdefault((j, k), {})
+                row[i] = row.get(i, 0) + 1
+            if j in unknown and i in generators:  # from A_i z with unknown A_j
+                row = rows.setdefault((i, k), {})
+                row[j] = row.get(j, 0) - 1
+    return len(integer_kernel(rows.values(), hk.n, scalar, support=diagonal))
 
 
 def zeta_surjectivity_check(

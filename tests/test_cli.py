@@ -34,6 +34,13 @@ def test_bound_exceeded_exits_3():
     assert "too large" in doc["error"]
 
 
+def test_span_bound_exceeded_exits_3():
+    code, doc, _ = invoke(["mackey-check", "--group", "alt:5"])
+    assert code == 3
+    assert doc["exit"] == 3
+    assert "span bound 24" in doc["error"]
+
+
 def test_malformed_group_exits_2():
     code, doc, _ = invoke(["cbr-basis", "--group", "gens:(1 2"])
     assert code == 2

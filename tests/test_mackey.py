@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from motive_ring.groups import construct_group
+from motive_ring.groups import GroupTooLarge, construct_group
+from motive_ring.linalg import nullspace_field, rank_field
 from motive_ring.mackey import (
     HeckeAlgebra,
     MackeyAlgebra,
@@ -17,6 +18,7 @@ from motive_ring.verify import hecke_center_dimension
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+F4 = prime_field(2, 2)
 
 
 def identity_matrix(n, scalar):
@@ -67,6 +69,12 @@ def test_omega_size(ws):
 def test_bound_exceeded():
     G = construct_group("alt:5")
     with pytest.raises(ValueError, match="bound exceeded"):
+        MackeyAlgebra(SubgroupClassTable(G), bound=24)
+
+
+def test_bound_exceeded_is_a_safety_bound():
+    G = construct_group("alt:5")
+    with pytest.raises(GroupTooLarge, match="span bound 24"):
         MackeyAlgebra(SubgroupClassTable(G), bound=24)
 
 
@@ -152,6 +160,96 @@ def test_center_dimensions_frozen(ws):
     assert len(ws.mackey("S3").center_basis(QQ)) == 7
     assert len(ws.mackey("C2").center_basis(F2)) == 3
     assert len(ws.mackey("S3").center_basis(F2)) == 7
+
+
+def all_basis_commutant(mk, scalar):
+    """Center by brute force: every span coordinate is an unknown, and the
+    kernels of x -> b x - x b over every basis span b are intersected one
+    at a time with the dense field elimination (not the sparse one, the
+    diagonal ansatz or the generator set of center_basis)."""
+    n = mk.n
+    basis = [
+        [scalar.one if i == j else scalar.zero for j in range(n)] for i in range(n)
+    ]
+    for j in range(n):
+        b = mk.basis_element(j, scalar)
+        images = []
+        for vec in basis:
+            z = mk.element(vec, scalar)
+            images.append((b * z - z * b).coeffs)
+        columns = [[img[k] for img in images] for k in range(n)]
+        new_basis = []
+        for c in nullspace_field(columns, scalar, ncols=len(basis)):
+            vec = [scalar.zero] * n
+            for coeff, old in zip(c, basis):
+                if not scalar.is_zero(coeff):
+                    vec = [scalar.add(v, scalar.mul(coeff, w)) for v, w in zip(vec, old)]
+            new_basis.append(vec)
+        basis = new_basis
+    return basis
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3"])
+@pytest.mark.parametrize("scalar", [QQ, F2])
+def test_center_basis_matches_all_basis_commutant(name, scalar, ws):
+    mk = ws.mackey(name)
+    fast = [[scalar.coerce(v) for v in vec] for vec in mk.center_basis(scalar)]
+    oracle = all_basis_commutant(mk, scalar)
+    assert len(fast) == len(oracle) == rank_field(fast, scalar)
+    assert rank_field(fast + oracle, scalar) == len(oracle)
+
+
+def class_number(G, elements):
+    """Number of conjugacy classes of the subgroup on the given elements."""
+    seen, classes = set(), 0
+    for a in elements:
+        if a not in seen:
+            classes += 1
+            seen |= {G.conj(g, a) for g in elements}
+    return classes
+
+
+def quotient_class_number(G, H, N):
+    """k(N/H): N-conjugacy classes of the cosets nH, n in N."""
+    cosets = {frozenset(G.mul(n, h) for h in H) for n in N}
+    seen, classes = set(), 0
+    for coset in cosets:
+        if coset not in seen:
+            classes += 1
+            seen |= {frozenset(G.conj(g, a) for a in coset) for g in N}
+    return classes
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("C2", 3), ("C3", 4), ("C4", 7), ("V4", 11), ("S3", 7), ("A4", 11), ("D8", 20)],
+)
+def test_center_dimension_closed_form(name, expected, ws):
+    # Thevenaz-Webb: mu_Q(G) is semisimple with one simple module per pair
+    # (H up to conjugacy, simple Q Out-module of N_G(H)/H), so its center
+    # has dimension sum over classes of subgroups H of k(N_G(H)/H)
+    G = ws.group(name)
+    formula = sum(
+        quotient_class_number(G, cls.representative, cls.normalizer)
+        for cls in ws.table(name).classes
+    )
+    assert formula == expected
+    assert len(ws.mackey(name).center_basis(QQ)) == expected
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "S3"])
+def test_center_dimension_over_f4_is_the_f2_dimension(name, ws):
+    mk = ws.mackey(name)
+    over_f4 = mk.center_basis(F4)
+    assert len(over_f4) == len(mk.center_basis(F2))
+    assert all(len(v) == mk.n and all(len(c) == 2 for c in v) for v in over_f4)
+    assert rank_field(over_f4, F4) == len(over_f4)
+
+
+def test_center_basis_vectors_are_central_over_f4(ws):
+    mk = ws.mackey("S3")
+    for vec in mk.center_basis(F4):
+        assert mk.is_central(mk.element(vec, F4))
 
 
 def test_identity_is_central(ws):
@@ -352,15 +450,17 @@ def test_square_commutes_on_every_crossed_basis_element(name, scalar, ws):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("name", ["C2", "C3", "S3"])
-@pytest.mark.parametrize("scalar", [QQ, F2])
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3"])
+@pytest.mark.parametrize("scalar", [QQ, F2, F3])
 def test_composite_reaches_hecke_center(name, scalar, ws):
     mk = ws.mackey(name)
     xr = ws.crossed(name)
     Z = ws.center(name)
     hk = HeckeAlgebra(mk)
     dim_zy = hecke_center_dimension(mk, hk, scalar)
-    assert dim_zy == Z.n  # the embedding identifies the two centers
+    # k Omega contains the regular module kG, so it is a generator and
+    # Z(End_kG(k Omega)) is Z(kG), of dimension k(G), in every characteristic
+    assert dim_zy == Z.n == class_number(ws.group(name), range(ws.group(name).order))
     comp = [
         [
             v

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motive_ring.linalg import (
+    integer_kernel,
     kernel_intersection_int,
+    nullspace_field,
     nullspace_int,
     nullspace_rational,
     rank_field,
@@ -127,3 +129,33 @@ def test_kernel_intersection():
     basis = kernel_intersection_int(3, [op1, op2])
     assert len(basis) == 1
     assert basis[0][0] == 0 and basis[0][1] == 0 and basis[0][2] != 0
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=6
+    ).map(lambda rows: (rows, ncols))
+)
+
+
+@given(small_matrices)
+def test_integer_kernel_matches_dense_elimination(matrix):
+    rows, ncols = matrix
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    over_q = integer_kernel(sparse, ncols)
+    dense_q = nullspace_rational([[Fraction(v) for v in row] for row in rows], ncols)
+    assert len(over_q) == len(dense_q)
+    for vec in over_q:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    for ring in (prime_field(2), prime_field(3), prime_field(2, 2)):
+        fast = integer_kernel(sparse, ncols, ring)
+        dense = nullspace_field([[ring.coerce(v) for v in row] for row in rows], ring, ncols)
+        assert len(fast) == len(dense)
+        if dense:
+            assert rank_field(fast + dense, ring) == len(dense)
+
+
+def test_integer_kernel_support_leaves_other_columns_zero():
+    # x0 = x2 with only x0 and x2 unknown: one kernel vector, zero elsewhere
+    assert integer_kernel([{0: 1, 2: -1}], 4, QQ, support=[0, 2]) == [[1, 0, 1, 0]]
+    assert integer_kernel([{0: 1, 2: 1}], 4, prime_field(2), support=[0, 2]) == [[1, 0, 1, 0]]
