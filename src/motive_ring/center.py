@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .groups import FiniteGroup
-from .linalg import in_row_span_field, nullspace_field, rank_field
+from .linalg import in_row_span_field, mat_mul, nullspace_field, rank_field
 from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
 
 
@@ -309,13 +309,7 @@ def _residue_degrees(Z: CenterAlgebra, field: PrimeFieldRing, blocks) -> list[in
     mat = [[frob_cols[j][i] for j in range(n)] for i in range(n)]
     power = mat
     for _ in range(k - 1):
-        power = [
-            [
-                _dot_field(field, [power[i][t] for t in range(n)], [mat[t][j] for t in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        power = mat_mul(power, mat, field)
     ss_vectors = [[power[i][j] for i in range(n)] for j in range(n)]  # columns
     degrees = []
     for e in blocks:
@@ -325,13 +319,6 @@ def _residue_degrees(Z: CenterAlgebra, field: PrimeFieldRing, blocks) -> list[in
             rows.append(list(prod.coords))
         degrees.append(rank_field(rows, field))
     return degrees
-
-
-def _dot_field(field, a, b):
-    acc = field.zero
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def blocks_mod_p(

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .burnside import BurnsideElement, BurnsideRing, GhostVector
 from .center import augmentation as ga_augmentation
 from .center import ga_equal, ga_mul
 from .groups import double_cosets
-from .linalg import rank_field, rank_rational
+from .linalg import integer_rank
 from .scalars import QQ, ZZ, ScalarError, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
 
@@ -418,8 +419,14 @@ class CrossedBurnsideRing:
         return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
 
     def ideal_rank(self, x: CrossedElement) -> int:
-        mat = self.multiplication_matrix(x)
-        return rank_rational([[Fraction(v) for v in row] for row in mat])
+        """Rank over Q of the ideal generated by x.
+
+        x is scaled by the lcm d of its denominators, which leaves the rank
+        unchanged, so its multiplication matrix is built over Z.
+        """
+        d = lcm(*(c.denominator for c in x.coeffs))
+        scaled = self.element([c.numerator * (d // c.denominator) for c in x.coeffs], ZZ)
+        return integer_rank(self.multiplication_matrix(scaled), QQ)
 
     def p_local_report(self, p: int) -> dict:
         """Decomposition of the identity over p-local scalars.
@@ -482,12 +489,7 @@ class CrossedBurnsideRing:
     # -- rank checks -------------------------------------------------------------------
 
     def center_image_rank(self, scalar: ScalarRing) -> int:
-        rows = self.center_image_rows(ZZ)
-        if scalar.is_field and hasattr(scalar, "p"):
-            return rank_field(
-                [[scalar.coerce(v) for v in row] for row in rows], scalar
-            )
-        return rank_rational([[Fraction(v) for v in row] for row in rows])
+        return integer_rank(self.center_image_rows(ZZ), scalar)
 
     def marks_matrix_rows(self) -> list[list[int]]:
         """Crossed marks of each basis pair, flattened to integer coordinates."""

@@ -1,11 +1,14 @@
 """Exact linear algebra over the scalar rings.
 
-The dense routines work on lists of row lists: rational ones use
-Fraction, the generic ones take a ScalarRing with field operations (used
-for finite fields).  integer_kernel solves sparse integer systems, such as
-commutant equations, with int arithmetic only.  Sizes here are small
-(dimension <= a few hundred), so plain Gaussian elimination is the right
-tool.
+Integer matrices (commutant equations, span projections, marks, ideal
+multiplication matrices) go through one sparse elimination over the ints:
+integer_kernel returns right kernels and integer_rank returns ranks.  Over
+Z, Q and Z_(p) it is fraction free, each row kept primitive by its gcd in
+the manner of Bareiss; over F_q it runs modulo p.  The dense routines
+(rank_field, nullspace_field, in_row_span_field) take matrices of ScalarRing
+elements: they serve matrices with true F_q entries and are the independent
+oracle for the sparse path.  Sizes here are small (dimension <= a few
+hundred), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -14,54 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import QQ, ScalarRing
-
-
-def rref_rational(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rank_rational(rows) -> int:
-    return len(rref_rational(rows)[1])
-
-
-def nullspace_rational(rows: list[list[Fraction]], ncols: int | None = None):
-    """Basis of the right kernel of the matrix, as lists of Fractions."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = rref_rational(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def solve_upper_triangular(matrix, rhs):
@@ -76,6 +31,24 @@ def solve_upper_triangular(matrix, rhs):
             raise ZeroDivisionError("zero diagonal entry in triangular solve")
         x[i] = acc / Fraction(matrix[i][i])
     return x
+
+
+def mat_mul(a, b, scalar: ScalarRing):
+    """Matrix product a b of dense matrices of scalar ring elements."""
+    n = len(a)
+    m = len(b[0]) if b else 0
+    out = [[scalar.zero] * m for _ in range(n)]
+    for i in range(n):
+        arow = a[i]
+        orow = out[i]
+        for k, x in enumerate(arow):
+            if scalar.is_zero(x):
+                continue
+            brow = b[k]
+            for j in range(m):
+                if not scalar.is_zero(brow[j]):
+                    orow[j] = scalar.add(orow[j], scalar.mul(x, brow[j]))
+    return out
 
 
 def rank_field(rows, ring: ScalarRing) -> int:
@@ -131,10 +104,10 @@ def in_row_span_field(rows, vector, ring: ScalarRing) -> bool:
     return rank_field(list(rows) + [list(vector)], ring) == base
 
 
-# -- sparse integer kernels ----------------------------------------------------
+# -- sparse integer elimination ------------------------------------------------
 #
-# Commutant equations have small integer coefficients and few nonzeros per
-# row, so they are eliminated as sparse rows {column: int} with plain int
+# The integer matrices here have small coefficients and are often sparse, so
+# they are eliminated as sparse rows {column: int} with plain int
 # arithmetic: fraction free over Q (each row kept primitive by its gcd),
 # modulo p over F_p.  No ScalarRing call happens inside the elimination.
 
@@ -169,12 +142,20 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int, p: int | None):
     return _primitive(out)
 
 
-def _reduced_echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form, keyed by pivot column.
+def _modulus(scalar: ScalarRing) -> int | None:
+    """p when the scalar ring is F_q, q = p^e; None for Z, Q and Z_(p).
+
+    An integer matrix has the same rank and kernel over F_q as over F_p,
+    and the same over Z, Q and Z_(p) as over Q.
+    """
+    return scalar.p if scalar.is_field and hasattr(scalar, "p") else None
+
+
+def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
+    """Forward pass: row echelon form keyed by pivot column.
 
     Each row is reduced against the pivots found so far, leading column
     first; a row that survives adds its leading column as a new pivot.
-    Back reduction then clears every pivot column from the other pivot rows.
     Over F_p pivot entries are 1; over Q rows are primitive integer rows.
     """
     pivots: dict[int, dict[int, int]] = {}
@@ -197,12 +178,21 @@ def _reduced_echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
                 pivots[c] = row
                 break
             row = _eliminate(row, piv, c, p)
+    return pivots
+
+
+def _back_reduce(pivots: dict[int, dict[int, int]], p: int | None) -> None:
+    """Clear every pivot column from the other pivot rows, in place."""
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:
             row = _eliminate(row, pivots[k], k, p)
         pivots[c] = row
-    return pivots
+
+
+def integer_rank(rows, scalar: ScalarRing = QQ) -> int:
+    """Rank over the scalar ring of an integer matrix given as dense int rows."""
+    return len(_echelon((dict(enumerate(row)) for row in rows), _modulus(scalar)))
 
 
 def integer_kernel(rows, ncols: int, scalar: ScalarRing = QQ, support=None) -> list[list]:
@@ -218,9 +208,9 @@ def integer_kernel(rows, ncols: int, scalar: ScalarRing = QQ, support=None) -> l
     rank over F_p as over any extension, so an F_p basis of the kernel is an
     F_q basis.
     """
-    field = scalar.is_field and hasattr(scalar, "p")
-    p = scalar.p if field else None
-    pivots = _reduced_echelon(rows, p)
+    p = _modulus(scalar)
+    pivots = _echelon(rows, p)
+    _back_reduce(pivots, p)
     free = [c for c in (range(ncols) if support is None else support) if c not in pivots]
     entries: dict[int, list[tuple[int, int]]] = {f: [] for f in free}
     for c, row in pivots.items():
@@ -243,13 +233,3 @@ def integer_kernel(rows, ncols: int, scalar: ScalarRing = QQ, support=None) -> l
         g = gcd(*vec)
         basis.append([v // g for v in vec])
     return basis
-
-
-def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Right kernel of a dense integer matrix over Q, as primitive integer vectors."""
-    return integer_kernel(({c: v for c, v in enumerate(row) if v} for row in rows), ncols)
-
-
-def kernel_intersection_int(dim: int, operators) -> list[list[int]]:
-    """Common right kernel over Q of dense dim x dim integer operator matrices."""
-    return nullspace_int([row for op in operators for row in op], dim)

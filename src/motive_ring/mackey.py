@@ -13,12 +13,11 @@ count is an algebra map onto matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .center import CenterAlgebra, CenterElement
 from .crossed import CrossedBurnsideRing, CrossedElement
 from .groups import GroupTooLarge, double_cosets
-from .linalg import integer_kernel, rank_field, rank_rational
+from .linalg import integer_kernel
 from .scalars import ScalarRing, ZZ
 from .subgroups import SubgroupClassTable, subgroup_key
 
@@ -409,7 +408,7 @@ class MackeyAlgebra:
                 row = mat[r]
                 for col in range(self.npoints):
                     if prow[col]:
-                        row[col] = s.add(row[col], s.mul(c, s.coerce(prow[col])))
+                        row[col] = s.add(row[col], s.mul_int(c, prow[col]))
         return mat
 
 
@@ -449,23 +448,6 @@ class HeckeAlgebra:
         for (x, y) in self.orbits[k]:
             mat[y][x] = 1  # operator sends basis point x toward y
         return tuple(tuple(row) for row in mat)
-
-
-def mat_mul_scalar(a, b, scalar: ScalarRing):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[scalar.zero] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if scalar.is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(m):
-                if not scalar.is_zero(brow[j]):
-                    orow[j] = scalar.add(orow[j], scalar.mul(x, brow[j]))
-    return out
 
 
 # -- the two comparison maps -----------------------------------------------------
@@ -532,13 +514,3 @@ def center_to_hecke(
                     mat[mackey.act[v][y_pt]][mackey.act[v][x_pt]], coeff
                 )
     return mat
-
-
-# -- rank helpers ------------------------------------------------------------------
-
-
-def span_rank(vectors, scalar: ScalarRing) -> int:
-    rows = [list(v) for v in vectors]
-    if scalar.is_field and hasattr(scalar, "p"):
-        return rank_field([[scalar.coerce(v) for v in row] for row in rows], scalar)
-    return rank_rational([[Fraction(v) for v in row] for row in rows])

@@ -16,14 +16,12 @@ from .burnside import BurnsideRing
 from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_mod_p, blocks_in_rho_span, ga_equal, ga_mul
 from .crossed import CrossedBurnsideRing
 from .groups import FiniteGroup, double_cosets, fixed_cosets
-from .linalg import integer_kernel, rank_rational
+from .linalg import integer_kernel, integer_rank, mat_mul
 from .mackey import (
     HeckeAlgebra,
     MackeyAlgebra,
     center_to_hecke,
     crossed_to_mackey_center,
-    mat_mul_scalar,
-    span_rank,
 )
 from .scalars import QQ, ZZ, ScalarRing, prime_field
 from .subgroups import SubgroupClassTable, prime_divisors
@@ -271,9 +269,7 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
             bad = f"crossed marks not multiplicative on ({xring.pairs[i].name},{xring.pairs[j].name})"
     checks.append(Check("crossed-marks-ring-homomorphism", not bad, bad))
 
-    rank = rank_rational([
-        [Fraction(v) for v in row] for row in xring.marks_matrix_rows()
-    ])
+    rank = integer_rank(xring.marks_matrix_rows(), QQ)
     checks.append(
         Check(
             "crossed-marks-injective",
@@ -482,6 +478,11 @@ def mackey_checks(
     checks.append(Check("span-associativity", not bad, bad))
 
     hk = HeckeAlgebra(mk)
+    # integer rows of the rank checks, built once and read over each scalar
+    zeta_zz = [crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)) for i in range(xr.n)]
+    proj_rows = [_flat(mk.project_matrix(i)) for i in range(mk.n)]
+    comp_rows = [_flat(mk.project(z)) for z in zeta_zz]
+    iota_rows = [_flat(center_to_hecke(mk, Z, z)) for z in Z.class_sums(ZZ)]
     for scalar in scalars:
         tag = scalar.tag
         zimgs = [
@@ -511,7 +512,7 @@ def mackey_checks(
         bad = ""
         for i, j in _pairs(mk.n, mk.n <= 30, rng):
             lhs = mk.project(mk.compose(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
-            rhs = mat_mul_scalar(
+            rhs = mat_mul(
                 mk.project(mk.basis_element(i, scalar)),
                 mk.project(mk.basis_element(j, scalar)),
                 scalar,
@@ -520,13 +521,7 @@ def mackey_checks(
                 bad = f"projection not multiplicative on spans ({i},{j})"
         checks.append(Check(f"projection-algebra-homomorphism[{tag}]", not bad, bad))
 
-        proj_rank = span_rank(
-            [
-                [v for row in mk.project(mk.basis_element(i, scalar)) for v in row]
-                for i in range(mk.n)
-            ],
-            scalar,
-        )
+        proj_rank = integer_rank(proj_rows, scalar)
         checks.append(
             Check(
                 f"projection-onto-hecke[{tag}]",
@@ -557,19 +552,15 @@ def mackey_checks(
         for i in range(Z.n):
             for j in range(Z.n):
                 lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
-                rhs = mat_mul_scalar(iota_ops[i], iota_ops[j], scalar)
+                rhs = mat_mul(iota_ops[i], iota_ops[j], scalar)
                 if lhs != rhs:
                     bad = f"center embedding not multiplicative on classes ({i},{j})"
         checks.append(Check(f"center-embedding-ring-homomorphism[{tag}]", not bad, bad))
 
         # composite image spans the center of the Hecke algebra
         zy = hecke_center_dimension(mk, hk, scalar)
-        comp_rank = span_rank(
-            [[v for row in mk.project(z) for v in row] for z in zimgs], scalar
-        )
-        iota_rank = span_rank(
-            [[v for row in op for v in row] for op in iota_ops], scalar
-        )
+        comp_rank = integer_rank(comp_rows, scalar)
+        iota_rank = integer_rank(iota_rows, scalar)
         ok = comp_rank == zy and iota_rank == zy
         checks.append(
             Check(
@@ -580,6 +571,10 @@ def mackey_checks(
         )
 
     return checks
+
+
+def _flat(matrix) -> list:
+    return [v for row in matrix for v in row]
 
 
 def hecke_center_dimension(mk: MackeyAlgebra, hk: HeckeAlgebra, scalar: ScalarRing) -> int:
@@ -623,11 +618,8 @@ def zeta_surjectivity_check(
     mk: MackeyAlgebra, xr: CrossedBurnsideRing, scalar: ScalarRing
 ) -> Check:
     """Rank of the central span images against the full center dimension."""
-    zimgs = [
-        crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
-        for i in range(xr.n)
-    ]
-    rank = span_rank([z.coeffs for z in zimgs], scalar)
+    rows = [crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)).coeffs for i in range(xr.n)]
+    rank = integer_rank(rows, scalar)
     dim = len(mk.center_basis(scalar))
     return Check(
         f"zeta-image-spans-mackey-center[{scalar.tag}]",

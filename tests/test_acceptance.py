@@ -12,11 +12,10 @@ import json
 import time
 from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, blocks_mod_p, ga_equal, ga_mul
 from motive_ring.cli import run
+from motive_ring.linalg import mat_mul, rank_field
 from motive_ring.mackey import (
     center_to_hecke,
     crossed_to_mackey_center,
-    mat_mul_scalar,
-    span_rank,
 )
 from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import prime_divisors
@@ -270,7 +269,7 @@ def test_criterion_7_mackey_diagram_suite(ws):
                     ):
                         ok = False
             crit.expect(ok, f"{name}[{tag}]: central span image is not multiplicative")
-            rank = span_rank([z.coeffs for z in imgs], scalar)
+            rank = rank_field([z.coeffs for z in imgs], scalar)
             dim = len(mk.center_basis(scalar))
             crit.expect(
                 rank == dim,
@@ -282,7 +281,7 @@ def test_criterion_7_mackey_diagram_suite(ws):
                     lhs = mk.project(
                         mk.compose(mk.basis_element(i, scalar), mk.basis_element(j, scalar))
                     )
-                    rhs = mat_mul_scalar(
+                    rhs = mat_mul(
                         mk.project(mk.basis_element(i, scalar)),
                         mk.project(mk.basis_element(j, scalar)),
                         scalar,

@@ -41,6 +41,15 @@ def test_span_bound_exceeded_exits_3():
     assert "span bound 24" in doc["error"]
 
 
+def test_bound_sets_every_bound_to_n():
+    # --bound n sets the order, lattice and span bounds to n, so a small n lowers them
+    code, doc, _ = invoke(["subgroups", "--group", "sym:4", "--bound", "10"])
+    assert code == 3
+    assert "order exceeds bound 10" in doc["error"]
+    code, _, _ = invoke(["subgroups", "--group", "sym:4", "--bound", "24"])
+    assert code == 0
+
+
 def test_malformed_group_exits_2():
     code, doc, _ = invoke(["cbr-basis", "--group", "gens:(1 2"])
     assert code == 2
@@ -159,6 +168,27 @@ def test_mackey_check_c2():
     code, doc, _ = invoke(["mackey-check", "--group", "cyclic:2"])
     assert code == 0
     assert doc["span_dimension"] == 6
+
+
+def mackey_check_results(group, tag):
+    """(check name without its [tag], pass, detail) of mackey-check over one coefficient ring."""
+    _, doc, _ = invoke(["mackey-check", "--group", group, "--coeff", tag])
+    return [(c["name"].split("[")[0], c["pass"], c.get("detail", "")) for c in doc["checks"]]
+
+
+@pytest.mark.parametrize(
+    "group, tags",
+    [
+        ("cyclic:4", ["Q", "Z", "Zp:2"]),
+        ("cyclic:4", ["Fp:2", "Fp:2:2"]),
+        ("sym:3", ["Fp:2", "Fp:2:2"]),
+    ],
+    ids=["C4-char0", "C4-char2", "S3-char2"],
+)
+def test_mackey_check_is_invariant_under_coefficient_extension(group, tags):
+    # the ranks are of integer matrices: one over Q, Z and Z_(2), one over F2 and F4
+    first, *rest = [mackey_check_results(group, tag) for tag in tags]
+    assert all(results == first for results in rest)
 
 
 def test_verify_all_c2():

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from motive_ring.linalg import (
     integer_kernel,
-    kernel_intersection_int,
+    integer_rank,
     nullspace_field,
-    nullspace_int,
-    nullspace_rational,
     rank_field,
-    rank_rational,
     solve_upper_triangular,
 )
 from motive_ring.scalars import (
@@ -95,40 +92,10 @@ def test_triangular_solve():
     assert x == [Fraction(-1, 2), Fraction(1)]
 
 
-def test_rank_and_nullspace_rational():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    rows = [[Fraction(v) for v in r] for r in rows]
-    assert rank_rational(rows) == 2
-    ns = nullspace_rational(rows)
-    assert len(ns) == 1
-    for r in rows:
-        assert sum(a * b for a, b in zip(r, ns[0])) == 0
-
-
-def test_nullspace_int_matches_rational():
-    rows = [[2, 4, -2, 0], [1, 1, 1, 1], [3, 5, -1, 1]]
-    frac = nullspace_rational([[Fraction(v) for v in r] for r in rows], ncols=4)
-    ints = nullspace_int(rows, ncols=4)
-    assert len(frac) == len(ints) == 2
-    for vec in ints:
-        for r in rows:
-            assert sum(a * b for a, b in zip(r, vec)) == 0
-
-
 def test_rank_field_mod_2():
     F2 = prime_field(2)
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert rank_field(rows, F2) == 2
-    assert rank_rational([[Fraction(v) for v in r] for r in rows]) == 3
-
-
-def test_kernel_intersection():
-    # kernels of two projections intersect in the last coordinate axis
-    op1 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    op2 = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
-    basis = kernel_intersection_int(3, [op1, op2])
-    assert len(basis) == 1
-    assert basis[0][0] == 0 and basis[0][1] == 0 and basis[0][2] != 0
 
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -138,21 +105,57 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
-@given(small_matrices)
-def test_integer_kernel_matches_dense_elimination(matrix):
-    rows, ncols = matrix
+def check_against_dense_elimination(rows, ncols):
+    """integer_kernel and integer_rank against the dense field elimination."""
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    dense_q = [[QQ.coerce(v) for v in row] for row in rows]
+    rank_q = rank_field(dense_q, QQ)
+    for ring in (QQ, ZZ, p_local(2)):
+        assert integer_rank(rows, ring) == rank_q
     over_q = integer_kernel(sparse, ncols)
-    dense_q = nullspace_rational([[Fraction(v) for v in row] for row in rows], ncols)
-    assert len(over_q) == len(dense_q)
+    oracle_q = nullspace_field(dense_q, QQ, ncols)
+    assert len(over_q) == len(oracle_q) == ncols - rank_q
     for vec in over_q:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    if oracle_q:
+        both = [[QQ.coerce(v) for v in vec] for vec in over_q] + oracle_q
+        assert rank_field(both, QQ) == len(oracle_q)
     for ring in (prime_field(2), prime_field(3), prime_field(2, 2)):
+        dense = [[ring.coerce(v) for v in row] for row in rows]
+        assert integer_rank(rows, ring) == rank_field(dense, ring)
         fast = integer_kernel(sparse, ncols, ring)
-        dense = nullspace_field([[ring.coerce(v) for v in row] for row in rows], ring, ncols)
-        assert len(fast) == len(dense)
-        if dense:
-            assert rank_field(fast + dense, ring) == len(dense)
+        oracle = nullspace_field(dense, ring, ncols)
+        assert len(fast) == len(oracle)
+        if oracle:
+            assert rank_field(fast + oracle, ring) == len(oracle)
+
+
+@given(small_matrices)
+def test_integer_kernel_matches_dense_elimination(matrix):
+    check_against_dense_elimination(*matrix)
+
+
+# (rows, rank over Q, rank over F2, kernel over Q where it is checked by hand)
+FIXED_EXAMPLES = {
+    "dependent-rows": ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2, 2, [[-1, -1, 1]]),
+    "two-dim-kernel": ([[2, 4, -2, 0], [1, 1, 1, 1], [3, 5, -1, 1]], 2, 1, None),
+    # the stacked operators diag(1,0,0) and diag(0,1,0): common kernel is the last axis
+    "kernel-intersection": (
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0]], 2, 2, [[0, 0, 1]]
+    ),
+    "rank-drops-mod-2": ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3, 2, []),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_EXAMPLES))
+def test_integer_elimination_fixed_examples(name):
+    rows, rank_q, rank_f2, kernel_q = FIXED_EXAMPLES[name]
+    ncols = len(rows[0])
+    check_against_dense_elimination(rows, ncols)
+    assert integer_rank(rows, QQ) == rank_q
+    assert integer_rank(rows, prime_field(2)) == rank_f2
+    if kernel_q is not None:
+        assert integer_kernel([dict(enumerate(row)) for row in rows], ncols) == kernel_q
 
 
 def test_integer_kernel_support_leaves_other_columns_zero():
