@@ -14,7 +14,6 @@ the ring map onto the center of kG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .burnside import BurnsideElement, BurnsideRing, GhostVector
@@ -377,9 +376,9 @@ class CrossedBurnsideRing:
     def idempotent_oracle(self) -> list[CrossedElement]:
         """Independent scan for the primitive idempotents over Z.
 
-        Every idempotent has 0/1 marks, so scanning all 0/1 ghost vectors,
-        keeping integral pullbacks, embedding them, and taking the minimal
-        nonzero ones under e <= f iff ef = e finds every candidate.
+        Every idempotent has 0/1 marks, so scanning all nonzero 0/1 ghost
+        vectors, keeping integral pullbacks, embedding them, and taking the
+        minimal ones under e <= f iff ef = e finds every candidate.
 
         The scan takes 2^n steps for n subgroup classes, so it raises
         ``ValueError("class-count bound exceeded ...")`` before any scan
@@ -388,16 +387,22 @@ class CrossedBurnsideRing:
         nclasses = len(self.table.classes)
         if nclasses > 14:
             raise ValueError("class-count bound exceeded for the idempotent scan")
+        # pullbacks of the unit ghost vectors as integer columns over one
+        # common denominator; a 0/1 ghost vector pulls back to a column sum
+        units = [self.burnside.from_marks([int(i == j) for j in range(nclasses)], QQ)
+                 for i in range(nclasses)]
+        denom = lcm(*(c.denominator for u in units for c in u.coeffs))
+        columns = [[int(c * denom) for c in u.coeffs] for u in units]
+        acc = [0] * nclasses
         found: list[CrossedElement] = []
-        for mask in range(1 << nclasses):
-            ghost = [Fraction((mask >> i) & 1) for i in range(nclasses)]
-            candidate = self.burnside.from_marks(ghost, QQ)
-            if all(c.denominator == 1 for c in candidate.coeffs):
-                elem = self.with_identity_labels(
-                    self.burnside.element([int(c) for c in candidate.coeffs], ZZ)
-                )
-                if not elem.is_zero():
-                    found.append(elem)
+        for step in range(1, 1 << nclasses):
+            # Gray code: step flips one bit of the previous mask
+            bit = (step & -step).bit_length() - 1
+            sign = 1 if (step ^ step >> 1) >> bit & 1 else -1
+            acc = [a + sign * c for a, c in zip(acc, columns[bit])]
+            if all(a % denom == 0 for a in acc):
+                coeffs = [a // denom for a in acc]
+                found.append(self.with_identity_labels(self.burnside.element(coeffs, ZZ)))
         minimal = []
         for e in found:
             if not any(

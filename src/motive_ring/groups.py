@@ -142,7 +142,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
 
 
 class FiniteGroup:
-    """Permutation group with lazily materialized elements and Cayley table."""
+    """Permutation group; elements and Cayley table are built on first use."""
 
     def __init__(self, degree: int, generators, *, order_bound: int | None = None, name: str = ""):
         self.degree = degree
@@ -157,18 +157,21 @@ class FiniteGroup:
         self.generators = tuple(gens)
         self.name = name
         self._order_bound = order_bound
-        self._elements: tuple[tuple[int, ...], ...] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
-        self._mul: list[list[int]] | None = None
-        self._inv: list[int] | None = None
+        # _elements, _index, _mul and _inv are set together by _materialize
         self._orders: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     # -- materialization -------------------------------------------------
 
+    def __getattr__(self, name):
+        # only reached while an attribute is unset: the first use of the
+        # elements or the Cayley table builds both
+        if name not in ("_elements", "_index", "_mul", "_inv"):
+            raise AttributeError(name)
+        self._materialize()
+        return self.__dict__[name]
+
     def _materialize(self):
-        if self._elements is not None:
-            return
         bound = self._order_bound if self._order_bound is not None else default_order_bound()
         identity = tuple(range(self.degree))
         els = {identity}
@@ -188,37 +191,20 @@ class FiniteGroup:
                             )
             frontier = new
         ordered = tuple(sorted(els))
+        index = {t: i for i, t in enumerate(ordered)}
+        mul = [[index[tuple(b[x] for x in a)] for b in ordered] for a in ordered]
         self._elements = ordered
-        self._index = {t: i for i, t in enumerate(ordered)}
+        self._index = index
+        self._mul = mul
+        self._inv = [row.index(0) for row in mul]
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        self._materialize()
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def _ensure_table(self):
-        if self._mul is not None:
-            return
-        els = self.elements
-        index = self._index
-        n = len(els)
-        mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(els):
-            row = mul[i]
-            for j, b in enumerate(els):
-                row[j] = index[tuple(b[x] for x in a)]
-        self._mul = mul
-        inv = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if mul[i][j] == 0:
-                    inv[i] = j
-                    break
-        self._inv = inv
+        return len(self._elements)
 
     # -- element arithmetic (by index) -----------------------------------
 
@@ -227,23 +213,19 @@ class FiniteGroup:
         return 0  # identity image tuple sorts first
 
     def mul(self, i: int, j: int) -> int:
-        self._ensure_table()
         return self._mul[i][j]
 
     def inv(self, i: int) -> int:
-        self._ensure_table()
         return self._inv[i]
 
     def conj(self, g: int, a: int) -> int:
         """g a g^-1."""
-        self._ensure_table()
         return self._mul[self._mul[g][a]][self._inv[g]]
 
     def perm(self, i: int) -> Permutation:
         return Permutation(self.elements[i])
 
     def element_index(self, perm: Permutation) -> int:
-        self._materialize()
         try:
             return self._index[perm.images]
         except KeyError:
@@ -294,7 +276,6 @@ class FiniteGroup:
 
     def closure(self, gens) -> frozenset[int]:
         """Subgroup generated by the given element indices."""
-        self._ensure_table()
         els = {0}
         gens = [g for g in gens if g != 0]
         frontier = [0]

@@ -1,9 +1,10 @@
 """Subgroup lattice: conjugacy classes of subgroups, fusion, residuals.
 
-The production enumeration closes the set of cyclic subgroups under
-pairwise join; every subgroup is a join of cyclic subgroups, so the walk
-is complete.  An independent depth-first oracle (grow one generator at a
-time) backs it in the tests.
+The production enumeration walks conjugacy classes: it joins one
+representative per class with one cyclic subgroup outside it per orbit of
+its normalizer, and conjugates each new class once by all of G, which
+gives its members, normalizer and fusion conjugators.  Depth-first growth
+and a literal subset scan are independent oracles for it in the tests.
 """
 
 from __future__ import annotations
@@ -19,36 +20,70 @@ def subgroup_key(subgroup) -> tuple[int, ...]:
     return tuple(sorted(subgroup))
 
 
-def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, by closing the cyclic subgroups under pairwise join."""
-    trivial = frozenset({0})
-    cyclic: dict[tuple[int, ...], tuple[frozenset[int], int]] = {}
+def _walk_classes(G: FiniteGroup):
+    """Conjugacy classes of subgroups by extending one subgroup per class.
+
+    Each class representative R is joined with one cyclic subgroup outside
+    it per N_G(R)-orbit (Neubueser's cyclic extension; conjugate cyclic
+    subgroups give conjugate joins).  Every nontrivial J is <H, c> for a
+    maximal H < J, and conjugating H onto its representative carries J onto
+    a conjugate, so every class is reached.  A join in no known class is
+    conjugated once by all of G; that sweep gives the class members, the
+    representative (least key), its normalizer and, for each member K, the
+    inverse of the least g with g rep g^-1 = K.
+
+    Returns (representatives, normalizers, subgroups, fusion): classes in
+    (order, key) order, every subgroup in that order, and fusion mapping
+    each subgroup key to (class index, conjugator).
+    """
+    cyclic: dict[tuple[int, ...], int] = {}
+    cyclic_of = [0] * G.order  # element -> least generator of its cyclic subgroup
     for g in range(1, G.order):
-        sub = G.closure([g])
-        cyclic.setdefault(subgroup_key(sub), (sub, g))
-    cyclic_list = list(cyclic.values())
-    subs = {subgroup_key(trivial): trivial}
-    gens_of: dict[tuple[int, ...], list[int]] = {subgroup_key(trivial): []}
-    for c, g in cyclic_list:
-        k = subgroup_key(c)
-        subs.setdefault(k, c)
-        gens_of.setdefault(k, [g])
-    frontier = list(subs.values())
-    while frontier:
-        new = []
-        for H in frontier:
-            hgens = gens_of[subgroup_key(H)]
-            for c, cg in cyclic_list:
-                if c <= H:
-                    continue
-                J = G.closure(hgens + [cg])
-                jk = subgroup_key(J)
-                if jk not in subs:
-                    subs[jk] = J
-                    gens_of[jk] = hgens + [cg]
-                    new.append(J)
-        frontier = new
-    return sorted(subs.values(), key=lambda s: (len(s), subgroup_key(s)))
+        cyclic_of[g] = cyclic.setdefault(subgroup_key(G.closure([g])), g)
+    reps: list[frozenset[int]] = []
+    rep_gens: list[list[int]] = []
+    subgroups: list[frozenset[int]] = []
+    normalizers: list[frozenset[int]] = []
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def add_class(J, gens):
+        key_by_g = [subgroup_key(G.conjugate_subgroup(g, J)) for g in range(G.order)]
+        rep_key = min(key_by_g)
+        g0 = key_by_g.index(rep_key)  # g0 J g0^-1 = rep
+        normalizer = []
+        for g in range(G.order):
+            kk = key_by_g[G.mul(g, g0)]  # g rep g^-1
+            if kk == rep_key:
+                normalizer.append(g)
+            if kk not in found:
+                found[kk] = (len(reps), G.inv(g))
+                subgroups.append(frozenset(kk))
+        reps.append(frozenset(rep_key))
+        rep_gens.append([G.conj(g0, x) for x in gens])
+        normalizers.append(frozenset(normalizer))
+
+    add_class(frozenset({0}), [])
+    i = 0
+    while i < len(reps):
+        joined: set[int] = set()
+        for cg in cyclic.values():
+            if cg in reps[i] or cg in joined:
+                continue
+            joined.update(cyclic_of[G.conj(n, cg)] for n in normalizers[i])
+            J = G.closure(rep_gens[i] + [cg])
+            if subgroup_key(J) not in found:
+                add_class(J, rep_gens[i] + [cg])
+        i += 1
+    order = sorted(range(len(reps)), key=lambda c: (len(reps[c]), subgroup_key(reps[c])))
+    renumber = {old: new for new, old in enumerate(order)}
+    fusion = {k: (renumber[i], g) for k, (i, g) in found.items()}
+    subgroups.sort(key=lambda s: (len(s), subgroup_key(s)))
+    return [reps[i] for i in order], [normalizers[i] for i in order], subgroups, fusion
+
+
+def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+    """All subgroups, ordered by (order, key), from the class walk."""
+    return _walk_classes(G)[2]
 
 
 def all_subgroups_dfs(G: FiniteGroup) -> list[frozenset[int]]:
@@ -94,10 +129,20 @@ def all_subgroups_subsets(G: FiniteGroup) -> list[frozenset[int]]:
 
 
 def derived_subgroup(G: FiniteGroup, H) -> frozenset[int]:
-    comms = {
-        G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) for a in H for b in H
-    }
-    return G.closure(comms)
+    """[H, H]: the normal closure in H of the commutators of H's generators.
+
+    The quotient of H by that closure is generated by commuting images of
+    the generators, so it is abelian.
+    """
+    hgens = G.small_generating_set(H)
+    gens = [G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) for a in hgens for b in hgens]
+    N = G.closure(gens)
+    while True:
+        new = {G.conj(h, x) for h in hgens for x in gens} - N
+        if not new:
+            return N
+        gens += new
+        N = G.closure(gens)
 
 
 def solvable_residual(G: FiniteGroup, H) -> frozenset[int]:
@@ -245,53 +290,22 @@ class SubgroupClassTable:
                 f"lattice too large: order {G.order} exceeds bound {bound}"
             )
         self.group = G
-        subgroups = all_subgroups(G)
-        # partition into conjugacy classes; representative = least canonical key
-        orbit_of: dict[tuple[int, ...], int] = {}
-        conjugator: dict[tuple[int, ...], int] = {}
-        reps: list[frozenset[int]] = []
-        for H in subgroups:
-            hk = subgroup_key(H)
-            if hk in orbit_of:
-                continue
-            orbit = {}
-            for g in range(G.order):
-                K = G.conjugate_subgroup(g, H)
-                kk = subgroup_key(K)
-                if kk not in orbit:
-                    orbit[kk] = g  # g with gHg^-1 = K
-            rep_key = min(orbit)
-            g0 = orbit[rep_key]  # g0 H g0^-1 = rep
-            idx = len(reps)
-            reps.append(frozenset(rep_key))
-            for kk, g in orbit.items():
-                orbit_of[kk] = idx
-                # map K back to the representative: (g0 g^-1) K (g0 g^-1)^-1 = rep
-                conjugator[kk] = G.mul(g0, G.inv(g))
-        order_idx = sorted(range(len(reps)), key=lambda i: (len(reps[i]), subgroup_key(reps[i])))
-        renumber = {old: new for new, old in enumerate(order_idx)}
-        self._fusion_index = {k: renumber[v] for k, v in orbit_of.items()}
-        self._fusion_conj = conjugator
-        self.all_subgroups: list[frozenset[int]] = subgroups
-        class_sizes: dict[int, int] = {}
-        for k, idx in self._fusion_index.items():
-            class_sizes[idx] = class_sizes.get(idx, 0) + 1
+        reps, normalizers, self.all_subgroups, self._fusion = _walk_classes(G)
         hints: dict[str, int] = {}
         self.classes: list[SubgroupClass] = []
-        for new_idx, old in enumerate(order_idx):
-            rep = reps[old]
+        for idx, rep in enumerate(reps):
             hint = structure_hint(G, rep)
             hints[hint] = hints.get(hint, 0) + 1
             self.classes.append(
                 SubgroupClass(
-                    index=new_idx,
+                    index=idx,
                     representative=rep,
                     key=subgroup_key(rep),
                     order=len(rep),
                     name=f"{hint}#{hints[hint]}",
-                    class_size=class_sizes[new_idx],
+                    class_size=G.order // len(normalizers[idx]),
                     centralizer=G.centralizer(rep),
-                    normalizer=G.normalizer(rep),
+                    normalizer=normalizers[idx],
                 )
             )
         for cls in self.classes:
@@ -306,9 +320,8 @@ class SubgroupClassTable:
 
     def fusion(self, subgroup) -> tuple[int, int]:
         """(class index, g) with g . subgroup . g^-1 = class representative."""
-        k = subgroup_key(subgroup)
         try:
-            return self._fusion_index[k], self._fusion_conj[k]
+            return self._fusion[subgroup_key(subgroup)]
         except KeyError:
             raise ValueError("not a subgroup of this group") from None
 

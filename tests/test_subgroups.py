@@ -3,8 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from motive_ring.groups import GroupTooLarge, construct_group
+from motive_ring.groups import GroupTooLarge, Permutation, construct_group
 from motive_ring.subgroups import (
     SubgroupClassTable,
     all_subgroups,
@@ -36,9 +38,46 @@ def test_dfs_oracle_matches_literal_subset_scan(name, ws):
     assert keyset(all_subgroups_dfs(G)) == keyset(all_subgroups_subsets(G))
 
 
+@st.composite
+def gens_specs(draw, max_degree=6):
+    """A ``gens:`` spec of one to three permutations of 3 to max_degree points."""
+    degree = draw(st.integers(3, max_degree))
+    perms = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
+    return "gens:" + ";".join(Permutation(p).cycle_string() for p in perms)
+
+
+def small_group(spec, max_order=60):
+    """The group of spec; the example is rejected when its order exceeds max_order."""
+    G = construct_group(spec, order_bound=max_order)
+    try:
+        G.elements  # materializing raises GroupTooLarge past order_bound
+    except GroupTooLarge:
+        assume(False)
+    return G
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_enumeration_matches_dfs_oracle_on_random_groups(spec):
+    G = small_group(spec)
+    assert keyset(all_subgroups(G)) == keyset(all_subgroups_dfs(G))
+    table = SubgroupClassTable(G)
+    assert sum(c.class_size for c in table.classes) == len(table.all_subgroups)
+    for H in table.all_subgroups:
+        idx, conj = table.fusion(H)
+        assert G.conjugate_subgroup(conj, H) == table.classes[idx].representative
+
+
 def test_class_counts():
     assert len(subgroup_classes(construct_group("cyclic:2"))) == 2
     assert len(subgroup_classes(construct_group("sym:3"))) == 4
+
+
+@pytest.mark.parametrize("spec,classes,subgroups", [("sym:4", 11, 30), ("alt:5", 9, 59), ("sym:5", 19, 156)])
+def test_class_and_subgroup_counts(spec, classes, subgroups):
+    table = SubgroupClassTable(construct_group(spec))
+    assert (len(table.classes), len(table.all_subgroups)) == (classes, subgroups)
+    assert sum(c.class_size for c in table.classes) == subgroups
 
 
 def test_a5_classes(ws):
@@ -85,6 +124,15 @@ def test_fusion_returns_working_conjugator(ws):
             idx, conj = table.fusion(K)
             assert idx == cls.index
             assert G.conjugate_subgroup(conj, K) == cls.representative
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_fusion_maps_every_subgroup_onto_its_representative(name, ws):
+    table = ws.table(name)
+    G = ws.group(name)
+    for H in table.all_subgroups:
+        idx, conj = table.fusion(H)
+        assert G.conjugate_subgroup(conj, H) == table.classes[idx].representative
 
 
 def test_fusion_rejects_non_subgroup(ws):
@@ -162,6 +210,19 @@ def test_derived_series_short_and_stable(ws):
                 steps += 1
             assert steps <= max(1, int(math.log2(max(cls.order, 2))))
             assert derived_subgroup(G, cur) == cur
+
+
+def derived_subgroup_all_pairs(G, H):
+    """[H, H] as the closure of all |H|^2 commutators."""
+    return G.closure({G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) for a in H for b in H})
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "S4", "A5"])
+def test_derived_subgroup_matches_all_pairs_commutators(name, ws):
+    G = ws.group(name)
+    for cls in ws.table(name).classes:
+        H = cls.representative
+        assert derived_subgroup(G, H) == derived_subgroup_all_pairs(G, H)
 
 
 def test_residual_class_data_populated(ws):
