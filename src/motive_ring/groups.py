@@ -307,13 +307,6 @@ class FiniteGroup:
             g for g in range(self.order) if all(self.mul(g, h) == self.mul(h, g) for h in gens)
         )
 
-    def normalizer(self, subgroup) -> frozenset[int]:
-        sub = frozenset(subgroup)
-        gens = self.small_generating_set(sub) or [0]
-        return frozenset(
-            g for g in range(self.order) if all(self.conj(g, h) in sub for h in gens)
-        )
-
     def conjugate_subgroup(self, g: int, subgroup) -> frozenset[int]:
         return frozenset(self.conj(g, h) for h in subgroup)
 

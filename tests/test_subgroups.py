@@ -63,6 +63,11 @@ def test_enumeration_matches_dfs_oracle_on_random_groups(spec):
     assert keyset(all_subgroups(G)) == keyset(all_subgroups_dfs(G))
     table = SubgroupClassTable(G)
     assert sum(c.class_size for c in table.classes) == len(table.all_subgroups)
+    for cls in table.classes:
+        H = cls.representative
+        assert cls.normalizer == frozenset(
+            g for g in range(G.order) if G.conjugate_subgroup(g, H) == H
+        )
     for H in table.all_subgroups:
         idx, conj = table.fusion(H)
         assert G.conjugate_subgroup(conj, H) == table.classes[idx].representative
@@ -71,13 +76,10 @@ def test_enumeration_matches_dfs_oracle_on_random_groups(spec):
 def test_class_counts():
     assert len(subgroup_classes(construct_group("cyclic:2"))) == 2
     assert len(subgroup_classes(construct_group("sym:3"))) == 4
-
-
-@pytest.mark.parametrize("spec,classes,subgroups", [("sym:4", 11, 30), ("alt:5", 9, 59), ("sym:5", 19, 156)])
-def test_class_and_subgroup_counts(spec, classes, subgroups):
-    table = SubgroupClassTable(construct_group(spec))
-    assert (len(table.classes), len(table.all_subgroups)) == (classes, subgroups)
-    assert sum(c.class_size for c in table.classes) == subgroups
+    for spec, classes, subgroups in [("sym:4", 11, 30), ("alt:5", 9, 59), ("sym:5", 19, 156)]:
+        table = SubgroupClassTable(construct_group(spec))
+        assert (len(table.classes), len(table.all_subgroups)) == (classes, subgroups)
+        assert sum(c.class_size for c in table.classes) == subgroups
 
 
 def test_a5_classes(ws):
@@ -116,23 +118,12 @@ def test_ordering_extends_subconjugacy(ws):
 
 
 def test_fusion_returns_working_conjugator(ws):
-    table = ws.table("A5")
-    G = ws.group("A5")
-    for cls in table.classes:
-        for g in range(0, G.order, 7):
-            K = G.conjugate_subgroup(g, cls.representative)
-            idx, conj = table.fusion(K)
-            assert idx == cls.index
-            assert G.conjugate_subgroup(conj, K) == cls.representative
-
-
-@pytest.mark.parametrize("name", ["S4", "A5"])
-def test_fusion_maps_every_subgroup_onto_its_representative(name, ws):
-    table = ws.table(name)
-    G = ws.group(name)
-    for H in table.all_subgroups:
-        idx, conj = table.fusion(H)
-        assert G.conjugate_subgroup(conj, H) == table.classes[idx].representative
+    for name in ["S4", "A5"]:
+        table = ws.table(name)
+        G = ws.group(name)
+        for H in table.all_subgroups:
+            idx, conj = table.fusion(H)
+            assert G.conjugate_subgroup(conj, H) == table.classes[idx].representative
 
 
 def test_fusion_rejects_non_subgroup(ws):
