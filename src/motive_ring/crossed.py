@@ -431,7 +431,8 @@ class CrossedBurnsideRing:
         """
         d = lcm(*(c.denominator for c in x.coeffs))
         scaled = self.element([c.numerator * (d // c.denominator) for c in x.coeffs], ZZ)
-        return integer_rank(self.multiplication_matrix(scaled), QQ)
+        rows = self.multiplication_matrix(scaled)
+        return integer_rank((dict(enumerate(row)) for row in rows), QQ)
 
     def p_local_report(self, p: int) -> dict:
         """Decomposition of the identity over p-local scalars.
@@ -494,7 +495,8 @@ class CrossedBurnsideRing:
     # -- rank checks -------------------------------------------------------------------
 
     def center_image_rank(self, scalar: ScalarRing) -> int:
-        return integer_rank(self.center_image_rows(ZZ), scalar)
+        rows = self.center_image_rows(ZZ)
+        return integer_rank((dict(enumerate(row)) for row in rows), scalar)
 
     def marks_matrix_rows(self) -> list[list[int]]:
         """Crossed marks of each basis pair, flattened to integer coordinates."""

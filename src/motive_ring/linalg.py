@@ -51,6 +51,18 @@ def mat_mul(a, b, scalar: ScalarRing):
     return out
 
 
+def sparse_mat_mul(a: dict, b: dict, scalar: ScalarRing) -> dict:
+    """Product a b of sparse matrices {(row, col): nonzero scalar ring element}."""
+    b_rows: dict[int, list] = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[(i, j)] = scalar.add(out.get((i, j), scalar.zero), scalar.mul(x, y))
+    return {key: v for key, v in out.items() if not scalar.is_zero(v)}
+
+
 def rank_field(rows, ring: ScalarRing) -> int:
     return len(_echelon_field(rows, ring)[0])
 
@@ -191,8 +203,8 @@ def _back_reduce(pivots: dict[int, dict[int, int]], p: int | None) -> None:
 
 
 def integer_rank(rows, scalar: ScalarRing = QQ) -> int:
-    """Rank over the scalar ring of an integer matrix given as dense int rows."""
-    return len(_echelon((dict(enumerate(row)) for row in rows), _modulus(scalar)))
+    """Rank over the scalar ring of an integer matrix in sparse rows {column: int}."""
+    return len(_echelon(rows, _modulus(scalar)))
 
 
 def integer_kernel(rows, ncols: int, scalar: ScalarRing = QQ, support=None) -> list[list]:

@@ -4,10 +4,14 @@ Omega is the disjoint union of the coset spaces G/H over every subgroup H
 (one copy per subgroup, not per class).  A span basis element is a
 transitive set G/S together with an equivariant map to Omega x Omega,
 stored as a conjugation-canonical triple (S, x, y).  Composition is the
-fibered product over the middle Omega.  The Hecke algebra is the
-endomorphism algebra of the permutation module on Omega; spans project
-onto it by counting fibers, and the projection direction is fixed so the
-count is an algebra map onto matrix products.
+fibered product over the middle Omega, computed by the Mackey double-coset
+formula: its G-orbits are the S-orbits of one fiber slice, each read off
+through an index of every G-conjugate of every basis triple.  Products are
+cached sparsely as ((k, c), ...).  The Hecke algebra is the endomorphism
+algebra of the permutation module on Omega; spans project onto it by
+counting fibers, and the projection direction is fixed so the count is an
+algebra map onto matrix products.  Operators on Omega are sparse dicts
+{(to, from): value}.
 """
 
 from __future__ import annotations
@@ -88,39 +92,45 @@ class MackeyAlgebra:
         # Omega: one coset space per subgroup, subgroups in canonical order
         self.subgroups = sorted(table.all_subgroups, key=lambda s: (len(s), subgroup_key(s)))
         self.points: list[tuple[int, int]] = []  # (subgroup idx, coset rep)
-        self._point_id: dict[tuple[int, int], int] = {}
+        self._cosets: list[range] = []  # _cosets[si]: the points of G/H, H = subgroups[si]
+        self._where: list[list[int]] = []  # _where[si][g]: the point gH of G/H
         for si, H in enumerate(self.subgroups):
+            where = [0] * G.order
+            start = len(self.points)
             for r in G.left_cosets(H):
-                pid = len(self.points)
+                for h in H:
+                    where[G.mul(r, h)] = len(self.points)
                 self.points.append((si, r))
-                self._point_id[(si, r)] = pid
+            self._where.append(where)
+            self._cosets.append(range(start, len(self.points)))
         self.npoints = len(self.points)
         # action table: act[g][point]
-        self.act = [
-            [0] * self.npoints for _ in range(G.order)
-        ]
+        self.act = [[0] * self.npoints for _ in range(G.order)]
         for pid, (si, r) in enumerate(self.points):
             for g in range(G.order):
-                moved = G.mul(g, r)
-                self.act[g][pid] = self._point_id[(si, self._rep_of(si, moved))]
+                self.act[g][pid] = self._where[si][G.mul(g, r)]
         self.basis = self._enumerate_basis()
         self.n = len(self.basis)
-        self._triple_index: dict[tuple[tuple[int, ...], int, int], int] = {
-            (subgroup_key(b.stabilizer), b.x, b.y): b.index for b in self.basis
-        }
-        self._products: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._no_product = (0,) * self.n
-        self._proj: list[tuple[tuple[int, ...], ...]] | None = None
+        # subgroups by position: generators, conjugates conj[g][si], meets meet[si][sj]
+        position = self._position = {H: si for si, H in enumerate(self.subgroups)}
+        self._gens = [G.small_generating_set(H) for H in self.subgroups]
+        conj = self._conj = [
+            [position[G.conjugate_subgroup(g, H)] for H in self.subgroups] for g in range(G.order)
+        ]
+        self._meet = [[position[H & K] for K in self.subgroups] for H in self.subgroups]
+        # every G-conjugate (position of gSg^-1, gx, gy) of every basis triple
+        self._index: dict[tuple[int, int, int], int] = {}
+        for b in self.basis:
+            si = position[b.stabilizer]
+            for g in range(G.order):
+                self._index[(conj[g][si], self.act[g][b.x], self.act[g][b.y])] = b.index
+        self._products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._proj: dict[int, dict[tuple[int, int], int]] = {}
 
     # -- points ---------------------------------------------------------------
 
-    def _rep_of(self, si: int, element: int) -> int:
-        """Canonical representative of the coset of subgroup si containing element."""
-        H = self.subgroups[si]
-        return min(self.group.mul(element, h) for h in H)
-
     def point_of(self, si: int, element: int) -> int:
-        return self._point_id[(si, self._rep_of(si, element))]
+        return self._where[si][element]
 
     def point_name(self, pid: int) -> str:
         si, r = self.points[pid]
@@ -195,77 +205,61 @@ class MackeyAlgebra:
         return self.element([0] * self.n, scalar)
 
     def basis_element(self, i: int, scalar: ScalarRing = ZZ) -> SpanElement:
-        coeffs = [0] * self.n
-        coeffs[i] = 1
-        return self.element(coeffs, scalar)
+        coeffs = [scalar.zero] * self.n
+        coeffs[i] = scalar.one
+        return SpanElement(self, scalar, tuple(coeffs))
 
     def one(self, scalar: ScalarRing = ZZ) -> SpanElement:
         """Sum of the diagonal spans (H over (eH, eH)), one per subgroup."""
         coeffs = [0] * self.n
-        for si, H in enumerate(self.subgroups):
+        for si in range(len(self.subgroups)):
             p = self.point_of(si, 0)
-            key = self._canonical_triple(H, p, p)
-            coeffs[self._triple_index[key]] += 1
+            coeffs[self._index[(si, p, p)]] += 1
         return self.element(coeffs, scalar)
 
     def span_index(self, S: frozenset[int], x: int, y: int) -> int:
         """Basis index of the span with stabilizer S over (x, y)."""
-        gens = self.group.small_generating_set(S) or [0]
-        if any(self.act[g][x] != x or self.act[g][y] != y for g in gens):
+        key = (self._position[S], x, y)
+        if key not in self._index:
             raise ValueError("stabilizer does not fix the target pair")
-        return self._triple_index[self._canonical_triple(S, x, y)]
+        return self._index[key]
 
     # -- composition ----------------------------------------------------------------
 
-    def _basis_compose(self, i: int, j: int) -> tuple[int, ...]:
-        """Fibered product over the middle Omega: input leg of i glued to
-        output leg of j, so project(i . j) = project(i) @ project(j)."""
+    def _basis_compose(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Sparse product ((k, c), ...) of basis spans i and j.
+
+        The fiber {(vS_i, wS_j) : v x_i = w y_j} glues the input leg of i to
+        the output leg of j, so project(i . j) = project(i) @ project(j).
+        Every G-orbit of it meets the slice v = e, and two slice points are
+        in one G-orbit exactly when they are in one S_i-orbit (the Mackey
+        double-coset formula).  The orbit of (eS_i, wS_j) is the span
+        (S_i n wS_jw^-1, w x_j, y_i).
+        """
+        bi, bj = self.basis[i], self.basis[j]
+        if self.component(bi.x) != self.component(bj.y):
+            return ()  # the glued legs lie in different coset spaces: empty fiber
         key = (i, j)
         if key not in self._products:
-            G = self.group
-            bi, bj = self.basis[i], self.basis[j]
-            if self.component(bi.x) != self.component(bj.y):
-                # the glued legs lie in different coset spaces: empty fiber
-                self._products[key] = self._no_product
-                return self._no_product
-            Si, Sj = bi.stabilizer, bj.stabilizer
-            cos_i = G.left_cosets(Si)
-            cos_j = G.left_cosets(Sj)
-            pts = []
-            for v in cos_i:
-                fx = self.act[v][bi.x]
-                for w in cos_j:
-                    if fx == self.act[w][bj.y]:
-                        pts.append((v, w))
-            coeffs = [0] * self.n
-            assigned = set()
-            where_i = {}
-            where_j = {}
-            for v in cos_i:
-                for h in Si:
-                    where_i[G.mul(v, h)] = v
-            for w in cos_j:
-                for h in Sj:
-                    where_j[G.mul(w, h)] = w
-            for v0, w0 in pts:
-                if (v0, w0) in assigned:
-                    continue
-                orbit = set()
-                frontier = [(v0, w0)]
-                orbit.add((v0, w0))
-                while frontier:
-                    (v, w) = frontier.pop()
-                    for g in range(G.order):
-                        moved = (where_i[G.mul(g, v)], where_j[G.mul(g, w)])
-                        if moved not in orbit:
-                            orbit.add(moved)
-                            frontier.append(moved)
-                assigned |= orbit
-                stab = G.conjugate_subgroup(v0, Si) & G.conjugate_subgroup(w0, Sj)
-                left = self.act[w0][bj.x]
-                right = self.act[v0][bi.y]
-                coeffs[self._triple_index[self._canonical_triple(stab, left, right)]] += 1
-            self._products[key] = tuple(coeffs)
+            act, points = self.act, self.points
+            si, sj = self._position[bi.stabilizer], self._position[bj.stabilizer]
+            gens = self._gens[si]
+            # the slice: points wS_j of G/S_j with w y_j = x_i
+            todo = {p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x}
+            counts: dict[int, int] = {}
+            while todo:
+                p = todo.pop()
+                frontier = [p]
+                for q in frontier:  # S_i-orbit of p, through generators of S_i
+                    for h in gens:
+                        r = act[h][q]
+                        if r in todo:
+                            todo.remove(r)
+                            frontier.append(r)
+                w = points[p][1]
+                k = self._index[(self._meet[si][self._conj[w][sj]], act[w][bj.x], bi.y)]
+                counts[k] = counts.get(k, 0) + 1
+            self._products[key] = tuple(sorted(counts.items()))
         return self._products[key]
 
     def compose(self, x: SpanElement, y: SpanElement) -> SpanElement:
@@ -277,16 +271,9 @@ class MackeyAlgebra:
                 continue
             for j, b in ys:
                 ab = s.mul(a, b)
-                for k, c in enumerate(self._basis_compose(i, j)):
-                    if c:
-                        acc[k] = s.add(acc[k], s.mul_int(ab, c))
+                for k, c in self._basis_compose(i, j):
+                    acc[k] = s.add(acc[k], s.mul_int(ab, c))
         return SpanElement(self, s, tuple(acc))
-
-    def structure_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        for i in range(self.n):
-            for j in range(self.n):
-                self._basis_compose(i, j)
-        return self._products
 
     # -- center ------------------------------------------------------------------------
 
@@ -355,10 +342,9 @@ class MackeyAlgebra:
             touched = diagonal[source] + (diagonal[target] if target != source else [])
             for i in touched:
                 for sign, product in ((1, self._basis_compose(i, a)), (-1, self._basis_compose(a, i))):
-                    for k, c in enumerate(product):
-                        if c:
-                            row = rows.setdefault((a, k), {})
-                            row[i] = row.get(i, 0) + sign * c
+                    for k, c in product:
+                        row = rows.setdefault((a, k), {})
+                        row[i] = row.get(i, 0) + sign * c
         support = sorted(i for block in diagonal.values() for i in block)
         return integer_kernel(rows.values(), self.n, scalar, support=support)
 
@@ -373,43 +359,38 @@ class MackeyAlgebra:
         for j in range(self.n):
             diff: dict[int, object] = {}
             for i, a in support:
-                for k, (c, d) in enumerate(zip(self._basis_compose(i, j), self._basis_compose(j, i))):
-                    if c != d:
-                        diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c - d))
+                for k, c in self._basis_compose(i, j):
+                    diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c))
+                for k, c in self._basis_compose(j, i):
+                    diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
             if not all(s.is_zero(v) for v in diff.values()):
                 return False
         return True
 
     # -- projection to the Hecke algebra --------------------------------------------------
 
-    def project_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Operator of basis span i: entry [to, from] counts fiber points."""
-        if self._proj is None:
-            self._proj = [None] * self.n  # type: ignore[list-item]
-        if self._proj[i] is None:
-            G = self.group
+    def project_matrix(self, i: int) -> dict[tuple[int, int], int]:
+        """Operator of basis span i, sparse: {(to, from): fiber points}."""
+        if i not in self._proj:
             b = self.basis[i]
-            mat = [[0] * self.npoints for _ in range(self.npoints)]
-            for v in G.left_cosets(b.stabilizer):
-                mat[self.act[v][b.y]][self.act[v][b.x]] += 1
-            self._proj[i] = tuple(tuple(row) for row in mat)
+            op: dict[tuple[int, int], int] = {}
+            for v in self.group.left_cosets(b.stabilizer):
+                key = (self.act[v][b.y], self.act[v][b.x])
+                op[key] = op.get(key, 0) + 1
+            self._proj[i] = op
         return self._proj[i]
 
-    def project(self, x: SpanElement):
-        """Image in the endomorphism algebra of the permutation module."""
+    def project(self, x: SpanElement) -> dict:
+        """Image in the endomorphism algebra of the permutation module,
+        sparse: {(to, from): nonzero value}."""
         s = x.scalar
-        mat = [[s.zero] * self.npoints for _ in range(self.npoints)]
+        op: dict = {}
         for i, c in enumerate(x.coeffs):
             if s.is_zero(c):
                 continue
-            pm = self.project_matrix(i)
-            for r in range(self.npoints):
-                prow = pm[r]
-                row = mat[r]
-                for col in range(self.npoints):
-                    if prow[col]:
-                        row[col] = s.add(row[col], s.mul_int(c, prow[col]))
-        return mat
+            for key, count in self.project_matrix(i).items():
+                op[key] = s.add(op.get(key, s.zero), s.mul_int(c, count))
+        return {key: v for key, v in op.items() if not s.is_zero(v)}
 
 
 class HeckeAlgebra:
@@ -442,13 +423,6 @@ class HeckeAlgebra:
         self.n = len(self.orbits)
         self.orbit_id = orbit_id  # orbit_id[x][y]: the orbit of the pair (x, y)
 
-    def basis_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
-        npts = self.mackey.npoints
-        mat = [[0] * npts for _ in range(npts)]
-        for (x, y) in self.orbits[k]:
-            mat[y][x] = 1  # operator sends basis point x toward y
-        return tuple(tuple(row) for row in mat)
-
 
 # -- the two comparison maps -----------------------------------------------------
 
@@ -477,9 +451,7 @@ def crossed_to_mackey_center(
                 winv = G.inv(w)
                 S = G.conjugate_subgroup(winv, L) & U
                 slabel = G.conj(winv, a)
-                x_pt = mackey.point_of(si, 0)
-                y_pt = mackey.point_of(si, slabel)
-                k = mackey._triple_index[mackey._canonical_triple(S, x_pt, y_pt)]
+                k = mackey.span_index(S, mackey.point_of(si, 0), mackey.point_of(si, slabel))
                 acc[k] = s.add(acc[k], c)
     return SpanElement(mackey, s, tuple(acc))
 
@@ -487,7 +459,8 @@ def crossed_to_mackey_center(
 def center_to_hecke(
     mackey: MackeyAlgebra, Z: CenterAlgebra, z: CenterElement
 ):
-    """Image of a central group-algebra element in the Hecke algebra.
+    """Image of a central group-algebra element in the Hecke algebra,
+    sparse: {(to, from): nonzero value}, block diagonal over the G/H.
 
     For each subgroup H and double coset rep g of H\\G/H the operator of
     the span (H n gHg^-1 over (eH, gH)) enters with coefficient
@@ -496,8 +469,7 @@ def center_to_hecke(
     G = mackey.group
     s = z.scalar
     ga = z.to_group_algebra()
-    npts = mackey.npoints
-    mat = [[s.zero] * npts for _ in range(npts)]
+    op: dict = {}
     for si, H in enumerate(mackey.subgroups):
         reps, _ = double_cosets(G, H, H)
         for g in reps:
@@ -510,7 +482,6 @@ def center_to_hecke(
             x_pt = mackey.point_of(si, 0)
             y_pt = mackey.point_of(si, g)
             for v in G.left_cosets(S):
-                mat[mackey.act[v][y_pt]][mackey.act[v][x_pt]] = s.add(
-                    mat[mackey.act[v][y_pt]][mackey.act[v][x_pt]], coeff
-                )
-    return mat
+                key = (mackey.act[v][y_pt], mackey.act[v][x_pt])
+                op[key] = s.add(op.get(key, s.zero), coeff)
+    return {key: v for key, v in op.items() if not s.is_zero(v)}

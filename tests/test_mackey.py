@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_subgroups import gens_specs, small_group
 
 from motive_ring.groups import GroupTooLarge, construct_group
-from motive_ring.linalg import mat_mul, nullspace_field, rank_field
+from motive_ring.linalg import mat_mul, nullspace_field, rank_field, sparse_mat_mul
 from motive_ring.mackey import (
     HeckeAlgebra,
     MackeyAlgebra,
@@ -11,7 +16,7 @@ from motive_ring.mackey import (
     crossed_to_mackey_center,
 )
 from motive_ring.scalars import QQ, prime_field
-from motive_ring.subgroups import SubgroupClassTable
+from motive_ring.subgroups import SubgroupClassTable, subgroup_key
 from motive_ring.verify import hecke_center_dimension
 
 F2 = prime_field(2)
@@ -19,10 +24,21 @@ F3 = prime_field(3)
 F4 = prime_field(2, 2)
 
 
-def identity_matrix(n, scalar):
-    return [
-        [scalar.one if i == j else scalar.zero for j in range(n)] for i in range(n)
-    ]
+def identity_operator(n, scalar):
+    return {(i, i): scalar.one for i in range(n)}
+
+
+def dense(op, n, scalar):
+    """A sparse operator {(to, from): value} as a dense n x n matrix."""
+    mat = [[scalar.zero] * n for _ in range(n)]
+    for (to, frm), v in op.items():
+        mat[to][frm] = v
+    return mat
+
+
+def orbit_operator(hk, k):
+    """Sparse indicator operator of Hecke orbit k: sends point x toward y."""
+    return {(y, x): 1 for (x, y) in hk.orbits[k]}
 
 
 # -- basis ------------------------------------------------------------------------
@@ -89,44 +105,96 @@ def test_identity_neutral(name, ws):
         assert (b * one).coeffs == b.coeffs
 
 
+def fibered_product_oracle(mk, i, j):
+    """Product of basis spans i and j by a BFS over all of G on the fibered
+    product, each orbit canonicalised by a sweep over G and looked up among
+    the canonical basis triples (not the conjugate-closed index or the
+    double-coset formula of MackeyAlgebra._basis_compose)."""
+    G = mk.group
+    canonical = {(subgroup_key(b.stabilizer), b.x, b.y): b.index for b in mk.basis}
+    bi, bj = mk.basis[i], mk.basis[j]
+    Si, Sj = bi.stabilizer, bj.stabilizer
+    where_i = {G.mul(v, h): v for v in G.left_cosets(Si) for h in Si}
+    where_j = {G.mul(w, h): w for w in G.left_cosets(Sj) for h in Sj}
+    fiber = [
+        (v, w)
+        for v in G.left_cosets(Si)
+        for w in G.left_cosets(Sj)
+        if mk.act[v][bi.x] == mk.act[w][bj.y]
+    ]
+    counts, assigned = {}, set()
+    for v0, w0 in fiber:
+        if (v0, w0) in assigned:
+            continue
+        orbit, frontier = {(v0, w0)}, [(v0, w0)]
+        while frontier:
+            v, w = frontier.pop()
+            for g in range(G.order):
+                moved = (where_i[G.mul(g, v)], where_j[G.mul(g, w)])
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
+        assigned |= orbit
+        stab = G.conjugate_subgroup(v0, Si) & G.conjugate_subgroup(w0, Sj)
+        k = canonical[mk._canonical_triple(stab, mk.act[w0][bj.x], mk.act[v0][bi.y])]
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3"])
+def test_composition_matches_fibered_product_oracle(name, ws):
+    mk = ws.mackey(name)
+    for i in range(mk.n):
+        for j in range(mk.n):
+            assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+
+
+@pytest.mark.parametrize("name", ["D8", "A4"])
+def test_composition_matches_fibered_product_oracle_sampled(name, ws):
+    mk = ws.mackey(name)
+    rng = random.Random(7)
+    for _ in range(2000):
+        i, j = rng.randrange(mk.n), rng.randrange(mk.n)
+        assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs(), st.randoms(use_true_random=False))
+def test_composition_matches_fibered_product_oracle_on_random_groups(spec, rng):
+    mk = MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=12)))
+    for _ in range(40):
+        i, j = rng.randrange(mk.n), rng.randrange(mk.n)
+        assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+
+
+def associator_sides(mk, i, j, k):
+    """(i j) k and i (j k) from the sparse basis products, as {span: count}."""
+    left, right = {}, {}
+    for m, c in mk._basis_compose(i, j):
+        for t, d in mk._basis_compose(m, k):
+            left[t] = left.get(t, 0) + c * d
+    for m, c in mk._basis_compose(j, k):
+        for t, d in mk._basis_compose(i, m):
+            right[t] = right.get(t, 0) + c * d
+    return left, right
+
+
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_associativity_exhaustive(name, ws):
     mk = ws.mackey(name)
-    tbl = mk.structure_table()
     for i in range(mk.n):
         for j in range(mk.n):
             for k in range(mk.n):
-                left = [0] * mk.n
-                for m, c in enumerate(tbl[(i, j)]):
-                    if c:
-                        for t, d in enumerate(tbl[(m, k)]):
-                            left[t] += c * d
-                right = [0] * mk.n
-                for m, c in enumerate(tbl[(j, k)]):
-                    if c:
-                        for t, d in enumerate(tbl[(i, m)]):
-                            right[t] += c * d
+                left, right = associator_sides(mk, i, j, k)
                 assert left == right
 
 
 def test_associativity_s3_sampled(ws):
-    import random
-
     mk = ws.mackey("S3")
-    tbl = mk.structure_table()
     rng = random.Random(1)
     for _ in range(300):
         i, j, k = (rng.randrange(mk.n) for _ in range(3))
-        left = [0] * mk.n
-        for m, c in enumerate(tbl[(i, j)]):
-            if c:
-                for t, d in enumerate(tbl[(m, k)]):
-                    left[t] += c * d
-        right = [0] * mk.n
-        for m, c in enumerate(tbl[(j, k)]):
-            if c:
-                for t, d in enumerate(tbl[(i, m)]):
-                    right[t] += c * d
+        left, right = associator_sides(mk, i, j, k)
         assert left == right
 
 
@@ -347,16 +415,24 @@ def test_hecke_operators_are_equivariant(ws):
     hk = HeckeAlgebra(mk)
     G = ws.group("C2")
     for k in range(hk.n):
-        mat = hk.basis_matrix(k)
+        op = orbit_operator(hk, k)
         for g in range(G.order):
-            for x in range(mk.npoints):
-                for y in range(mk.npoints):
-                    assert mat[y][x] == mat[mk.act[g][y]][mk.act[g][x]]
+            assert {(mk.act[g][y], mk.act[g][x]) for (y, x) in op} == set(op)
 
 
 def test_projection_of_identity(ws):
     mk = ws.mackey("S3")
-    assert mk.project(mk.one(QQ)) == identity_matrix(mk.npoints, QQ)
+    assert mk.project(mk.one(QQ)) == identity_operator(mk.npoints, QQ)
+
+
+def assert_projection_multiplicative(mk, i, j, scalar):
+    """project(i . j) = project(i) project(j), sparse and against the dense product."""
+    lhs = mk.project(mk.compose(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
+    a = mk.project(mk.basis_element(i, scalar))
+    b = mk.project(mk.basis_element(j, scalar))
+    assert lhs == sparse_mat_mul(a, b, scalar)
+    n = mk.npoints
+    assert dense(lhs, n, scalar) == mat_mul(dense(a, n, scalar), dense(b, n, scalar), scalar)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])
@@ -365,39 +441,23 @@ def test_projection_is_algebra_homomorphism(name, scalar, ws):
     mk = ws.mackey(name)
     for i in range(mk.n):
         for j in range(mk.n):
-            lhs = mk.project(
-                mk.compose(mk.basis_element(i, scalar), mk.basis_element(j, scalar))
-            )
-            rhs = mat_mul(
-                mk.project(mk.basis_element(i, scalar)),
-                mk.project(mk.basis_element(j, scalar)),
-                scalar,
-            )
-            assert lhs == rhs
+            assert_projection_multiplicative(mk, i, j, scalar)
 
 
 def test_projection_is_algebra_homomorphism_s3_sampled(ws):
-    import random
-
     mk = ws.mackey("S3")
     rng = random.Random(2)
     for _ in range(60):
-        i, j = rng.randrange(mk.n), rng.randrange(mk.n)
-        lhs = mk.project(mk.compose(mk.basis_element(i, QQ), mk.basis_element(j, QQ)))
-        rhs = mat_mul(
-            mk.project(mk.basis_element(i, QQ)),
-            mk.project(mk.basis_element(j, QQ)),
-            QQ,
-        )
-        assert lhs == rhs
+        assert_projection_multiplicative(mk, rng.randrange(mk.n), rng.randrange(mk.n), QQ)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
 def test_projection_surjective_onto_hecke(name, ws):
     mk = ws.mackey(name)
     hk = HeckeAlgebra(mk)
+    n = mk.npoints
     vecs = [
-        [v for row in mk.project(mk.basis_element(i, QQ)) for v in row]
+        [v for row in dense(mk.project(mk.basis_element(i, QQ)), n, QQ) for v in row]
         for i in range(mk.n)
     ]
     assert rank_field(vecs, QQ) == hk.n
@@ -412,12 +472,15 @@ def test_center_embedding_is_unital_ring_homomorphism(name, scalar, ws):
     mk = ws.mackey(name)
     Z = ws.center(name)
     sums = Z.class_sums(scalar)
-    assert center_to_hecke(mk, Z, Z.one(scalar)) == identity_matrix(mk.npoints, scalar)
+    assert center_to_hecke(mk, Z, Z.one(scalar)) == identity_operator(mk.npoints, scalar)
+    n = mk.npoints
     ops = [center_to_hecke(mk, Z, z) for z in sums]
     for i in range(Z.n):
         for j in range(Z.n):
             lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
-            assert lhs == mat_mul(ops[i], ops[j], scalar)
+            assert lhs == sparse_mat_mul(ops[i], ops[j], scalar)
+            rhs = mat_mul(dense(ops[i], n, scalar), dense(ops[j], n, scalar), scalar)
+            assert dense(lhs, n, scalar) == rhs
 
 
 def test_center_embedding_lands_in_hecke_center(ws):
@@ -427,9 +490,9 @@ def test_center_embedding_lands_in_hecke_center(ws):
     t_sum = Z.class_sums(QQ)[1]
     op = center_to_hecke(mk, Z, t_sum)
     for k in range(hk.n):
-        m = [[QQ.coerce(v) for v in row] for row in hk.basis_matrix(k)]
-        assert mat_mul(op, m, QQ) == mat_mul(m, op, QQ)
-    assert mat_mul(op, op, QQ) == center_to_hecke(
+        m = {key: QQ.coerce(v) for key, v in orbit_operator(hk, k).items()}
+        assert sparse_mat_mul(op, m, QQ) == sparse_mat_mul(m, op, QQ)
+    assert sparse_mat_mul(op, op, QQ) == center_to_hecke(
         mk, Z, Z.multiply(t_sum, t_sum)
     )
 
@@ -462,8 +525,10 @@ def test_composite_reaches_hecke_center(name, scalar, ws):
     comp = [
         [
             v
-            for row in mk.project(
-                crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
+            for row in dense(
+                mk.project(crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))),
+                mk.npoints,
+                scalar,
             )
             for v in row
         ]

@@ -111,7 +111,7 @@ def check_against_dense_elimination(rows, ncols):
     dense_q = [[QQ.coerce(v) for v in row] for row in rows]
     rank_q = rank_field(dense_q, QQ)
     for ring in (QQ, ZZ, p_local(2)):
-        assert integer_rank(rows, ring) == rank_q
+        assert integer_rank(sparse, ring) == rank_q
     over_q = integer_kernel(sparse, ncols)
     oracle_q = nullspace_field(dense_q, QQ, ncols)
     assert len(over_q) == len(oracle_q) == ncols - rank_q
@@ -122,7 +122,7 @@ def check_against_dense_elimination(rows, ncols):
         assert rank_field(both, QQ) == len(oracle_q)
     for ring in (prime_field(2), prime_field(3), prime_field(2, 2)):
         dense = [[ring.coerce(v) for v in row] for row in rows]
-        assert integer_rank(rows, ring) == rank_field(dense, ring)
+        assert integer_rank(sparse, ring) == rank_field(dense, ring)
         fast = integer_kernel(sparse, ncols, ring)
         oracle = nullspace_field(dense, ring, ncols)
         assert len(fast) == len(oracle)
@@ -152,10 +152,11 @@ def test_integer_elimination_fixed_examples(name):
     rows, rank_q, rank_f2, kernel_q = FIXED_EXAMPLES[name]
     ncols = len(rows[0])
     check_against_dense_elimination(rows, ncols)
-    assert integer_rank(rows, QQ) == rank_q
-    assert integer_rank(rows, prime_field(2)) == rank_f2
+    sparse = [dict(enumerate(row)) for row in rows]
+    assert integer_rank(sparse, QQ) == rank_q
+    assert integer_rank(sparse, prime_field(2)) == rank_f2
     if kernel_q is not None:
-        assert integer_kernel([dict(enumerate(row)) for row in rows], ncols) == kernel_q
+        assert integer_kernel(sparse, ncols) == kernel_q
 
 
 def test_integer_kernel_support_leaves_other_columns_zero():
