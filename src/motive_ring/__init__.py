@@ -8,14 +8,10 @@ idempotents over finite fields, and the span realization of the Mackey
 algebra with its comparison maps.
 """
 
-from .burnside import BurnsideElement, BurnsideRing, GhostVector, TableOfMarks
-from .center import CenterAlgebra, CenterElement, augmentation, blocks_mod_p
-from .crossed import (
-    CrossedBurnsideRing,
-    CrossedElement,
-    CrossedGhostVector,
-    CrossedPairClass,
-)
+from .algebra import Algebra, Element
+from .burnside import BurnsideRing, GhostVector, TableOfMarks
+from .center import CenterAlgebra, augmentation, blocks_mod_p
+from .crossed import CrossedBurnsideRing, CrossedGhostVector, CrossedPairClass
 from .groups import (
     CosetGeometry,
     FiniteGroup,
@@ -32,7 +28,6 @@ from .mackey import (
     HeckeAlgebra,
     MackeyAlgebra,
     SpanBasisElement,
-    SpanElement,
     center_to_hecke,
     crossed_to_mackey_center,
 )
@@ -45,13 +40,12 @@ from .subgroups import (
 )
 
 __all__ = [
-    "BurnsideElement",
+    "Algebra",
     "BurnsideRing",
     "CenterAlgebra",
-    "CenterElement",
     "CosetGeometry",
     "CrossedBurnsideRing",
-    "CrossedElement",
+    "Element",
     "CrossedGhostVector",
     "CrossedPairClass",
     "FiniteGroup",
@@ -65,7 +59,6 @@ __all__ = [
     "Quotient",
     "ScalarError",
     "SpanBasisElement",
-    "SpanElement",
     "SubgroupClass",
     "SubgroupClassTable",
     "TableOfMarks",

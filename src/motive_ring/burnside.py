@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import double_cosets
+from .algebra import Algebra, Element
+from .groups import double_cosets, fixed_cosets
 from .linalg import solve_upper_triangular
 from .scalars import QQ, ZZ, ScalarRing, ScalarError, p_local
 from .subgroups import SubgroupClassTable
@@ -26,149 +27,57 @@ class TableOfMarks:
 
 
 @dataclass(frozen=True)
-class BurnsideElement:
-    ring: "BurnsideRing"
-    scalar: ScalarRing
-    coeffs: tuple
-
-    def __add__(self, other):
-        self.ring._check(other, self.scalar)
-        s = self.scalar
-        return BurnsideElement(
-            self.ring, s, tuple(s.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        self.ring._check(other, self.scalar)
-        s = self.scalar
-        return BurnsideElement(
-            self.ring, s, tuple(s.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        s = self.scalar
-        return BurnsideElement(self.ring, s, tuple(s.neg(a) for a in self.coeffs))
-
-    def __mul__(self, other):
-        return self.ring.multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return all(self.scalar.is_zero(c) for c in self.coeffs)
-
-    def to_json(self) -> dict[str, str]:
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if not self.scalar.is_zero(c):
-                out[self.ring.table.classes[i].name] = self.scalar.format(c)
-        return out
-
-
-@dataclass(frozen=True)
 class GhostVector:
     scalar: ScalarRing
     values: tuple
 
 
-class BurnsideRing:
+class BurnsideRing(Algebra):
     """Burnside ring bound to a subgroup class table."""
 
+    commutative = True
+
     def __init__(self, table: SubgroupClassTable):
+        super().__init__()
         self.table = table
         self.group = table.group
         self.n = len(table)
+        self.labels = tuple(c.name for c in table.classes)
         self._marks: TableOfMarks | None = None
-        self._basis_products: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- marks ------------------------------------------------------------
 
     def table_of_marks(self) -> TableOfMarks:
         if self._marks is None:
-            G = self.group
-            rows = []
-            for i, ci in enumerate(self.table.classes):
-                hgens = G.small_generating_set(ci.representative) or [0]
-                row = []
-                for j, cj in enumerate(self.table.classes):
-                    if i > j:
-                        row.append(0)
-                        continue
-                    U = cj.representative
-                    count = 0
-                    for g in G.left_cosets(U):
-                        ginv = G.inv(g)
-                        if all(G.mul(G.mul(ginv, h), g) in U for h in hgens):
-                            count += 1
-                    row.append(count)
-                rows.append(tuple(row))
-            self._marks = TableOfMarks(
-                tuple(c.name for c in self.table.classes), tuple(rows)
+            reps = [c.representative for c in self.table.classes]
+            rows = tuple(
+                tuple(
+                    len(fixed_cosets(self.group, H, K)) if i <= j else 0
+                    for j, K in enumerate(reps)
+                )
+                for i, H in enumerate(reps)
             )
+            self._marks = TableOfMarks(self.labels, rows)
         return self._marks
 
-    # -- elements ---------------------------------------------------------
-
-    def element(self, coeffs, scalar: ScalarRing = ZZ) -> BurnsideElement:
-        if len(coeffs) != self.n:
-            raise ValueError("coefficient length mismatch")
-        return BurnsideElement(self, scalar, tuple(scalar.coerce(c) for c in coeffs))
-
-    def zero(self, scalar: ScalarRing = ZZ) -> BurnsideElement:
-        return self.element([0] * self.n, scalar)
-
-    def basis_element(self, class_index: int, scalar: ScalarRing = ZZ) -> BurnsideElement:
-        coeffs = [0] * self.n
-        coeffs[class_index] = 1
-        return self.element(coeffs, scalar)
-
-    def one(self, scalar: ScalarRing = ZZ) -> BurnsideElement:
+    def one(self, scalar: ScalarRing = ZZ) -> Element:
         return self.basis_element(self.n - 1, scalar)  # G/G is the last class
 
-    def _check(self, x, scalar):
-        if not isinstance(x, BurnsideElement) or x.ring is not self:
-            raise ValueError("element belongs to a different ring")
-        if x.scalar != scalar:
-            raise ScalarError(
-                f"mixed scalar rings: {x.scalar.tag} vs {scalar.tag}"
-            )
-
-    # -- multiplication -----------------------------------------------------
-
-    def _basis_product(self, i: int, j: int) -> tuple[int, ...]:
-        """[G/H_i][G/H_j] as an integer coefficient vector over the basis."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._basis_products:
-            G = self.group
-            H = self.table.classes[key[0]].representative
-            K = self.table.classes[key[1]].representative
-            coeffs = [0] * self.n
-            reps, _ = double_cosets(G, H, K)
-            for g in reps:
-                inter = H & G.conjugate_subgroup(g, K)
-                idx, _ = self.table.fusion(inter)
-                coeffs[idx] += 1
-            self._basis_products[key] = tuple(coeffs)
-        return self._basis_products[key]
-
-    def multiply(self, x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
-        self._check(x, x.scalar)
-        self._check(y, x.scalar)
-        s = x.scalar
-        acc = [s.zero] * self.n
-        for i, a in enumerate(x.coeffs):
-            if s.is_zero(a):
-                continue
-            for j, b in enumerate(y.coeffs):
-                if s.is_zero(b):
-                    continue
-                ab = s.mul(a, b)
-                for k, c in enumerate(self._basis_product(i, j)):
-                    if c:
-                        acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
-        return BurnsideElement(self, s, tuple(acc))
+    def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """[G/H_i][G/H_j]: one G/(H_i n gH_jg^-1) per double coset H_i g H_j."""
+        G = self.group
+        H = self.table.classes[i].representative
+        K = self.table.classes[j].representative
+        counts: dict[int, int] = {}
+        reps, _ = double_cosets(G, H, K)
+        for g in reps:
+            idx, _ = self.table.fusion(H & G.conjugate_subgroup(g, K))
+            counts[idx] = counts.get(idx, 0) + 1
+        return tuple(sorted(counts.items()))
 
     # -- marks of elements ---------------------------------------------------
 
-    def marks(self, x: BurnsideElement) -> GhostVector:
+    def marks(self, x: Element) -> GhostVector:
         m = self.table_of_marks().marks
         s = x.scalar
         vals = []
@@ -180,7 +89,7 @@ class BurnsideRing:
             vals.append(acc)
         return GhostVector(s, tuple(vals))
 
-    def from_marks(self, values, scalar: ScalarRing = QQ) -> BurnsideElement:
+    def from_marks(self, values, scalar: ScalarRing = QQ) -> Element:
         """Pull a ghost vector back through the triangular mark matrix (over Q)."""
         m = self.table_of_marks().marks
         sol = solve_upper_triangular(m, [Fraction(v) for v in values])
@@ -188,7 +97,7 @@ class BurnsideRing:
 
     # -- idempotents ----------------------------------------------------------
 
-    def rational_idempotents(self) -> list[BurnsideElement]:
+    def rational_idempotents(self) -> list[Element]:
         """Primitive idempotents over Q, one per subgroup class, by ghost inversion."""
         out = []
         for i in range(self.n):
@@ -196,7 +105,7 @@ class BurnsideRing:
             out.append(self.from_marks(ghost, QQ))
         return out
 
-    def dress_idempotents(self, mode) -> list[tuple[int, BurnsideElement]]:
+    def dress_idempotents(self, mode) -> list[tuple[int, Element]]:
         """Idempotents summing basic rational ones over residual fibers.
 
         mode is "solvable" (integer coefficients) or a prime p (p-local

@@ -1,20 +1,20 @@
 """Centers of group algebras: class sums, structure constants, blocks.
 
-Group-algebra elements are dicts element-index -> scalar; a CenterElement
-stores one coordinate per conjugacy class (class-sum basis).  Block
-idempotents over a finite field come from the Frobenius fixed-point
+Group-algebra elements are dicts element-index -> scalar; an element of
+the center stores one coefficient per conjugacy class (class-sum basis).
+Block idempotents over a finite field come from the Frobenius fixed-point
 method: the span of the primitive idempotents is exactly the kernel of
 (x -> x^q) - id, and Lagrange interpolation splits it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from .algebra import Algebra, Element
 from .groups import FiniteGroup
 from .linalg import in_row_span_field, mat_mul, nullspace_field, rank_field
-from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
+from .scalars import PrimeFieldRing, ScalarRing, ZZ, prime_field
 
 
 # -- group-algebra dict helpers ---------------------------------------------
@@ -52,146 +52,64 @@ def augmentation(x: dict, scalar: ScalarRing):
 # -- center in the class-sum basis --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CenterElement:
-    """Element of Z kG in class-sum coordinates."""
-
-    algebra: "CenterAlgebra"
-    scalar: ScalarRing
-    coords: tuple
-
-    def __add__(self, other):
-        self.algebra._check(other, self.scalar)
-        s = self.scalar
-        return CenterElement(
-            self.algebra, s, tuple(s.add(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self.algebra._check(other, self.scalar)
-        s = self.scalar
-        return CenterElement(
-            self.algebra, s, tuple(s.sub(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __mul__(self, other):
-        return self.algebra.multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return all(self.scalar.is_zero(c) for c in self.coords)
-
-    def to_group_algebra(self) -> dict:
-        out = {}
-        for i, cls in enumerate(self.algebra.classes):
-            if not self.scalar.is_zero(self.coords[i]):
-                for x in cls:
-                    out[x] = self.coords[i]
-        return out
-
-    def to_json(self) -> dict[str, str]:
-        out = {}
-        for i, c in enumerate(self.coords):
-            if not self.scalar.is_zero(c):
-                out[self.algebra.class_names[i]] = self.scalar.format(c)
-        return out
-
-
-class CenterAlgebra:
+class CenterAlgebra(Algebra):
     """Z kG with its class-sum basis and integer structure constants."""
 
+    commutative = True
+
     def __init__(self, G: FiniteGroup):
+        super().__init__()
         self.group = G
         self.classes = G.conjugacy_classes
         self.n = len(self.classes)
-        self.class_names = tuple(G.element_string(c[0]) for c in self.classes)
-        self._class_of = [0] * G.order
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                self._class_of[x] = i
-        self._structure: list[list[tuple[int, ...]]] | None = None
+        self.labels = tuple(G.element_string(c[0]) for c in self.classes)
+        self._class_at_rep = {c[0]: k for k, c in enumerate(self.classes)}
 
-    def _ensure_structure(self):
-        if self._structure is not None:
-            return
+    def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Class sums C_i C_j: the product is constant on classes, so count
+        the pairs (x, y) in C_i x C_j whose product is a class representative."""
         G = self.group
-        table = []
-        for i, ci in enumerate(self.classes):
-            row = []
-            for j, cj in enumerate(self.classes):
-                counts = [0] * self.n
-                per_class_seen: dict[int, int] = {}
-                for x in ci:
-                    for y in cj:
-                        per_class_seen[G.mul(x, y)] = per_class_seen.get(G.mul(x, y), 0) + 1
-                # constant on classes; read off at the class representatives
-                for k, cls in enumerate(self.classes):
-                    counts[k] = per_class_seen.get(cls[0], 0)
-                row.append(tuple(counts))
-            table.append(row)
-        self._structure = table
+        counts: dict[int, int] = {}
+        for x in self.classes[i]:
+            for y in self.classes[j]:
+                k = self._class_at_rep.get(G.mul(x, y))
+                if k is not None:
+                    counts[k] = counts.get(k, 0) + 1
+        return tuple(sorted(counts.items()))
 
-    def _check(self, x, scalar):
-        if not isinstance(x, CenterElement) or x.algebra is not self:
-            raise ValueError("element belongs to a different center")
-        if x.scalar != scalar:
-            raise ScalarError(f"mixed scalar rings: {x.scalar.tag} vs {scalar.tag}")
+    def one(self, scalar: ScalarRing = ZZ) -> Element:
+        return self.basis_element(0, scalar)  # the class of the identity
 
-    def element(self, coords, scalar: ScalarRing = ZZ) -> CenterElement:
-        if len(coords) != self.n:
-            raise ValueError("coordinate length mismatch")
-        return CenterElement(self, scalar, tuple(scalar.coerce(c) for c in coords))
+    def class_sums(self, scalar: ScalarRing = ZZ) -> list[Element]:
+        return [self.basis_element(i, scalar) for i in range(self.n)]
 
-    def zero(self, scalar: ScalarRing = ZZ) -> CenterElement:
-        return self.element([0] * self.n, scalar)
-
-    def one(self, scalar: ScalarRing = ZZ) -> CenterElement:
-        return self.element([1] + [0] * (self.n - 1), scalar)
-
-    def class_sums(self, scalar: ScalarRing = ZZ) -> list[CenterElement]:
-        out = []
-        for i in range(self.n):
-            coords = [0] * self.n
-            coords[i] = 1
-            out.append(self.element(coords, scalar))
+    def to_group_algebra(self, z: Element) -> dict:
+        out = {}
+        for i, cls in enumerate(self.classes):
+            if not z.scalar.is_zero(z.coeffs[i]):
+                for x in cls:
+                    out[x] = z.coeffs[i]
         return out
 
-    def multiply(self, x: CenterElement, y: CenterElement) -> CenterElement:
-        self._check(x, x.scalar)
-        self._check(y, x.scalar)
-        self._ensure_structure()
-        s = x.scalar
-        acc = [s.zero] * self.n
-        for i, a in enumerate(x.coords):
-            if s.is_zero(a):
-                continue
-            for j, b in enumerate(y.coords):
-                if s.is_zero(b):
-                    continue
-                ab = s.mul(a, b)
-                for k, c in enumerate(self._structure[i][j]):
-                    if c:
-                        acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
-        return CenterElement(self, s, tuple(acc))
-
-    def multiply_oracle(self, x: CenterElement, y: CenterElement) -> CenterElement:
+    def multiply_oracle(self, x: Element, y: Element) -> Element:
         """Independent product: full group-algebra convolution, then read back."""
         s = x.scalar
-        prod = ga_mul(self.group, x.to_group_algebra(), y.to_group_algebra(), s)
+        prod = ga_mul(self.group, self.to_group_algebra(x), self.to_group_algebra(y), s)
         return self.from_group_algebra(prod, s)
 
-    def from_group_algebra(self, x: dict, scalar: ScalarRing) -> CenterElement:
+    def from_group_algebra(self, x: dict, scalar: ScalarRing) -> Element:
         coords = [scalar.zero] * self.n
         for i, cls in enumerate(self.classes):
             vals = {x.get(e, scalar.zero) for e in cls}
             if len(vals) != 1:
                 raise ValueError("element is not constant on conjugacy classes")
             coords[i] = x.get(cls[0], scalar.zero)
-        return CenterElement(self, scalar, tuple(coords))
+        return Element(self, scalar, tuple(coords))
 
-    def augmentation(self, x: CenterElement):
+    def augmentation(self, x: Element):
         s = x.scalar
         acc = s.zero
-        for i, c in enumerate(x.coords):
+        for i, c in enumerate(x.coeffs):
             acc = s.add(acc, s.mul(c, s.coerce(len(self.classes[i]))))
         return acc
 
@@ -212,18 +130,18 @@ def _frobenius_matrix(Z: CenterAlgebra, field: PrimeFieldRing):
                 acc = Z.multiply(acc, base)
             base = Z.multiply(base, base)
             n >>= 1
-        cols.append(acc.coords)
+        cols.append(acc.coeffs)
     return cols  # cols[j][i] = coeff of class i in b_j^q
 
 
-def _min_poly_roots(Z: CenterAlgebra, x: CenterElement, field: PrimeFieldRing):
+def _min_poly_roots(Z: CenterAlgebra, x: Element, field: PrimeFieldRing):
     """Roots (in F_q) of the minimal polynomial of x; x must satisfy x^q = x."""
     # collect powers until linearly dependent
-    rows = [Z.one(field).coords]
+    rows = [Z.one(field).coeffs]
     cur = Z.one(field)
     while True:
         cur = Z.multiply(cur, x)
-        rows.append(cur.coords)
+        rows.append(cur.coeffs)
         ker = nullspace_field([list(r) for r in zip(*rows)], field, ncols=len(rows))
         if ker:
             coeffs = ker[0]  # relation sum coeffs[i] * x^i = 0
@@ -241,7 +159,7 @@ def _min_poly_roots(Z: CenterAlgebra, x: CenterElement, field: PrimeFieldRing):
     return roots
 
 
-def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterElement]:
+def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     """Primitive orthogonal idempotents of Z F_q G, summing to 1."""
     frob_cols = _frobenius_matrix(Z, field)
     n = Z.n
@@ -274,15 +192,15 @@ def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterEle
                         if mu == lam:
                             continue
                         shift = Z.element(
-                            [field.sub(x.coords[0], mu)]
-                            + [x.coords[i] for i in range(1, n)],
+                            [field.sub(x.coeffs[0], mu)]
+                            + [x.coeffs[i] for i in range(1, n)],
                             field,
                         )
                         scale = field.inv(field.sub(lam, mu))
                         piece = Z.multiply(
                             piece,
-                            CenterElement(
-                                Z, field, tuple(field.mul(scale, c) for c in shift.coords)
+                            Element(
+                                Z, field, tuple(field.mul(scale, c) for c in shift.coeffs)
                             ),
                         )
                     if not piece.is_zero():
@@ -295,7 +213,7 @@ def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterEle
             idempotents = new_list
     if len(idempotents) != len(basis):
         raise RuntimeError("block splitting did not reach the expected count")
-    return sorted(idempotents, key=lambda e: e.coords)
+    return sorted(idempotents, key=lambda e: e.coeffs)
 
 
 def _residue_degrees(Z: CenterAlgebra, field: PrimeFieldRing, blocks) -> list[int]:
@@ -316,7 +234,7 @@ def _residue_degrees(Z: CenterAlgebra, field: PrimeFieldRing, blocks) -> list[in
         rows = []
         for v in ss_vectors:
             prod = Z.multiply(Z.element(v, field), e)
-            rows.append(list(prod.coords))
+            rows.append(list(prod.coeffs))
         degrees.append(rank_field(rows, field))
     return degrees
 
@@ -326,7 +244,7 @@ def blocks_mod_p(
     p: int,
     exponent: int | None = None,
     algebra: CenterAlgebra | None = None,
-) -> tuple[PrimeFieldRing, list[CenterElement]]:
+) -> tuple[PrimeFieldRing, list[Element]]:
     """Blocks of Z F_q G with q = p^exponent.
 
     Without an explicit exponent the algorithm first decomposes over F_p,
@@ -347,7 +265,7 @@ def blocks_mod_p(
     return field, block_idempotents(Z, field)
 
 
-def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterElement]:
+def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     """Exhaustive oracle for tiny centers: scan all q^dim elements for
     idempotents and keep the minimal nonzero ones (e <= f iff ef = e)."""
     if field.q**Z.n > 200000:
@@ -358,7 +276,7 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterEle
     def rec(prefix):
         if len(prefix) == Z.n:
             x = Z.element(list(prefix), field)
-            if not x.is_zero() and Z.multiply(x, x).coords == x.coords:
+            if not x.is_zero() and Z.multiply(x, x).coeffs == x.coeffs:
                 idems.append(x)
             return
         for v in elements:
@@ -368,13 +286,13 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[CenterEle
     minimal = []
     for e in idems:
         if not any(
-            f.coords != e.coords and Z.multiply(e, f).coords == f.coords for f in idems
+            f.coeffs != e.coeffs and Z.multiply(e, f).coeffs == f.coeffs for f in idems
         ):
             minimal.append(e)
-    return sorted(minimal, key=lambda e: e.coords)
+    return sorted(minimal, key=lambda e: e.coeffs)
 
 
 def blocks_in_rho_span(G: FiniteGroup, blocks, rho_rows, field: PrimeFieldRing) -> bool:
     """Check every block lies in the F_q-span of the given center vectors."""
     rows = [[field.coerce(v) for v in row] for row in rho_rows]
-    return all(in_row_span_field(rows, list(b.coords), field) for b in blocks)
+    return all(in_row_span_field(rows, list(b.coeffs), field) for b in blocks)

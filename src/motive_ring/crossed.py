@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .burnside import BurnsideElement, BurnsideRing, GhostVector
+from .algebra import Algebra, Element
+from .burnside import BurnsideRing, GhostVector
 from .center import augmentation as ga_augmentation
 from .center import ga_equal, ga_mul
-from .groups import double_cosets
+from .groups import double_cosets, fixed_cosets
 from .linalg import integer_rank
-from .scalars import QQ, ZZ, ScalarError, ScalarRing, p_local
+from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
 
 
@@ -36,44 +37,6 @@ class CrossedPairClass:
 
 
 @dataclass(frozen=True)
-class CrossedElement:
-    ring: "CrossedBurnsideRing"
-    scalar: ScalarRing
-    coeffs: tuple
-
-    def __add__(self, other):
-        self.ring._check(other, self.scalar)
-        s = self.scalar
-        return CrossedElement(
-            self.ring, s, tuple(s.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        self.ring._check(other, self.scalar)
-        s = self.scalar
-        return CrossedElement(
-            self.ring, s, tuple(s.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        s = self.scalar
-        return CrossedElement(self.ring, s, tuple(s.neg(a) for a in self.coeffs))
-
-    def __mul__(self, other):
-        return self.ring.multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return all(self.scalar.is_zero(c) for c in self.coeffs)
-
-    def to_json(self) -> dict[str, str]:
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if not self.scalar.is_zero(c):
-                out[self.ring.pairs[i].name] = self.scalar.format(c)
-        return out
-
-
-@dataclass(frozen=True)
 class CrossedGhostVector:
     """One central group-algebra element per subgroup class (as dicts)."""
 
@@ -81,10 +44,13 @@ class CrossedGhostVector:
     components: tuple  # tuple of dict element-index -> scalar
 
 
-class CrossedBurnsideRing:
+class CrossedBurnsideRing(Algebra):
     """Crossed Burnside ring bound to a subgroup class table."""
 
+    commutative = True
+
     def __init__(self, table: SubgroupClassTable):
+        super().__init__()
         self.table = table
         self.group = table.group
         self.burnside = BurnsideRing(table)
@@ -107,7 +73,7 @@ class CrossedBurnsideRing:
                     self._pair_index[(cls.index, x)] = idx
         self.pairs = tuple(pairs)
         self.n = len(pairs)
-        self._basis_products: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.labels = tuple(p.name for p in pairs)
         self._fixed_coset_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- canonicalization ---------------------------------------------------
@@ -122,74 +88,33 @@ class CrossedBurnsideRing:
         except KeyError:
             raise ValueError("label outside centralizer") from None
 
-    # -- elements -------------------------------------------------------------
-
-    def element(self, coeffs, scalar: ScalarRing = ZZ) -> CrossedElement:
-        if len(coeffs) != self.n:
-            raise ValueError("coefficient length mismatch")
-        return CrossedElement(self, scalar, tuple(scalar.coerce(c) for c in coeffs))
-
-    def zero(self, scalar: ScalarRing = ZZ) -> CrossedElement:
-        return self.element([0] * self.n, scalar)
-
-    def basis_element(self, index: int, scalar: ScalarRing = ZZ) -> CrossedElement:
-        coeffs = [0] * self.n
-        coeffs[index] = 1
-        return self.element(coeffs, scalar)
-
-    def one(self, scalar: ScalarRing = ZZ) -> CrossedElement:
+    def one(self, scalar: ScalarRing = ZZ) -> Element:
         return self.basis_element(
             self.canonical_pair(self.table.classes[-1].representative, 0), scalar
         )
 
-    def _check(self, x, scalar):
-        if not isinstance(x, CrossedElement) or x.ring is not self:
-            raise ValueError("element belongs to a different ring")
-        if x.scalar != scalar:
-            raise ScalarError(f"mixed scalar rings: {x.scalar.tag} vs {scalar.tag}")
-
     # -- product ---------------------------------------------------------------
 
-    def _basis_product(self, i: int, j: int) -> tuple[int, ...]:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._basis_products:
-            G = self.group
-            pi, pj = self.pairs[key[0]], self.pairs[key[1]]
-            H = self.table.classes[pi.subgroup_class].representative
-            K = self.table.classes[pj.subgroup_class].representative
-            a, b = pi.label, pj.label
-            coeffs = [0] * self.n
-            reps, _ = double_cosets(G, H, K)
-            for g in reps:
-                inter = H & G.conjugate_subgroup(g, K)
-                label = G.mul(a, G.conj(g, b))
-                coeffs[self.canonical_pair(inter, label)] += 1
-            self._basis_products[key] = tuple(coeffs)
-        return self._basis_products[key]
+    def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        G = self.group
+        pi, pj = self.pairs[i], self.pairs[j]
+        H = self.table.classes[pi.subgroup_class].representative
+        K = self.table.classes[pj.subgroup_class].representative
+        a, b = pi.label, pj.label
+        counts: dict[int, int] = {}
+        reps, _ = double_cosets(G, H, K)
+        for g in reps:
+            inter = H & G.conjugate_subgroup(g, K)
+            k = self.canonical_pair(inter, G.mul(a, G.conj(g, b)))
+            counts[k] = counts.get(k, 0) + 1
+        return tuple(sorted(counts.items()))
 
-    def multiply(self, x: CrossedElement, y: CrossedElement) -> CrossedElement:
-        self._check(x, x.scalar)
-        self._check(y, x.scalar)
-        s = x.scalar
-        acc = [s.zero] * self.n
-        for i, a in enumerate(x.coeffs):
-            if s.is_zero(a):
-                continue
-            for j, b in enumerate(y.coeffs):
-                if s.is_zero(b):
-                    continue
-                ab = s.mul(a, b)
-                for k, c in enumerate(self._basis_product(i, j)):
-                    if c:
-                        acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
-        return CrossedElement(self, s, tuple(acc))
-
-    def basis_product_oracle(self, i: int, j: int) -> tuple[int, ...]:
+    def basis_product_oracle(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Multiply two basis pairs by decomposing the literal product set.
 
         Points are pairs of cosets with the diagonal action; the label of a
         point is the product of the conjugated labels; each orbit is one
-        transitive crossed set.
+        transitive crossed set.  The result has the sparse form of product.
         """
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
@@ -200,7 +125,7 @@ class CrossedBurnsideRing:
         reps_k, where_k = G.coset_lookup(K)
         points = [(x, y) for x in range(len(reps_h)) for y in range(len(reps_k))]
         unassigned = set(points)
-        coeffs = [0] * self.n
+        counts: dict[int, int] = {}
         while unassigned:
             x0, y0 = min(unassigned)
             orbit = set()
@@ -224,10 +149,11 @@ class CrossedBurnsideRing:
                 if where_h[G.mul(g, rx)] == x0 and where_k[G.mul(g, ry)] == y0
             )
             label = G.mul(G.conj(rx, a), G.conj(ry, b))
-            coeffs[self.canonical_pair(stab, label)] += 1
-        return tuple(coeffs)
+            k = self.canonical_pair(stab, label)
+            counts[k] = counts.get(k, 0) + 1
+        return tuple(sorted(counts.items()))
 
-    def multiply_oracle(self, x: CrossedElement, y: CrossedElement) -> CrossedElement:
+    def multiply_oracle(self, x: Element, y: Element) -> Element:
         self._check(x, x.scalar)
         self._check(y, x.scalar)
         s = x.scalar
@@ -239,30 +165,29 @@ class CrossedBurnsideRing:
                 if s.is_zero(b):
                     continue
                 ab = s.mul(a, b)
-                for k, c in enumerate(self.basis_product_oracle(i, j)):
-                    if c:
-                        acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
-        return CrossedElement(self, s, tuple(acc))
+                for k, c in self.basis_product_oracle(i, j):
+                    acc[k] = s.add(acc[k], s.mul(ab, s.coerce(c)))
+        return Element(self, s, tuple(acc))
 
     # -- maps to and from the plain Burnside ring --------------------------------
 
-    def forget_labels(self, x: CrossedElement) -> BurnsideElement:
+    def forget_labels(self, x: Element) -> BurnsideElement:
         """Sum the coefficients of [U,t] over t into [G/U]."""
         s = x.scalar
         coeffs = [s.zero] * len(self.table)
         for i, c in enumerate(x.coeffs):
             k = self.pairs[i].subgroup_class
             coeffs[k] = s.add(coeffs[k], c)
-        return BurnsideElement(self.burnside, s, tuple(coeffs))
+        return Element(self.burnside, s, tuple(coeffs))
 
-    def with_identity_labels(self, b: BurnsideElement) -> CrossedElement:
+    def with_identity_labels(self, b: BurnsideElement) -> Element:
         """Embed the Burnside ring along [G/U] -> [U, identity]."""
         s = b.scalar
         coeffs = [s.zero] * self.n
         for k, c in enumerate(b.coeffs):
             cls = self.table.classes[k]
             coeffs[self.canonical_pair(cls.representative, 0)] = c
-        return CrossedElement(self, s, tuple(coeffs))
+        return Element(self, s, tuple(coeffs))
 
     # -- marks -------------------------------------------------------------------
 
@@ -270,19 +195,13 @@ class CrossedBurnsideRing:
         """Coset reps gD with class-h representative inside gDg^-1."""
         key = (h_class, d_class)
         if key not in self._fixed_coset_cache:
-            G = self.group
-            H = self.table.classes[h_class].representative
-            D = self.table.classes[d_class].representative
-            hgens = G.small_generating_set(H) or [0]
-            out = []
-            for g in G.left_cosets(D):
-                ginv = G.inv(g)
-                if all(G.mul(G.mul(ginv, h), g) in D for h in hgens):
-                    out.append(g)
-            self._fixed_coset_cache[key] = tuple(out)
+            classes = self.table.classes
+            self._fixed_coset_cache[key] = fixed_cosets(
+                self.group, classes[h_class].representative, classes[d_class].representative
+            )
         return self._fixed_coset_cache[key]
 
-    def crossed_marks(self, x: CrossedElement) -> CrossedGhostVector:
+    def crossed_marks(self, x: Element) -> CrossedGhostVector:
         """Per subgroup class H: sum of conjugated labels over H-fixed cosets."""
         G = self.group
         s = x.scalar
@@ -330,7 +249,7 @@ class CrossedBurnsideRing:
             comps.append({} if g.scalar.is_zero(v) else {0: v})
         return CrossedGhostVector(g.scalar, tuple(comps))
 
-    def center_image(self, x: CrossedElement) -> dict:
+    def center_image(self, x: Element) -> dict:
         """Image in Z kG: the mark component at the trivial subgroup.
 
         [H,a] goes to the sum of the conjugates of a over coset
@@ -365,7 +284,7 @@ class CrossedBurnsideRing:
 
     # -- idempotents ----------------------------------------------------------------
 
-    def integral_idempotents(self) -> list[tuple[int, CrossedElement]]:
+    def integral_idempotents(self) -> list[tuple[int, Element]]:
         """The primitive idempotents over Z: embedded solvable-residual
         idempotents of the Burnside ring, one per perfect residual class."""
         out = []
@@ -373,7 +292,7 @@ class CrossedBurnsideRing:
             out.append((j, self.with_identity_labels(f)))
         return out
 
-    def idempotent_oracle(self) -> list[CrossedElement]:
+    def idempotent_oracle(self) -> list[Element]:
         """Independent scan for the primitive idempotents over Z.
 
         Every idempotent has 0/1 marks, so scanning all nonzero 0/1 ghost
@@ -394,7 +313,7 @@ class CrossedBurnsideRing:
         denom = lcm(*(c.denominator for u in units for c in u.coeffs))
         columns = [[int(c * denom) for c in u.coeffs] for u in units]
         acc = [0] * nclasses
-        found: list[CrossedElement] = []
+        found: list[Element] = []
         for step in range(1, 1 << nclasses):
             # Gray code: step flips one bit of the previous mask
             bit = (step & -step).bit_length() - 1
@@ -415,24 +334,17 @@ class CrossedBurnsideRing:
 
     # -- p-local decomposition report -------------------------------------------------
 
-    def multiplication_matrix(self, x: CrossedElement) -> list[list]:
-        """Matrix of left multiplication by x on the crossed basis (columns)."""
-        cols = []
-        for j in range(self.n):
-            prod = self.multiply(x, self.basis_element(j, x.scalar))
-            cols.append(prod.coeffs)
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
-
-    def ideal_rank(self, x: CrossedElement) -> int:
+    def ideal_rank(self, x: Element) -> int:
         """Rank over Q of the ideal generated by x.
 
         x is scaled by the lcm d of its denominators, which leaves the rank
-        unchanged, so its multiplication matrix is built over Z.
+        unchanged, so the products x b_j with the basis are integer vectors:
+        the columns of the multiplication matrix, whose rank is its rank.
         """
         d = lcm(*(c.denominator for c in x.coeffs))
         scaled = self.element([c.numerator * (d // c.denominator) for c in x.coeffs], ZZ)
-        rows = self.multiplication_matrix(scaled)
-        return integer_rank((dict(enumerate(row)) for row in rows), QQ)
+        columns = (self.multiply(scaled, self.basis_element(j)).coeffs for j in range(self.n))
+        return integer_rank((dict(enumerate(col)) for col in columns), QQ)
 
     def p_local_report(self, p: int) -> dict:
         """Decomposition of the identity over p-local scalars.
@@ -446,18 +358,7 @@ class CrossedBurnsideRing:
         dress = self.burnside.dress_idempotents(p)
         embedded = [(j, self.with_identity_labels(f)) for j, f in dress]
         fibers = self.table.residual_fiber_classes(p)
-        total = self.zero(scalar)
-        for _, e in embedded:
-            total = total + e
-        sum_is_one = total.coeffs == self.one(scalar).coeffs
-        orthogonal = True
-        idempotent = True
-        for a, (_, ea) in enumerate(embedded):
-            if self.multiply(ea, ea).coeffs != ea.coeffs:
-                idempotent = False
-            for b in range(a + 1, len(embedded)):
-                if not self.multiply(ea, embedded[b][1]).is_zero():
-                    orthogonal = False
+        idempotent, orthogonal, sum_is_one = self.idempotent_family([e for _, e in embedded])
         components = []
         for j, e in embedded:
             cls = self.table.classes[j]

@@ -266,12 +266,6 @@ class FiniteGroup:
             self._classes = tuple(classes)
         return self._classes
 
-    def class_of(self, a: int) -> int:
-        for idx, cls in enumerate(self.conjugacy_classes):
-            if a in cls:
-                return idx
-        raise ValueError("element outside group")
-
     # -- subgroups (as frozensets of element indices) ----------------------
 
     def closure(self, gens) -> frozenset[int]:

@@ -6,11 +6,11 @@ transitive set G/S together with an equivariant map to Omega x Omega,
 stored as a conjugation-canonical triple (S, x, y).  Composition is the
 fibered product over the middle Omega, computed by the Mackey double-coset
 formula: its G-orbits are the S-orbits of one fiber slice, each read off
-through an index of every G-conjugate of every basis triple.  Products are
-cached sparsely as ((k, c), ...).  The Hecke algebra is the endomorphism
-algebra of the permutation module on Omega; spans project onto it by
-counting fibers, and the projection direction is fixed so the count is an
-algebra map onto matrix products.  Operators on Omega are sparse dicts
+through an index of every G-conjugate of every basis triple.  Algebra.product
+caches the products sparsely as ((k, c), ...).  The Hecke algebra is the
+endomorphism algebra of the permutation module on Omega; spans project onto
+it by counting fibers, and the projection direction is fixed so the count is
+an algebra map onto matrix products.  Operators on Omega are sparse dicts
 {(to, from): value}.
 """
 
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .center import CenterAlgebra, CenterElement
-from .crossed import CrossedBurnsideRing, CrossedElement
+from .algebra import Algebra, Element
+from .center import CenterAlgebra
+from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, double_cosets
 from .linalg import integer_kernel
 from .scalars import ScalarRing, ZZ
@@ -38,55 +39,17 @@ class SpanBasisElement:
     y: int
 
 
-@dataclass(frozen=True)
-class SpanElement:
-    algebra: "MackeyAlgebra"
-    scalar: ScalarRing
-    coeffs: tuple
+class MackeyAlgebra(Algebra):
+    """Span algebra on Omega x Omega for one group, with integer structure.
 
-    def __add__(self, other):
-        s = self.scalar
-        return SpanElement(
-            self.algebra, s, tuple(s.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        s = self.scalar
-        return SpanElement(
-            self.algebra, s, tuple(s.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        return self.algebra.compose(self, other)
-
-    def is_zero(self) -> bool:
-        return all(self.scalar.is_zero(c) for c in self.coeffs)
-
-    def to_json(self) -> list[dict[str, str]]:
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if self.scalar.is_zero(c):
-                continue
-            b = self.algebra.basis[i]
-            cls_idx, _ = self.algebra.table.fusion(b.stabilizer)
-            out.append(
-                {
-                    "S": self.algebra.table.classes[cls_idx].name,
-                    "x": self.algebra.point_name(b.x),
-                    "y": self.algebra.point_name(b.y),
-                    "coeff": self.scalar.format(c),
-                }
-            )
-        return out
-
-
-class MackeyAlgebra:
-    """Span algebra on Omega x Omega for one group, with integer structure."""
+    A span is labelled [s,x,y]: the position s of its stabilizer in
+    self.subgroups and its points x and y of Omega."""
 
     def __init__(self, table: SubgroupClassTable, bound: int = DEFAULT_SPAN_BOUND):
         G = table.group
         if G.order > bound:
             raise GroupTooLarge(f"bound exceeded: order {G.order} > span bound {bound}")
+        super().__init__()
         self.table = table
         self.group = G
         # Omega: one coset space per subgroup, subgroups in canonical order
@@ -113,6 +76,7 @@ class MackeyAlgebra:
         self.n = len(self.basis)
         # subgroups by position: generators, conjugates conj[g][si], meets meet[si][sj]
         position = self._position = {H: si for si, H in enumerate(self.subgroups)}
+        self.labels = tuple(f"[{position[b.stabilizer]},{b.x},{b.y}]" for b in self.basis)
         self._gens = [G.small_generating_set(H) for H in self.subgroups]
         conj = self._conj = [
             [position[G.conjugate_subgroup(g, H)] for H in self.subgroups] for g in range(G.order)
@@ -124,17 +88,12 @@ class MackeyAlgebra:
             si = position[b.stabilizer]
             for g in range(G.order):
                 self._index[(conj[g][si], self.act[g][b.x], self.act[g][b.y])] = b.index
-        self._products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._proj: dict[int, dict[tuple[int, int], int]] = {}
 
     # -- points ---------------------------------------------------------------
 
     def point_of(self, si: int, element: int) -> int:
         return self._where[si][element]
-
-    def point_name(self, pid: int) -> str:
-        si, r = self.points[pid]
-        return f"({si},{self.group.element_string(r)})"
 
     # -- basis ------------------------------------------------------------------
 
@@ -196,20 +155,7 @@ class MackeyAlgebra:
 
     # -- elements ----------------------------------------------------------------
 
-    def element(self, coeffs, scalar: ScalarRing = ZZ) -> SpanElement:
-        if len(coeffs) != self.n:
-            raise ValueError("coefficient length mismatch")
-        return SpanElement(self, scalar, tuple(scalar.coerce(c) for c in coeffs))
-
-    def zero(self, scalar: ScalarRing = ZZ) -> SpanElement:
-        return self.element([0] * self.n, scalar)
-
-    def basis_element(self, i: int, scalar: ScalarRing = ZZ) -> SpanElement:
-        coeffs = [scalar.zero] * self.n
-        coeffs[i] = scalar.one
-        return SpanElement(self, scalar, tuple(coeffs))
-
-    def one(self, scalar: ScalarRing = ZZ) -> SpanElement:
+    def one(self, scalar: ScalarRing = ZZ) -> Element:
         """Sum of the diagonal spans (H over (eH, eH)), one per subgroup."""
         coeffs = [0] * self.n
         for si in range(len(self.subgroups)):
@@ -226,7 +172,7 @@ class MackeyAlgebra:
 
     # -- composition ----------------------------------------------------------------
 
-    def _basis_compose(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Sparse product ((k, c), ...) of basis spans i and j.
 
         The fiber {(vS_i, wS_j) : v x_i = w y_j} glues the input leg of i to
@@ -239,41 +185,25 @@ class MackeyAlgebra:
         bi, bj = self.basis[i], self.basis[j]
         if self.component(bi.x) != self.component(bj.y):
             return ()  # the glued legs lie in different coset spaces: empty fiber
-        key = (i, j)
-        if key not in self._products:
-            act, points = self.act, self.points
-            si, sj = self._position[bi.stabilizer], self._position[bj.stabilizer]
-            gens = self._gens[si]
-            # the slice: points wS_j of G/S_j with w y_j = x_i
-            todo = {p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x}
-            counts: dict[int, int] = {}
-            while todo:
-                p = todo.pop()
-                frontier = [p]
-                for q in frontier:  # S_i-orbit of p, through generators of S_i
-                    for h in gens:
-                        r = act[h][q]
-                        if r in todo:
-                            todo.remove(r)
-                            frontier.append(r)
-                w = points[p][1]
-                k = self._index[(self._meet[si][self._conj[w][sj]], act[w][bj.x], bi.y)]
-                counts[k] = counts.get(k, 0) + 1
-            self._products[key] = tuple(sorted(counts.items()))
-        return self._products[key]
-
-    def compose(self, x: SpanElement, y: SpanElement) -> SpanElement:
-        s = x.scalar
-        ys = [(j, b) for j, b in enumerate(y.coeffs) if not s.is_zero(b)]
-        acc = [s.zero] * self.n
-        for i, a in enumerate(x.coeffs):
-            if s.is_zero(a):
-                continue
-            for j, b in ys:
-                ab = s.mul(a, b)
-                for k, c in self._basis_compose(i, j):
-                    acc[k] = s.add(acc[k], s.mul_int(ab, c))
-        return SpanElement(self, s, tuple(acc))
+        act, points = self.act, self.points
+        si, sj = self._position[bi.stabilizer], self._position[bj.stabilizer]
+        gens = self._gens[si]
+        # the slice: points wS_j of G/S_j with w y_j = x_i
+        todo = {p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x}
+        counts: dict[int, int] = {}
+        while todo:
+            p = todo.pop()
+            frontier = [p]
+            for q in frontier:  # S_i-orbit of p, through generators of S_i
+                for h in gens:
+                    r = act[h][q]
+                    if r in todo:
+                        todo.remove(r)
+                        frontier.append(r)
+            w = points[p][1]
+            k = self._index[(self._meet[si][self._conj[w][sj]], act[w][bj.x], bi.y)]
+            counts[k] = counts.get(k, 0) + 1
+        return tuple(sorted(counts.items()))
 
     # -- center ------------------------------------------------------------------------
 
@@ -341,14 +271,14 @@ class MackeyAlgebra:
             source, target = self.component(self.basis[a].x), self.component(self.basis[a].y)
             touched = diagonal[source] + (diagonal[target] if target != source else [])
             for i in touched:
-                for sign, product in ((1, self._basis_compose(i, a)), (-1, self._basis_compose(a, i))):
+                for sign, product in ((1, self.product(i, a)), (-1, self.product(a, i))):
                     for k, c in product:
                         row = rows.setdefault((a, k), {})
                         row[i] = row.get(i, 0) + sign * c
         support = sorted(i for block in diagonal.values() for i in block)
         return integer_kernel(rows.values(), self.n, scalar, support=support)
 
-    def is_central(self, x: SpanElement) -> bool:
+    def is_central(self, x: Element) -> bool:
         """True if x commutes with every basis span.
 
         This is the oracle for center membership: it tests the whole basis,
@@ -359,9 +289,9 @@ class MackeyAlgebra:
         for j in range(self.n):
             diff: dict[int, object] = {}
             for i, a in support:
-                for k, c in self._basis_compose(i, j):
+                for k, c in self.product(i, j):
                     diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c))
-                for k, c in self._basis_compose(j, i):
+                for k, c in self.product(j, i):
                     diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
             if not all(s.is_zero(v) for v in diff.values()):
                 return False
@@ -380,7 +310,7 @@ class MackeyAlgebra:
             self._proj[i] = op
         return self._proj[i]
 
-    def project(self, x: SpanElement) -> dict:
+    def project(self, x: Element) -> dict:
         """Image in the endomorphism algebra of the permutation module,
         sparse: {(to, from): nonzero value}."""
         s = x.scalar
@@ -428,8 +358,8 @@ class HeckeAlgebra:
 
 
 def crossed_to_mackey_center(
-    mackey: MackeyAlgebra, xring: CrossedBurnsideRing, x: CrossedElement
-) -> SpanElement:
+    mackey: MackeyAlgebra, xring: CrossedBurnsideRing, x: Element
+) -> Element:
     """Central span image of a crossed element.
 
     A basis pair [L,a] contributes, for every subgroup U and every double
@@ -453,11 +383,11 @@ def crossed_to_mackey_center(
                 slabel = G.conj(winv, a)
                 k = mackey.span_index(S, mackey.point_of(si, 0), mackey.point_of(si, slabel))
                 acc[k] = s.add(acc[k], c)
-    return SpanElement(mackey, s, tuple(acc))
+    return Element(mackey, s, tuple(acc))
 
 
 def center_to_hecke(
-    mackey: MackeyAlgebra, Z: CenterAlgebra, z: CenterElement
+    mackey: MackeyAlgebra, Z: CenterAlgebra, z: Element
 ):
     """Image of a central group-algebra element in the Hecke algebra,
     sparse: {(to, from): nonzero value}, block diagonal over the G/H.
@@ -468,7 +398,7 @@ def center_to_hecke(
     """
     G = mackey.group
     s = z.scalar
-    ga = z.to_group_algebra()
+    ga = Z.to_group_algebra(z)
     op: dict = {}
     for si, H in enumerate(mackey.subgroups):
         reps, _ = double_cosets(G, H, H)

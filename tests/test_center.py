@@ -21,14 +21,14 @@ def test_class_sum_counts(ws):
 def test_identity_class_first(ws):
     Z = ws.center("S4")
     assert Z.classes[0] == (0,)
-    assert Z.one().coords[0] == 1
+    assert Z.one().coeffs[0] == 1
 
 
 def test_unit_and_c2_square(ws):
     Z = ws.center("C2")
     sums = Z.class_sums(QQ)
-    assert Z.multiply(Z.one(QQ), sums[1]).coords == sums[1].coords
-    assert Z.multiply(sums[1], sums[1]).coords == sums[0].coords
+    assert Z.multiply(Z.one(QQ), sums[1]).coeffs == sums[1].coeffs
+    assert Z.multiply(sums[1], sums[1]).coeffs == sums[0].coeffs
 
 
 def test_s3_transposition_square_via_convolution(ws):
@@ -38,8 +38,8 @@ def test_s3_transposition_square_via_convolution(ws):
         s for i, s in enumerate(sums) if len(Z.classes[i]) == 3
     )
     square = Z.multiply_oracle(transpositions, transpositions)
-    assert Z.multiply(transpositions, transpositions).coords == square.coords
-    by_size = {len(Z.classes[i]): c for i, c in enumerate(square.coords)}
+    assert Z.multiply(transpositions, transpositions).coeffs == square.coeffs
+    by_size = {len(Z.classes[i]): c for i, c in enumerate(square.coeffs)}
     assert by_size[1] == 3 and by_size[2] == 3
 
 
@@ -51,8 +51,8 @@ def test_structure_constants_match_convolution(name, ws):
         for j in range(Z.n):
             fast = Z.multiply(sums[i], sums[j])
             slow = Z.multiply_oracle(sums[i], sums[j])
-            assert fast.coords == slow.coords
-            assert fast.coords == Z.multiply(sums[j], sums[i]).coords
+            assert fast.coeffs == slow.coeffs
+            assert fast.coeffs == Z.multiply(sums[j], sums[i]).coeffs
 
 
 def test_augmentation_basics(ws):
@@ -123,7 +123,7 @@ def test_blocks_match_exhaustive_scan(name, p, ws):
     if field.q**Z.n > 200000:
         pytest.skip("scan too large")
     scan = block_scan_oracle(Z, field)
-    assert [b.coords for b in blocks] == [b.coords for b in scan]
+    assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
 
 
 @pytest.mark.parametrize("name", ["C2", "S3", "A4", "S4", "A5"])
@@ -136,10 +136,10 @@ def test_blocks_properties_and_rho_span(name, ws):
         total = Z.zero(field)
         for a, b in enumerate(blocks):
             total = total + b
-            assert Z.multiply(b, b).coords == b.coords
+            assert Z.multiply(b, b).coeffs == b.coeffs
             for c in range(a + 1, len(blocks)):
                 assert Z.multiply(b, blocks[c]).is_zero()
-        assert total.coords == Z.one(field).coords
+        assert total.coeffs == Z.one(field).coeffs
         assert blocks_in_rho_span(ws.group(name), blocks, rows, field)
 
 
@@ -150,7 +150,7 @@ def test_blocks_minimality_via_scan(ws):
     for p in (2, 3):
         field, blocks = blocks_mod_p(ws.group("S3"), p, algebra=Z)
         scan = block_scan_oracle(Z, field)
-        assert [b.coords for b in blocks] == [b.coords for b in scan]
+        assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
 
 
 def test_from_group_algebra_validates_constancy(ws):

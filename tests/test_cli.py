@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,39 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["size"] == 4
+
+
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)["commands"]
+
+# every recorded benchmark command on a group of order <= 24; a golden key
+# is the argv joined by spaces, and the gens: argument contains spaces, so
+# each argv is spelled out as a list
+SMALL_GOLDEN_ARGVS = [
+    ["mackey-check", "--group", "cyclic:4"],
+    ["mackey-check", "--group", "gens:(1 2)(3 4);(1 3)(2 4)"],
+    ["mackey-check", "--group", "sym:3"],
+    ["verify-all", "--group", "sym:3"],
+    *(
+        ["cbr-idempotents", "--group", group, "--coeff", coeff]
+        for group in ("alt:4", "sym:4")
+        for coeff in ("Z", "Zp:2", "Zp:3")
+    ),
+    *(["p-local-report", "--group", "sym:4", "--prime", p] for p in ("2", "3")),
+    *(["blocks", "--group", "sym:4", "--prime", p] for p in ("2", "3", "5")),
+]
+
+
+def test_small_golden_argvs_are_every_golden_up_to_order_24():
+    small = {key for key, g in GOLDENS.items() if g["sizes"]["group_order"] <= 24}
+    assert {" ".join(argv) for argv in SMALL_GOLDEN_ARGVS} == small
+    assert len(SMALL_GOLDEN_ARGVS) == len(small) == 15
+
+
+@pytest.mark.parametrize("argv", SMALL_GOLDEN_ARGVS, ids=" ".join)
+def test_stdout_matches_the_recorded_golden(argv):
+    golden = GOLDENS[" ".join(argv)]
+    buf = io.StringIO()
+    assert run(argv, stream=buf) == golden["exit"]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == golden["stdout_sha256"]

@@ -109,7 +109,7 @@ def fibered_product_oracle(mk, i, j):
     """Product of basis spans i and j by a BFS over all of G on the fibered
     product, each orbit canonicalised by a sweep over G and looked up among
     the canonical basis triples (not the conjugate-closed index or the
-    double-coset formula of MackeyAlgebra._basis_compose)."""
+    double-coset formula of MackeyAlgebra._basis_product)."""
     G = mk.group
     canonical = {(subgroup_key(b.stabilizer), b.x, b.y): b.index for b in mk.basis}
     bi, bj = mk.basis[i], mk.basis[j]
@@ -146,7 +146,7 @@ def test_composition_matches_fibered_product_oracle(name, ws):
     mk = ws.mackey(name)
     for i in range(mk.n):
         for j in range(mk.n):
-            assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+            assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
 
 
 @pytest.mark.parametrize("name", ["D8", "A4"])
@@ -155,7 +155,7 @@ def test_composition_matches_fibered_product_oracle_sampled(name, ws):
     rng = random.Random(7)
     for _ in range(2000):
         i, j = rng.randrange(mk.n), rng.randrange(mk.n)
-        assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+        assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -164,17 +164,17 @@ def test_composition_matches_fibered_product_oracle_on_random_groups(spec, rng):
     mk = MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=12)))
     for _ in range(40):
         i, j = rng.randrange(mk.n), rng.randrange(mk.n)
-        assert mk._basis_compose(i, j) == fibered_product_oracle(mk, i, j)
+        assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
 
 
 def associator_sides(mk, i, j, k):
     """(i j) k and i (j k) from the sparse basis products, as {span: count}."""
     left, right = {}, {}
-    for m, c in mk._basis_compose(i, j):
-        for t, d in mk._basis_compose(m, k):
+    for m, c in mk._basis_product(i, j):
+        for t, d in mk._basis_product(m, k):
             left[t] = left.get(t, 0) + c * d
-    for m, c in mk._basis_compose(j, k):
-        for t, d in mk._basis_compose(i, m):
+    for m, c in mk._basis_product(j, k):
+        for t, d in mk._basis_product(i, m):
             right[t] = right.get(t, 0) + c * d
     return left, right
 
@@ -365,7 +365,7 @@ def test_zeta_ring_homomorphism(name, scalar, ws):
         for j in range(xr.n):
             prod = xr.multiply(xr.basis_element(i, scalar), xr.basis_element(j, scalar))
             lhs = crossed_to_mackey_center(mk, xr, prod)
-            rhs = mk.compose(imgs[i], imgs[j])
+            rhs = mk.multiply(imgs[i], imgs[j])
             assert lhs.coeffs == rhs.coeffs
 
 
@@ -427,7 +427,7 @@ def test_projection_of_identity(ws):
 
 def assert_projection_multiplicative(mk, i, j, scalar):
     """project(i . j) = project(i) project(j), sparse and against the dense product."""
-    lhs = mk.project(mk.compose(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
+    lhs = mk.project(mk.multiply(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
     a = mk.project(mk.basis_element(i, scalar))
     b = mk.project(mk.basis_element(j, scalar))
     assert lhs == sparse_mat_mul(a, b, scalar)
