@@ -2,9 +2,11 @@
 
 Group-algebra elements are dicts element-index -> scalar; an element of
 the center stores one coefficient per conjugacy class (class-sum basis).
-Block idempotents over a finite field come from the Frobenius fixed-point
-method: the span of the primitive idempotents is exactly the kernel of
-(x -> x^q) - id, and Lagrange interpolation splits it.
+Block idempotents over F_q come from the Frobenius fixed-point method on
+the one sparse integer elimination: x -> x^q has F_p entries on the class
+sums, the kernel of (x -> x^q) - id over F_p spans the primitive
+idempotents over F_q, and the Lagrange projectors of each kernel vector
+(roots of its minimal polynomial, found by scanning F_q) split them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from math import lcm
 
 from .algebra import Algebra, Element
-from .groups import FiniteGroup
-from .linalg import in_row_span_field, mat_mul, nullspace_field, rank_field
+from .groups import FiniteGroup, GroupTooLarge
+from .linalg import integer_kernel
 from .scalars import PrimeFieldRing, ScalarRing, ZZ, prime_field
 
 
@@ -116,127 +118,85 @@ class CenterAlgebra(Algebra):
 
 # -- block idempotents over finite fields -------------------------------------
 
-
-def _frobenius_matrix(Z: CenterAlgebra, field: PrimeFieldRing):
-    """Matrix of x -> x^q on the class-sum basis, columns = images."""
-    sums = Z.class_sums(field)
-    cols = []
-    for b in sums:
-        acc = Z.one(field)
-        base = b
-        n = field.q
-        while n:
-            if n & 1:
-                acc = Z.multiply(acc, base)
-            base = Z.multiply(base, base)
-            n >>= 1
-        cols.append(acc.coeffs)
-    return cols  # cols[j][i] = coeff of class i in b_j^q
+MAX_FIELD_ORDER = 65536  # the root scan walks all of F_q
 
 
-def _min_poly_roots(Z: CenterAlgebra, x: Element, field: PrimeFieldRing):
-    """Roots (in F_q) of the minimal polynomial of x; x must satisfy x^q = x."""
-    # collect powers until linearly dependent
-    rows = [Z.one(field).coeffs]
-    cur = Z.one(field)
-    while True:
-        cur = Z.multiply(cur, x)
-        rows.append(cur.coeffs)
-        ker = nullspace_field([list(r) for r in zip(*rows)], field, ncols=len(rows))
-        if ker:
-            coeffs = ker[0]  # relation sum coeffs[i] * x^i = 0
-            break
-    # min poly splits over F_q with distinct roots; find them by scanning
-    roots = []
-    for lam in field.elements():
-        acc = field.zero
-        power = field.one
-        for c in coeffs:
-            acc = field.add(acc, field.mul(c, power))
-            power = field.mul(power, lam)
-        if field.is_zero(acc):
-            roots.append(lam)
-    return roots
+def _power(x: Element, n: int) -> Element:
+    """x^n for n >= 1, by square and multiply."""
+    acc = x.algebra.one(x.scalar)
+    while n:
+        if n & 1:
+            acc = acc * x
+        x = x * x
+        n >>= 1
+    return acc
+
+
+def _splitting_exponent(Z: CenterAlgebra, p: int) -> int:
+    """Order of x -> x^p on the semisimple part of Z F_p G, which the class
+    sums span once raised to a power p^k >= n.  It is the lcm of the residue
+    degrees of the blocks: F_{p^e} is the least field where they all split."""
+    Fp = prime_field(p)
+    pk = p
+    while pk < Z.n:
+        pk *= p
+    e = 1
+    for c in Z.class_sums(Fp):
+        s = _power(c, pk)
+        t, period = _power(s, p), 1
+        while t.coeffs != s.coeffs:
+            t, period = _power(t, p), period + 1
+        e = lcm(e, period)
+    return e
 
 
 def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
-    """Primitive orthogonal idempotents of Z F_q G, summing to 1."""
-    frob_cols = _frobenius_matrix(Z, field)
+    """Primitive orthogonal idempotents of Z F_q G, summing to 1, sorted.
+
+    Each vector b of an F_p basis of the fixed space of x -> x^q combines
+    them; the Lagrange projectors prod_{mu != lam} (b - mu) / (lam - mu) over
+    the roots lam of its minimal polynomial sort them by coefficient in b, so
+    the nonzero products of the projectors of all b are the blocks.
+    """
+    Fp = prime_field(field.p)
     n = Z.n
-    # kernel of (F - id): rows indexed by output coordinate
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            d = field.sub(frob_cols[j][i], field.one if i == j else field.zero)
-            row.append(d)
-        rows.append(row)
-    fixed = nullspace_field(rows, field, ncols=n)
-    basis = [Z.element(v, field) for v in fixed]
-    idempotents = [Z.one(field)]
-    changed = True
-    while changed:
-        changed = False
-        for b in basis:
-            new_list = []
-            for e in idempotents:
-                x = Z.multiply(e, b)
-                roots = _min_poly_roots(Z, x, field)
-                if len(roots) < 2:
-                    new_list.append(e)
-                    continue
-                pieces = []
-                for lam in roots:
-                    piece = e
-                    for mu in roots:
-                        if mu == lam:
-                            continue
-                        shift = Z.element(
-                            [field.sub(x.coeffs[0], mu)]
-                            + [x.coeffs[i] for i in range(1, n)],
-                            field,
-                        )
-                        scale = field.inv(field.sub(lam, mu))
-                        piece = Z.multiply(
-                            piece,
-                            Element(
-                                Z, field, tuple(field.mul(scale, c) for c in shift.coeffs)
-                            ),
-                        )
-                    if not piece.is_zero():
-                        pieces.append(piece)
-                if len(pieces) > 1:
-                    new_list.extend(pieces)
-                    changed = True
-                else:
-                    new_list.append(e)
-            idempotents = new_list
-    if len(idempotents) != len(basis):
+    frob = [_power(c, field.q).coeffs for c in Z.class_sums(Fp)]
+    fixed = integer_kernel([{j: frob[j][i] - (i == j) for j in range(n)} for i in range(n)], n, Fp)
+    blocks = [Z.one(field)]
+    for v in fixed:
+        if len(blocks) == len(fixed):
+            break
+        b = Z.element(v, Fp)
+        powers = [Z.one(Fp)]
+        for _ in range(n):
+            powers.append(powers[-1] * b)
+        # the first kernel vector of [1, b, ..., b^n] is the minimal polynomial
+        poly = integer_kernel([{d: x.coeffs[i] for d, x in enumerate(powers)} for i in range(n)], n + 1, Fp)[0]
+        degree = max(d for d, c in enumerate(poly) if c)
+        coeffs = [field.coerce(c) for c in reversed(poly[: degree + 1])]
+        roots = []
+        for lam in field.elements():
+            acc = field.zero
+            for c in coeffs:
+                acc = field.add(field.mul(acc, lam), c)
+            if field.is_zero(acc):
+                roots.append(lam)
+                if len(roots) == degree:
+                    break
+        bq = Z.element(v, field).coeffs
+        projectors = []
+        for lam in roots:
+            piece = Z.one(field)
+            for mu in roots:
+                if mu != lam:
+                    scale = field.inv(field.sub(lam, mu))
+                    shifted = (field.sub(bq[0], mu),) + bq[1:]
+                    piece = piece * Element(Z, field, tuple(field.mul(scale, c) for c in shifted))
+            projectors.append(piece)
+        blocks = [f for e in blocks for P in projectors if not (f := e * P).is_zero()]
+    if len(blocks) != len(fixed):
         raise RuntimeError("block splitting did not reach the expected count")
-    return sorted(idempotents, key=lambda e: e.coeffs)
-
-
-def _residue_degrees(Z: CenterAlgebra, field: PrimeFieldRing, blocks) -> list[int]:
-    """Dimension of the residue field of each block (semisimple part of eZ)."""
-    frob_cols = _frobenius_matrix(Z, field)
-    n = Z.n
-    # semisimple subalgebra = image of F^k with q^k >= n
-    k = 1
-    while field.q**k < n:
-        k += 1
-    mat = [[frob_cols[j][i] for j in range(n)] for i in range(n)]
-    power = mat
-    for _ in range(k - 1):
-        power = mat_mul(power, mat, field)
-    ss_vectors = [[power[i][j] for i in range(n)] for j in range(n)]  # columns
-    degrees = []
-    for e in blocks:
-        rows = []
-        for v in ss_vectors:
-            prod = Z.multiply(Z.element(v, field), e)
-            rows.append(list(prod.coeffs))
-        degrees.append(rank_field(rows, field))
-    return degrees
+    return sorted(blocks, key=lambda e: e.coeffs)
 
 
 def blocks_mod_p(
@@ -247,21 +207,18 @@ def blocks_mod_p(
 ) -> tuple[PrimeFieldRing, list[Element]]:
     """Blocks of Z F_q G with q = p^exponent.
 
-    Without an explicit exponent the algorithm first decomposes over F_p,
-    then enlarges the field just enough for every block residue field to
-    split (lcm of the residue degrees).
+    Without an explicit exponent the field is the least one over which every
+    block splits (see _splitting_exponent).  q is checked against
+    MAX_FIELD_ORDER before any block work.
     """
     Z = algebra if algebra is not None else CenterAlgebra(G)
-    if exponent is not None:
-        field = prime_field(p, exponent)
-        return field, block_idempotents(Z, field)
-    field = prime_field(p, 1)
-    blocks = block_idempotents(Z, field)
-    degrees = _residue_degrees(Z, field, blocks)
-    e = lcm(*degrees) if degrees else 1
-    if e == 1:
-        return field, blocks
-    field = prime_field(p, e)
+    if exponent is None:
+        exponent = _splitting_exponent(Z, p)
+    if p**exponent > MAX_FIELD_ORDER:
+        raise GroupTooLarge(
+            f"field too large: q = {p}^{exponent} = {p**exponent} > field bound {MAX_FIELD_ORDER}"
+        )
+    field = prime_field(p, exponent)
     return field, block_idempotents(Z, field)
 
 
@@ -293,6 +250,14 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
 
 
 def blocks_in_rho_span(G: FiniteGroup, blocks, rho_rows, field: PrimeFieldRing) -> bool:
-    """Check every block lies in the F_q-span of the given center vectors."""
-    rows = [[field.coerce(v) for v in row] for row in rho_rows]
-    return all(in_row_span_field(rows, list(b.coeffs), field) for b in blocks)
+    """Check every block lies in the F_q-span of the given integer center
+    vectors: that row space is the annihilator of their right kernel."""
+    kernel = integer_kernel([dict(enumerate(row)) for row in rho_rows], blocks[0].algebra.n, field)
+    for b in blocks:
+        for k in kernel:
+            acc = field.zero
+            for a, c in zip(b.coeffs, k):
+                acc = field.add(acc, field.mul(a, c))
+            if not field.is_zero(acc):
+                return False
+    return True

@@ -65,7 +65,7 @@ def _flatten(doc, prefix=""):
     rows = []
     if isinstance(doc, dict):
         for k, v in doc.items():
-            rows.extend(_flatten(v, f"{prefix}{k}." if prefix or True else k))
+            rows.extend(_flatten(v, f"{prefix}{k}."))
     elif isinstance(doc, list):
         for i, v in enumerate(doc):
             rows.extend(_flatten(v, f"{prefix}{i}."))
@@ -100,6 +100,19 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
         idx = xring.canonical_pair(cls.representative, label)
         coeffs[idx] = scalar.add(coeffs[idx], scalar.parse(value))
     return xring.element(coeffs, scalar)
+
+
+def _crossed_idempotents(xring: CrossedBurnsideRing, tag: str):
+    """The primitive idempotents (residual class, element) of the crossed
+    Burnside ring over Z or Zp:<p>; None for other coefficients."""
+    if tag == "Z":
+        return xring.integral_idempotents()
+    if tag.startswith("Zp:"):
+        return [
+            (j, xring.with_identity_labels(f))
+            for j, f in xring.burnside.dress_idempotents(int(tag[3:]))
+        ]
+    return None
 
 
 def run(argv, stream=None) -> int:
@@ -208,15 +221,8 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         tag = args.coeff or "Z"
         doc["coeff"] = tag
-        if tag == "Z":
-            family = xring.integral_idempotents()
-        elif tag.startswith("Zp:"):
-            p = int(tag[3:])
-            family = [
-                (j, xring.with_identity_labels(f))
-                for j, f in xring.burnside.dress_idempotents(p)
-            ]
-        else:
+        family = _crossed_idempotents(xring, tag)
+        if family is None:
             raise UsageError(f"unsupported coefficients {tag!r} for these idempotents")
         doc["idempotents"] = [
             {"residual": table.classes[j].name, "element": e.to_json()}
@@ -249,15 +255,8 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         tag = args.coeff or "Z"
         doc["coeff"] = tag
-        if tag == "Z":
-            family = xring.integral_idempotents()
-        elif tag.startswith("Zp:"):
-            p = int(tag[3:])
-            family = [
-                (j, xring.with_identity_labels(f))
-                for j, f in xring.burnside.dress_idempotents(p)
-            ]
-        else:
+        family = _crossed_idempotents(xring, tag)
+        if family is None:
             raise UsageError(
                 f"unsupported coefficients {tag!r}: the summand decomposition is computed over Z or Zp:<p>"
             )

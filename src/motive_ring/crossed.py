@@ -171,7 +171,7 @@ class CrossedBurnsideRing(Algebra):
 
     # -- maps to and from the plain Burnside ring --------------------------------
 
-    def forget_labels(self, x: Element) -> BurnsideElement:
+    def forget_labels(self, x: Element) -> Element:
         """Sum the coefficients of [U,t] over t into [G/U]."""
         s = x.scalar
         coeffs = [s.zero] * len(self.table)
@@ -180,7 +180,7 @@ class CrossedBurnsideRing(Algebra):
             coeffs[k] = s.add(coeffs[k], c)
         return Element(self.burnside, s, tuple(coeffs))
 
-    def with_identity_labels(self, b: BurnsideElement) -> Element:
+    def with_identity_labels(self, b: Element) -> Element:
         """Embed the Burnside ring along [G/U] -> [U, identity]."""
         s = b.scalar
         coeffs = [s.zero] * self.n

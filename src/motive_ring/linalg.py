@@ -1,14 +1,13 @@
 """Exact linear algebra over the scalar rings.
 
-Integer matrices (commutant equations, span projections, marks, ideal
-multiplication matrices) go through one sparse elimination over the ints:
-integer_kernel returns right kernels and integer_rank returns ranks.  Over
-Z, Q and Z_(p) it is fraction free, each row kept primitive by its gcd in
-the manner of Bareiss; over F_q it runs modulo p.  The dense routines
-(rank_field, nullspace_field, in_row_span_field) take matrices of ScalarRing
-elements: they serve matrices with true F_q entries and are the independent
-oracle for the sparse path.  Sizes here are small (dimension <= a few
-hundred), so plain Gaussian elimination is the right tool.
+Every matrix eliminated here has integer entries (commutant equations,
+span projections, marks, ideal multiplication matrices, Frobenius and
+minimal-polynomial equations of the center, spans of center images), and
+all of them go through one sparse elimination over the ints: integer_kernel
+returns right kernels and integer_rank returns ranks.  Over Z, Q and Z_(p)
+it is fraction free, each row kept primitive by its gcd in the manner of
+Bareiss; over F_q it runs modulo p.  Sizes here are small (dimension <= a
+few hundred), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -33,24 +32,6 @@ def solve_upper_triangular(matrix, rhs):
     return x
 
 
-def mat_mul(a, b, scalar: ScalarRing):
-    """Matrix product a b of dense matrices of scalar ring elements."""
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[scalar.zero] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if scalar.is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(m):
-                if not scalar.is_zero(brow[j]):
-                    orow[j] = scalar.add(orow[j], scalar.mul(x, brow[j]))
-    return out
-
-
 def sparse_mat_mul(a: dict, b: dict, scalar: ScalarRing) -> dict:
     """Product a b of sparse matrices {(row, col): nonzero scalar ring element}."""
     b_rows: dict[int, list] = {}
@@ -61,59 +42,6 @@ def sparse_mat_mul(a: dict, b: dict, scalar: ScalarRing) -> dict:
         for j, y in b_rows.get(k, ()):
             out[(i, j)] = scalar.add(out.get((i, j), scalar.zero), scalar.mul(x, y))
     return {key: v for key, v in out.items() if not scalar.is_zero(v)}
-
-
-def rank_field(rows, ring: ScalarRing) -> int:
-    return len(_echelon_field(rows, ring)[0])
-
-
-def _echelon_field(rows, ring: ScalarRing):
-    """Row echelon over a field ring; returns (reduced rows, pivot cols)."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not ring.is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inv(m[r][c])
-        m[r] = [ring.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not ring.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def nullspace_field(rows, ring: ScalarRing, ncols: int | None = None):
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = _echelon_field(rows, ring)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ring.zero] * ncols
-        vec[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = ring.neg(red[r][fc])
-        basis.append(vec)
-    return basis
-
-
-def in_row_span_field(rows, vector, ring: ScalarRing) -> bool:
-    """True if vector is a linear combination of the given rows."""
-    base = rank_field(rows, ring)
-    return rank_field(list(rows) + [list(vector)], ring) == base
 
 
 # -- sparse integer elimination ------------------------------------------------

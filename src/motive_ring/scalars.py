@@ -8,6 +8,7 @@ anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 
 class ScalarError(ValueError):
@@ -245,9 +246,13 @@ class PrimeFieldRing(ScalarRing):
             self.zero = 0
             self.one = 1
         else:
-            self.modulus = _find_irreducible(p, e)
             self.zero = (0,) * e
             self.one = (1,) + (0,) * (e - 1)
+
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """The defining irreducible of F_q over F_p, found on first use."""
+        return _find_irreducible(self.p, self.e)
 
     def coerce(self, value):
         if isinstance(value, bool):

@@ -20,6 +20,7 @@ GROUP_SPECS = {
     "D8": "dihedral:4",
     "Q8": "gens:(1 3 2 4)(5 7 6 8);(1 5 2 6)(3 8 4 7)",
     "A4": "alt:4",
+    "D10": "dihedral:5",
     "S4": "sym:4",
     "A5": "alt:5",
 }

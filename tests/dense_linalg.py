@@ -1,0 +1,76 @@
+"""Dense linear algebra over a ScalarRing field, for the tests only.
+
+Plain Gaussian elimination on dense rows of scalar ring elements: the
+independent oracle for the sparse integer elimination of
+motive_ring.linalg (integer_kernel, integer_rank) and for
+motive_ring.linalg.sparse_mat_mul.  It shares no code with them.
+"""
+
+from __future__ import annotations
+
+from motive_ring.scalars import ScalarRing
+
+
+def mat_mul(a, b, scalar: ScalarRing):
+    """Matrix product a b of dense matrices of scalar ring elements."""
+    n = len(a)
+    m = len(b[0]) if b else 0
+    out = [[scalar.zero] * m for _ in range(n)]
+    for i in range(n):
+        arow = a[i]
+        orow = out[i]
+        for k, x in enumerate(arow):
+            if scalar.is_zero(x):
+                continue
+            brow = b[k]
+            for j in range(m):
+                if not scalar.is_zero(brow[j]):
+                    orow[j] = scalar.add(orow[j], scalar.mul(x, brow[j]))
+    return out
+
+
+def rank_field(rows, ring: ScalarRing) -> int:
+    return len(_echelon_field(rows, ring)[0])
+
+
+def _echelon_field(rows, ring: ScalarRing):
+    """Row echelon over a field ring; returns (reduced rows, pivot cols)."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if not ring.is_zero(m[i][c])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ring.inv(m[r][c])
+        m[r] = [ring.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not ring.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def nullspace_field(rows, ring: ScalarRing, ncols: int | None = None):
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    red, pivots = _echelon_field(rows, ring)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [ring.zero] * ncols
+        vec[fc] = ring.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = ring.neg(red[r][fc])
+        basis.append(vec)
+    return basis

@@ -10,9 +10,12 @@ from __future__ import annotations
 import io
 import json
 import time
+
+from dense_linalg import rank_field
+
 from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, blocks_mod_p, ga_equal, ga_mul
 from motive_ring.cli import run
-from motive_ring.linalg import rank_field, sparse_mat_mul
+from motive_ring.linalg import sparse_mat_mul
 from motive_ring.mackey import (
     center_to_hecke,
     crossed_to_mackey_center,

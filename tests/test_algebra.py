@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import random
+import typing
 from fractions import Fraction
 
 import pytest
 
+import motive_ring
 from motive_ring.linalg import sparse_mat_mul
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local, prime_field
 
@@ -85,3 +90,18 @@ def test_operands_must_share_algebra_and_scalars(kind, group, ws):
             op(x, other.one(QQ))
         with pytest.raises(ScalarError, match="mixed scalar"):
             op(x, algebra.one(ZZ))
+
+
+def test_every_public_annotation_resolves():
+    resolved = 0
+    for info in pkgutil.iter_modules(motive_ring.__path__):
+        module = importlib.import_module(f"motive_ring.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(name, obj)]
+            for key, fn in members:
+                if not key.startswith("_") and inspect.isfunction(fn):
+                    typing.get_type_hints(fn)
+                    resolved += 1
+    assert resolved > 100

@@ -8,6 +8,7 @@ from motive_ring.center import (
     blocks_in_rho_span,
     blocks_mod_p,
 )
+from motive_ring.groups import GroupTooLarge, construct_group
 from motive_ring.scalars import QQ, ZZ
 from motive_ring.subgroups import prime_divisors
 
@@ -82,8 +83,6 @@ def test_c2_center_image_augmentation(ws):
 
 
 def test_blocks_c2():
-    from motive_ring.groups import construct_group
-
     G = construct_group("cyclic:2")
     field, blocks = blocks_mod_p(G, 2)
     assert field.tag == "Fp:2" and len(blocks) == 1
@@ -104,8 +103,6 @@ def test_blocks_s3(ws):
 
 
 def test_blocks_default_exponent_splits_c3():
-    from motive_ring.groups import construct_group
-
     G = construct_group("cyclic:3")
     field, blocks = blocks_mod_p(G, 2)
     assert field.tag == "Fp:2:2"
@@ -114,12 +111,30 @@ def test_blocks_default_exponent_splits_c3():
     assert field1.tag == "Fp:2" and len(blocks1) == 2
 
 
+SCAN_CASES = [
+    ("C2", 2, None),
+    ("C2", 3, None),
+    ("S3", 2, None),
+    ("S3", 3, None),
+    ("A4", 2, None),
+    ("A4", 3, None),
+    ("A5", 2, None),
+    ("C3", 2, None),  # default field F_4
+    ("D10", 2, None),  # default field F_4
+    ("S3", 2, 2),
+    ("C4", 3, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "name,p", [("C2", 2), ("C2", 3), ("S3", 2), ("S3", 3), ("A4", 2), ("A4", 3), ("A5", 2)]
+    "name,p,exponent",
+    SCAN_CASES,
+    ids=[f"{name}-{p}" + (f"-e{e}" if e else "") for name, p, e in SCAN_CASES],
 )
-def test_blocks_match_exhaustive_scan(name, p, ws):
+def test_blocks_match_exhaustive_scan(name, p, exponent, ws):
     Z = ws.center(name)
-    field, blocks = blocks_mod_p(ws.group(name), p, algebra=Z)
+    field, blocks = blocks_mod_p(ws.group(name), p, exponent, algebra=Z)
+    assert exponent is None or field.q == p**exponent
     if field.q**Z.n > 200000:
         pytest.skip("scan too large")
     scan = block_scan_oracle(Z, field)
@@ -141,6 +156,41 @@ def test_blocks_properties_and_rho_span(name, ws):
                 assert Z.multiply(b, blocks[c]).is_zero()
         assert total.coeffs == Z.one(field).coeffs
         assert blocks_in_rho_span(ws.group(name), blocks, rows, field)
+
+
+@pytest.mark.parametrize(
+    "group,p,tag",
+    [
+        ("cyclic:5", 2, "Fp:2:4"),
+        ("cyclic:7", 2, "Fp:2:3"),
+        ("cyclic:9", 2, "Fp:2:6"),
+        ("cyclic:7", 3, "Fp:3:6"),
+        ("alt:5", 3, "Fp:3:2"),
+        ("alt:5", 2, "Fp:2"),
+    ],
+)
+def test_default_field_is_the_splitting_field(group, p, tag):
+    field, blocks = blocks_mod_p(construct_group(group), p)
+    assert field.tag == tag
+
+
+def test_blocks_outside_one_center_image_row(ws):
+    # over F_2 the blocks of S3 are not multiples of 1, the image of [S3/S3, 1]
+    Z = ws.center("S3")
+    xr = ws.crossed("S3")
+    field, blocks = blocks_mod_p(ws.group("S3"), 2, algebra=Z)
+    one_row = [list(Z.one(ZZ).coeffs)]
+    assert one_row[0] in xr.center_image_rows(ZZ)
+    assert len(blocks) == 2
+    assert not blocks_in_rho_span(ws.group("S3"), blocks, one_row, field)
+    assert blocks_in_rho_span(ws.group("S3"), blocks, xr.center_image_rows(ZZ), field)
+
+
+def test_blocks_field_bound():
+    with pytest.raises(GroupTooLarge, match="field bound 65536"):
+        blocks_mod_p(construct_group("sym:3"), 2, exponent=17)
+    with pytest.raises(GroupTooLarge, match="7\\^10"):
+        blocks_mod_p(construct_group("cyclic:11"), 7)
 
 
 def test_blocks_minimality_via_scan(ws):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,27 @@ def test_blocks_command():
     assert doc["count"] == 2
     names = [c["name"] for c in doc["checks"]]
     assert "matches-exhaustive-scan" in names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blocks", "--group", "cyclic:11", "--prime", "7"],  # default field F_{7^10}
+        ["blocks", "--group", "sym:3", "--coeff", "Fp:2:30"],
+    ],
+)
+def test_blocks_field_bound_exits_3_at_once(argv):
+    start = time.perf_counter()
+    code, doc, _ = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc["exit"] == 3
+    assert "field bound 65536" in doc["error"]
+
+
+def test_blocks_large_prime_field_inside_the_bound():
+    code, doc, _ = invoke(["blocks", "--group", "sym:4", "--prime", "7919"])
+    assert code == 0
+    assert doc["field"] == "Fp:7919" and doc["count"] == 5
 
 
 def test_p_local_report_command_reports_rank_mismatch():

@@ -3,10 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from dense_linalg import rank_field
 
 from motive_ring.center import ga_equal, ga_mul
 from motive_ring.groups import construct_group, parse_cycles
-from motive_ring.linalg import rank_field
 from motive_ring.scalars import QQ, ZZ, ScalarError, prime_field
 from motive_ring.subgroups import SubgroupClassTable, prime_divisors
 from motive_ring.crossed import CrossedBurnsideRing

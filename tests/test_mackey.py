@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from dense_linalg import mat_mul, nullspace_field, rank_field
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.groups import GroupTooLarge, construct_group
-from motive_ring.linalg import mat_mul, nullspace_field, rank_field, sparse_mat_mul
+from motive_ring.linalg import sparse_mat_mul
 from motive_ring.mackey import (
     HeckeAlgebra,
     MackeyAlgebra,

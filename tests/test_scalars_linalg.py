@@ -5,14 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from dense_linalg import nullspace_field, rank_field
 
-from motive_ring.linalg import (
-    integer_kernel,
-    integer_rank,
-    nullspace_field,
-    rank_field,
-    solve_upper_triangular,
-)
+from motive_ring.linalg import integer_kernel, integer_rank, solve_upper_triangular
 from motive_ring.scalars import (
     QQ,
     ZZ,
