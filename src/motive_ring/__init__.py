@@ -13,14 +13,12 @@ from .burnside import BurnsideRing, GhostVector, TableOfMarks
 from .center import CenterAlgebra, augmentation, blocks_mod_p
 from .crossed import CrossedBurnsideRing, CrossedGhostVector, CrossedPairClass
 from .groups import (
-    CosetGeometry,
     FiniteGroup,
     GroupTooLarge,
     NotNormal,
     Permutation,
     Quotient,
     construct_group,
-    coset_geometry,
     parse_cycles,
     quotient_group,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "Algebra",
     "BurnsideRing",
     "CenterAlgebra",
-    "CosetGeometry",
     "CrossedBurnsideRing",
     "Element",
     "CrossedGhostVector",
@@ -67,7 +64,6 @@ __all__ = [
     "blocks_mod_p",
     "center_to_hecke",
     "construct_group",
-    "coset_geometry",
     "crossed_to_mackey_center",
     "parse_cycles",
     "p_local",

@@ -20,7 +20,7 @@ from .algebra import Algebra, Element
 from .burnside import BurnsideRing, GhostVector
 from .center import augmentation as ga_augmentation
 from .center import ga_equal, ga_mul
-from .groups import double_cosets, fixed_cosets
+from .groups import double_cosets, fixed_cosets, orbits
 from .linalg import integer_rank
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
@@ -58,14 +58,9 @@ class CrossedBurnsideRing(Algebra):
         pairs: list[CrossedPairClass] = []
         self._pair_index: dict[tuple[int, int], int] = {}
         for cls in table.classes:
-            N = tuple(sorted(cls.normalizer))
-            seen = set()
-            for a in sorted(cls.centralizer):
-                if a in seen:
-                    continue
-                orbit = {G.conj(n, a) for n in N}
-                seen |= orbit
-                rep = min(orbit)
+            gens = G.small_generating_set(cls.normalizer)
+            for orbit in orbits(sorted(cls.centralizer), gens, G.conj):
+                rep = orbit[0]  # the least label of its orbit
                 idx = len(pairs)
                 name = f"[{cls.name},{G.element_string(rep)}]"
                 pairs.append(CrossedPairClass(idx, cls.index, rep, name))
@@ -112,9 +107,10 @@ class CrossedBurnsideRing(Algebra):
     def basis_product_oracle(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Multiply two basis pairs by decomposing the literal product set.
 
-        Points are pairs of cosets with the diagonal action; the label of a
-        point is the product of the conjugated labels; each orbit is one
-        transitive crossed set.  The result has the sparse form of product.
+        Points are pairs of cosets with the diagonal action, split into
+        orbits through the generators of G; the label of a point is the
+        product of the conjugated labels; each orbit is one transitive
+        crossed set.  The result has the sparse form of product.
         """
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
@@ -123,25 +119,15 @@ class CrossedBurnsideRing(Algebra):
         a, b = pi.label, pj.label
         reps_h, where_h = G.coset_lookup(H)
         reps_k, where_k = G.coset_lookup(K)
+        # each generator of G as its permutations of G/H and of G/K
+        gens = [
+            ([where_h[G.mul(g, r)] for r in reps_h], [where_k[G.mul(g, r)] for r in reps_k])
+            for g in G.generator_indices
+        ]
         points = [(x, y) for x in range(len(reps_h)) for y in range(len(reps_k))]
-        unassigned = set(points)
         counts: dict[int, int] = {}
-        while unassigned:
-            x0, y0 = min(unassigned)
-            orbit = set()
-            frontier = [(x0, y0)]
-            orbit.add((x0, y0))
-            while frontier:
-                (x, y) = frontier.pop()
-                for g in range(G.order):
-                    moved = (
-                        where_h[G.mul(g, reps_h[x])],
-                        where_k[G.mul(g, reps_k[y])],
-                    )
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        frontier.append(moved)
-            unassigned -= orbit
+        for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
+            x0, y0 = orbit[0]
             rx, ry = reps_h[x0], reps_k[y0]
             stab = frozenset(
                 g

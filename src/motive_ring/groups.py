@@ -141,6 +141,31 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     return Permutation(images)
 
 
+def orbits(points, gens, act) -> list[list]:
+    """Orbits of the group generated by gens, on points closed under it.
+
+    act(g, p) is the image of the point p under the generator g.  A finite
+    group's orbit of p is the closure of p under its generators, so no
+    inverses are needed.  The orbits come in the order of their first point
+    in points, each listing that point first and the rest as reached.
+    """
+    seen = set()
+    out = []
+    for p in points:
+        if p in seen:
+            continue
+        seen.add(p)
+        orbit = [p]
+        for q in orbit:
+            for g in gens:
+                r = act(g, q)
+                if r not in seen:
+                    seen.add(r)
+                    orbit.append(r)
+        out.append(orbit)
+    return out
+
+
 class FiniteGroup:
     """Permutation group; elements and Cayley table are built on first use."""
 
@@ -212,6 +237,11 @@ class FiniteGroup:
     def identity(self) -> int:
         return 0  # identity image tuple sorts first
 
+    @property
+    def generator_indices(self) -> list[int]:
+        """The generators of the group, as element indices."""
+        return [self._index[g.images] for g in self.generators]
+
     def mul(self, i: int, j: int) -> int:
         return self._mul[i][j]
 
@@ -252,18 +282,10 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted index tuples, ordered by least member (identity first)."""
         if self._classes is None:
-            n = self.order
-            seen = [False] * n
-            classes = []
-            for a in range(n):
-                if seen[a]:
-                    continue
-                orbit = {self.conj(g, a) for g in range(n)}
-                for x in orbit:
-                    seen[x] = True
-                classes.append(tuple(sorted(orbit)))
-            classes.sort(key=lambda c: c[0])
-            self._classes = tuple(classes)
+            self._classes = tuple(
+                tuple(sorted(cls))
+                for cls in orbits(range(self.order), self.generator_indices, self.conj)
+            )
         return self._classes
 
     # -- subgroups (as frozensets of element indices) ----------------------
@@ -329,15 +351,6 @@ class FiniteGroup:
         return reps, where
 
 
-@dataclass(frozen=True)
-class CosetGeometry:
-    """Double cosets H\\G/K and the H-fixed points of G/K."""
-
-    double_coset_reps: tuple[int, ...]
-    double_cosets: tuple[frozenset[int], ...]
-    fixed_coset_reps: tuple[int, ...]
-
-
 def double_cosets(G: FiniteGroup, H, K) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
     Hs, Ks = sorted(H), sorted(K)
     seen = [False] * G.order
@@ -367,11 +380,6 @@ def fixed_cosets(G: FiniteGroup, H, K) -> tuple[int, ...]:
         if all(G.mul(G.mul(ginv, h), g) in Kset for h in Hgens):
             out.append(g)
     return tuple(out)
-
-
-def coset_geometry(G: FiniteGroup, H, K) -> CosetGeometry:
-    reps, cells = double_cosets(G, H, K)
-    return CosetGeometry(reps, cells, fixed_cosets(G, H, K))
 
 
 @dataclass(frozen=True)

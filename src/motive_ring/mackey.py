@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, Element
 from .center import CenterAlgebra
 from .crossed import CrossedBurnsideRing
-from .groups import GroupTooLarge, double_cosets
+from .groups import GroupTooLarge, double_cosets, orbits
 from .linalg import integer_kernel
 from .scalars import ScalarRing, ZZ
 from .subgroups import SubgroupClassTable, subgroup_key
@@ -58,13 +58,10 @@ class MackeyAlgebra(Algebra):
         self._cosets: list[range] = []  # _cosets[si]: the points of G/H, H = subgroups[si]
         self._where: list[list[int]] = []  # _where[si][g]: the point gH of G/H
         for si, H in enumerate(self.subgroups):
-            where = [0] * G.order
+            reps, where = G.coset_lookup(H)
             start = len(self.points)
-            for r in G.left_cosets(H):
-                for h in H:
-                    where[G.mul(r, h)] = len(self.points)
-                self.points.append((si, r))
-            self._where.append(where)
+            self.points.extend((si, r) for r in reps)
+            self._where.append([start + c for c in where])
             self._cosets.append(range(start, len(self.points)))
         self.npoints = len(self.points)
         # action table: act[g][point]
@@ -72,22 +69,36 @@ class MackeyAlgebra(Algebra):
         for pid, (si, r) in enumerate(self.points):
             for g in range(G.order):
                 self.act[g][pid] = self._where[si][G.mul(g, r)]
-        self.basis = self._enumerate_basis()
-        self.n = len(self.basis)
         # subgroups by position: generators, conjugates conj[g][si], meets meet[si][sj]
         position = self._position = {H: si for si, H in enumerate(self.subgroups)}
-        self.labels = tuple(f"[{position[b.stabilizer]},{b.x},{b.y}]" for b in self.basis)
         self._gens = [G.small_generating_set(H) for H in self.subgroups]
         conj = self._conj = [
             [position[G.conjugate_subgroup(g, H)] for H in self.subgroups] for g in range(G.order)
         ]
         self._meet = [[position[H & K] for K in self.subgroups] for H in self.subgroups]
+        # the spans are the G-orbits of the triples (position of S, x, y) with
+        # S fixing x and y; taken in (|S|, key S, x, y) order, the first triple
+        # of each orbit is its least conjugate, the canonical span
+        act = self.act
+        triples = []
+        for si, gens in enumerate(self._gens):
+            fixed = [p for p in range(self.npoints) if all(act[h][p] == p for h in gens)]
+            triples.extend((si, x, y) for x in fixed for y in fixed)
+        spans = orbits(
+            triples,
+            G.generator_indices,
+            lambda g, t: (conj[g][t[0]], act[g][t[1]], act[g][t[2]]),
+        )
+        canonical = [orbit[0] for orbit in spans]
+        self.basis = [
+            SpanBasisElement(i, self.subgroups[si], x, y) for i, (si, x, y) in enumerate(canonical)
+        ]
+        self.n = len(self.basis)
+        self.labels = tuple(f"[{si},{x},{y}]" for si, x, y in canonical)
         # every G-conjugate (position of gSg^-1, gx, gy) of every basis triple
-        self._index: dict[tuple[int, int, int], int] = {}
-        for b in self.basis:
-            si = position[b.stabilizer]
-            for g in range(G.order):
-                self._index[(conj[g][si], self.act[g][b.x], self.act[g][b.y])] = b.index
+        self._index: dict[tuple[int, int, int], int] = {
+            t: i for i, orbit in enumerate(spans) for t in orbit
+        }
         self._proj: dict[int, dict[tuple[int, int], int]] = {}
 
     # -- points ---------------------------------------------------------------
@@ -96,40 +107,6 @@ class MackeyAlgebra(Algebra):
         return self._where[si][element]
 
     # -- basis ------------------------------------------------------------------
-
-    def _canonical_triple(self, S: frozenset[int], x: int, y: int):
-        G = self.group
-        best = None
-        for g in range(G.order):
-            cand = (
-                subgroup_key(G.conjugate_subgroup(g, S)),
-                self.act[g][x],
-                self.act[g][y],
-            )
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def _enumerate_basis(self) -> list[SpanBasisElement]:
-        G = self.group
-        seen = {}
-        for cls in self.table.classes:
-            S = cls.representative
-            gens = G.small_generating_set(S) or [0]
-            fixed = [
-                p
-                for p in range(self.npoints)
-                if all(self.act[g][p] == p for g in gens)
-            ]
-            for x in fixed:
-                for y in fixed:
-                    key = self._canonical_triple(S, x, y)
-                    if key not in seen:
-                        seen[key] = (frozenset(key[0]), key[1], key[2])
-        ordered = sorted(seen.keys(), key=lambda k: (len(k[0]), k))
-        return [
-            SpanBasisElement(i, frozenset(k[0]), k[1], k[2]) for i, k in enumerate(ordered)
-        ]
 
     def orbit_count_formula(self) -> int:
         """Independent count: sum over classes S of N(S)-orbits on (Omega x Omega)^S."""
@@ -187,20 +164,11 @@ class MackeyAlgebra(Algebra):
             return ()  # the glued legs lie in different coset spaces: empty fiber
         act, points = self.act, self.points
         si, sj = self._position[bi.stabilizer], self._position[bj.stabilizer]
-        gens = self._gens[si]
-        # the slice: points wS_j of G/S_j with w y_j = x_i
-        todo = {p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x}
+        # the slice: points wS_j of G/S_j with w y_j = x_i, in S_i-orbits
+        slice_ = [p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x]
         counts: dict[int, int] = {}
-        while todo:
-            p = todo.pop()
-            frontier = [p]
-            for q in frontier:  # S_i-orbit of p, through generators of S_i
-                for h in gens:
-                    r = act[h][q]
-                    if r in todo:
-                        todo.remove(r)
-                        frontier.append(r)
-            w = points[p][1]
+        for orbit in orbits(slice_, self._gens[si], lambda h, q: act[h][q]):
+            w = points[orbit[0]][1]
             k = self._index[(self._meet[si][self._conj[w][sj]], act[w][bj.x], bi.y)]
             counts[k] = counts.get(k, 0) + 1
         return tuple(sorted(counts.items()))
@@ -329,27 +297,15 @@ class HeckeAlgebra:
     def __init__(self, mackey: MackeyAlgebra):
         self.mackey = mackey
         self.group = mackey.group
-        G = self.group
-        npts = mackey.npoints
-        orbit_id = [[-1] * npts for _ in range(npts)]
-        self.orbits: list[list[tuple[int, int]]] = []
-        for x in range(npts):
-            for y in range(npts):
-                if orbit_id[x][y] >= 0:
-                    continue
-                idx = len(self.orbits)
-                orbit = []
-                frontier = [(x, y)]
+        act = mackey.act
+        pairs = [(x, y) for x in range(mackey.npoints) for y in range(mackey.npoints)]
+        self.orbits: list[list[tuple[int, int]]] = orbits(
+            pairs, self.group.generator_indices, lambda g, p: (act[g][p[0]], act[g][p[1]])
+        )
+        orbit_id = [[-1] * mackey.npoints for _ in range(mackey.npoints)]
+        for idx, orbit in enumerate(self.orbits):
+            for x, y in orbit:
                 orbit_id[x][y] = idx
-                while frontier:
-                    (a, b) = frontier.pop()
-                    orbit.append((a, b))
-                    for g in range(G.order):
-                        ma, mb = mackey.act[g][a], mackey.act[g][b]
-                        if orbit_id[ma][mb] < 0:
-                            orbit_id[ma][mb] = idx
-                            frontier.append((ma, mb))
-                self.orbits.append(orbit)
         self.n = len(self.orbits)
         self.orbit_id = orbit_id  # orbit_id[x][y]: the orbit of the pair (x, y)
 

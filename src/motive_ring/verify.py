@@ -24,7 +24,7 @@ from .mackey import (
     crossed_to_mackey_center,
 )
 from .scalars import QQ, ZZ, ScalarRing, prime_field
-from .subgroups import SubgroupClassTable, prime_divisors
+from .subgroups import SubgroupClassTable, derived_subgroup, prime_divisors
 
 EXHAUSTIVE_PAIR_ORDER = 24
 EXHAUSTIVE_TRIPLE_ORDER = 12
@@ -127,8 +127,6 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
     for cls in table.classes:
         steps = 0
         cur = cls.representative
-        from .subgroups import derived_subgroup
-
         while True:
             nxt = derived_subgroup(G, cur)
             if nxt == cur:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import motive_ring
 from motive_ring.cli import run
 
 
@@ -212,6 +215,38 @@ def test_mackey_check_fails_only_on_the_zeta_image(group, over_q, over_f2):
         ("zeta-image-spans-mackey-center[Q]", over_q),
         ("zeta-image-spans-mackey-center[Fp:2]", over_f2),
     ]
+
+
+S4_MACKEY_CHECK_SHA256 = "9e205bde59f933d8f1d95f948cc669de1ab3dc92b5ff4c3e3cf50fa8ca641679"
+
+
+def _cap_address_space():
+    # 4,000,000 KiB, as `ulimit -v 4000000`
+    limit = 4_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.slow
+def test_mackey_check_s4_within_the_span_bound():
+    # S4 (order 24, 4,252 spans) is the largest group inside the span bound;
+    # the whole suite runs under a 4 GB address-space cap and fails only on
+    # the zeta image (ROADMAP item 4)
+    src = Path(motive_ring.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "motive_ring.cli", "mackey-check", "--group", "sym:4"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_cap_address_space,
+        timeout=600,
+    )
+    assert out.returncode == 1, out.stderr.decode()[-2000:]
+    doc = json.loads(out.stdout)
+    failures = [(c["name"], c.get("detail")) for c in doc["checks"] if not c["pass"]]
+    assert failures == [
+        ("zeta-image-spans-mackey-center[Q]", "image rank 19 < center dimension 25"),
+        ("zeta-image-spans-mackey-center[Fp:2]", "image rank 18 < center dimension 27"),
+    ]
+    assert hashlib.sha256(out.stdout).hexdigest() == S4_MACKEY_CHECK_SHA256
 
 
 def mackey_check_results(group, tag):

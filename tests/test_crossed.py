@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 from dense_linalg import rank_field
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_subgroups import gens_specs, small_group
 
 from motive_ring.center import ga_equal, ga_mul
 from motive_ring.groups import construct_group, parse_cycles
@@ -112,6 +115,15 @@ def test_product_matches_orbit_oracle_sampled_a5(ws):
 
     rng = random.Random(0)
     for _ in range(12):
+        i, j = rng.randrange(xr.n), rng.randrange(xr.n)
+        assert xr._basis_product(i, j) == xr.basis_product_oracle(i, j)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs(), st.randoms(use_true_random=False))
+def test_product_matches_orbit_oracle_on_random_groups(spec, rng):
+    xr = CrossedBurnsideRing(SubgroupClassTable(small_group(spec, max_order=24)))
+    for _ in range(20):
         i, j = rng.randrange(xr.n), rng.randrange(xr.n)
         assert xr._basis_product(i, j) == xr.basis_product_oracle(i, j)
 

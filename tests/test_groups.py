@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_subgroups import gens_specs, small_group
 
 from motive_ring.groups import (
     GroupTooLarge,
     NotNormal,
     Permutation,
     construct_group,
-    coset_geometry,
     double_cosets,
     fixed_cosets,
+    orbits,
     parse_cycles,
     quotient_group,
 )
@@ -112,12 +113,35 @@ def test_cayley_table_is_group(ws):
                 assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
 
 
+def conjugacy_classes_by_sweep(G):
+    """Each class as {g a g^-1 : g in G}, one sweep over all of G per element."""
+    return tuple(
+        sorted({tuple(sorted({G.conj(g, a) for g in range(G.order)})) for a in range(G.order)})
+    )
+
+
 def test_conjugacy_classes_partition(ws):
     for name in ["S3", "A4", "A5"]:
         G = ws.group(name)
         classes = G.conjugacy_classes
         assert sum(len(c) for c in classes) == G.order
         assert classes[0] == (0,)
+        assert classes == conjugacy_classes_by_sweep(G)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_conjugacy_classes_match_sweep_over_g_on_random_groups(spec):
+    G = small_group(spec, max_order=24)
+    assert G.conjugacy_classes == conjugacy_classes_by_sweep(G)
+
+
+def test_orbits_follow_first_points():
+    # (1 2 3)(4 5) on 0..6, points listed out of order
+    g = (1, 2, 0, 4, 3, 5, 6)
+    out = orbits([5, 2, 4, 0, 1, 3, 6], [g], lambda h, p: h[p])
+    assert out == [[5], [2, 0, 1], [4, 3], [6]]
+    assert orbits(range(3), [], lambda h, p: h[p]) == [[0], [1], [2]]
 
 
 def test_orbit_stabilizer_for_element_centralizers(ws):
@@ -135,9 +159,9 @@ def test_orbit_stabilizer_for_element_centralizers(ws):
 def test_full_group_single_coset(ws):
     G = ws.group("S3")
     full = frozenset(range(G.order))
-    geo = coset_geometry(G, full, full)
-    assert len(geo.double_coset_reps) == 1
-    assert len(geo.fixed_coset_reps) == 1
+    reps, _ = double_cosets(G, full, full)
+    assert len(reps) == 1
+    assert len(fixed_cosets(G, full, full)) == 1
 
 
 def test_trivial_double_cosets_are_elements(ws):

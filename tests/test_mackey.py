@@ -45,6 +45,54 @@ def orbit_operator(hk, k):
 # -- basis ------------------------------------------------------------------------
 
 
+def canonical_triple(mk, S, x, y):
+    """Least (key of gSg^-1, gx, gy) over all g in G: a sweep over G, not the
+    generator orbits of MackeyAlgebra."""
+    G = mk.group
+    return min(
+        (subgroup_key(G.conjugate_subgroup(g, S)), mk.act[g][x], mk.act[g][y])
+        for g in range(G.order)
+    )
+
+
+def basis_oracle(mk):
+    """The span basis enumerated per subgroup class: every pair of points
+    fixed by the class representative, canonicalised by canonical_triple,
+    sorted by (|S|, key S, x, y)."""
+    G = mk.group
+    keys = set()
+    for cls in mk.table.classes:
+        S = cls.representative
+        gens = G.small_generating_set(S) or [0]
+        fixed = [p for p in range(mk.npoints) if all(mk.act[g][p] == p for g in gens)]
+        keys |= {canonical_triple(mk, S, x, y) for x in fixed for y in fixed}
+    return sorted(keys, key=lambda k: (len(k[0]), k))
+
+
+def assert_basis_matches_oracle(mk):
+    G = mk.group
+    expected = basis_oracle(mk)
+    assert [(subgroup_key(b.stabilizer), b.x, b.y) for b in mk.basis] == expected
+    position = {subgroup_key(S): si for si, S in enumerate(mk.subgroups)}
+    index = {}
+    for i, (key, x, y) in enumerate(expected):
+        for g in range(G.order):
+            conjugate = position[subgroup_key(G.conjugate_subgroup(g, key))]
+            index[(conjugate, mk.act[g][x], mk.act[g][y])] = i
+    assert mk._index == index
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3", "D8", "A4"])
+def test_basis_matches_class_enumeration_oracle(name, ws):
+    assert_basis_matches_oracle(ws.mackey(name))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_basis_matches_class_enumeration_oracle_on_random_groups(spec):
+    assert_basis_matches_oracle(MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=12))))
+
+
 def test_trivial_group_span():
     mk = MackeyAlgebra(SubgroupClassTable(construct_group("cyclic:1")))
     assert mk.n == 1
@@ -108,7 +156,7 @@ def test_identity_neutral(name, ws):
 
 def fibered_product_oracle(mk, i, j):
     """Product of basis spans i and j by a BFS over all of G on the fibered
-    product, each orbit canonicalised by a sweep over G and looked up among
+    product, each orbit canonicalised by canonical_triple and looked up among
     the canonical basis triples (not the conjugate-closed index or the
     double-coset formula of MackeyAlgebra._basis_product)."""
     G = mk.group
@@ -137,7 +185,7 @@ def fibered_product_oracle(mk, i, j):
                     frontier.append(moved)
         assigned |= orbit
         stab = G.conjugate_subgroup(v0, Si) & G.conjugate_subgroup(w0, Sj)
-        k = canonical[mk._canonical_triple(stab, mk.act[w0][bj.x], mk.act[v0][bi.y])]
+        k = canonical[canonical_triple(mk, stab, mk.act[w0][bj.x], mk.act[v0][bi.y])]
         counts[k] = counts.get(k, 0) + 1
     return tuple(sorted(counts.items()))
 
@@ -409,6 +457,26 @@ def test_hecke_dimension_is_double_coset_count(name, ws):
         for K in mk.subgroups:
             total += len(double_cosets(G, H, K)[0])
     assert HeckeAlgebra(mk).n == total
+
+
+def hecke_dimension_by_sweep(mk):
+    """Number of G-orbits on Omega x Omega, each orbit one sweep over all of G."""
+    G = mk.group
+    seen, count = set(), 0
+    for x in range(mk.npoints):
+        for y in range(mk.npoints):
+            if (x, y) not in seen:
+                count += 1
+                seen |= {(mk.act[g][x], mk.act[g][y]) for g in range(G.order)}
+    return count
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_span_and_hecke_counts_match_sweeps_on_random_groups(spec):
+    mk = MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=24)))
+    assert mk.n == mk.orbit_count_formula()
+    assert HeckeAlgebra(mk).n == hecke_dimension_by_sweep(mk)
 
 
 def test_hecke_operators_are_equivariant(ws):
