@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Element
-from .groups import double_cosets, fixed_cosets
+from .groups import fixed_cosets
 from .linalg import solve_upper_triangular
 from .scalars import QQ, ZZ, ScalarRing, ScalarError, p_local
 from .subgroups import SubgroupClassTable
@@ -65,13 +65,8 @@ class BurnsideRing(Algebra):
 
     def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[G/H_i][G/H_j]: one G/(H_i n gH_jg^-1) per double coset H_i g H_j."""
-        G = self.group
-        H = self.table.classes[i].representative
-        K = self.table.classes[j].representative
         counts: dict[int, int] = {}
-        reps, _ = double_cosets(G, H, K)
-        for g in reps:
-            idx, _ = self.table.fusion(H & G.conjugate_subgroup(g, K))
+        for idx, _, _ in self.table.double_coset_meets(i, j):
             counts[idx] = counts.get(idx, 0) + 1
         return tuple(sorted(counts.items()))
 

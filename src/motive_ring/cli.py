@@ -312,6 +312,8 @@ def dispatch(args) -> tuple[dict, bool]:
             ring = ring_from_tag(args.coeff)
             if not hasattr(ring, "q"):
                 raise UsageError("blocks need prime-field coefficients Fp:<p>[:<e>]")
+            if p is not None and p != ring.p:
+                raise UsageError(f"--prime {p} and --coeff {args.coeff} name different primes")
             p = ring.p
             exponent = ring.e
         if p is None:

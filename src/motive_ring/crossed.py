@@ -20,7 +20,7 @@ from .algebra import Algebra, Element
 from .burnside import BurnsideRing, GhostVector
 from .center import augmentation as ga_augmentation
 from .center import ga_equal, ga_mul
-from .groups import double_cosets, fixed_cosets, orbits
+from .groups import fixed_cosets, orbits
 from .linalg import integer_rank
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
@@ -75,11 +75,12 @@ class CrossedBurnsideRing(Algebra):
 
     def canonical_pair(self, subgroup, label: int) -> int:
         """Index of the basis pair conjugate to (subgroup, label)."""
-        G = self.group
-        cls_idx, g = self.table.fusion(subgroup)
-        moved = G.conj(g, label)
+        return self._fused_pair(*self.table.fusion(subgroup), label)
+
+    def _fused_pair(self, cls_idx: int, g: int, label: int) -> int:
+        """Index of the pair (class representative, g label g^-1)."""
         try:
-            return self._pair_index[(cls_idx, moved)]
+            return self._pair_index[(cls_idx, self.group.conj(g, label))]
         except KeyError:
             raise ValueError("label outside centralizer") from None
 
@@ -93,14 +94,10 @@ class CrossedBurnsideRing(Algebra):
     def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
-        H = self.table.classes[pi.subgroup_class].representative
-        K = self.table.classes[pj.subgroup_class].representative
         a, b = pi.label, pj.label
         counts: dict[int, int] = {}
-        reps, _ = double_cosets(G, H, K)
-        for g in reps:
-            inter = H & G.conjugate_subgroup(g, K)
-            k = self.canonical_pair(inter, G.mul(a, G.conj(g, b)))
+        for cls_idx, c, g in self.table.double_coset_meets(pi.subgroup_class, pj.subgroup_class):
+            k = self._fused_pair(cls_idx, c, G.mul(a, G.conj(g, b)))
             counts[k] = counts.get(k, 0) + 1
         return tuple(sorted(counts.items()))
 

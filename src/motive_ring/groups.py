@@ -197,31 +197,47 @@ class FiniteGroup:
         return self.__dict__[name]
 
     def _materialize(self):
+        """Elements by breadth-first search, then the Cayley table.
+
+        Every element c other than the identity is reached as c = a * g for
+        an earlier element a and a generator g, so its column of the table
+        is i * c = (i * a) * g: one lookup per entry in a's column and g's.
+        Only the generator columns compose tuples, which keeps the cost at
+        |G| * #gens * degree + |G|^2 rather than |G|^2 * degree.
+        """
         bound = self._order_bound if self._order_bound is not None else default_order_bound()
         identity = tuple(range(self.degree))
-        els = {identity}
-        frontier = [identity]
         gen_images = [g.images for g in self.generators]
+        parent = {identity: None}  # c -> (a, position of g) with c = a * g
+        frontier = [identity]
         while frontier:
             new = []
             for a in frontier:
-                for g in gen_images:
+                for k, g in enumerate(gen_images):
                     c = tuple(g[i] for i in a)
-                    if c not in els:
-                        els.add(c)
+                    if c not in parent:
+                        parent[c] = (a, k)
                         new.append(c)
-                        if len(els) > bound:
+                        if len(parent) > bound:
                             raise GroupTooLarge(
                                 f"group too large: order exceeds bound {bound}"
                             )
             frontier = new
-        ordered = tuple(sorted(els))
+        ordered = tuple(sorted(parent))
         index = {t: i for i, t in enumerate(ordered)}
-        mul = [[index[tuple(b[x] for x in a)] for b in ordered] for a in ordered]
+        gen_cols = [[index[tuple(g[x] for x in a)] for a in ordered] for g in gen_images]
+        cols = [None] * len(ordered)
+        cols[0] = list(range(len(ordered)))
+        for c, link in parent.items():  # breadth-first: every parent comes first
+            if link is not None:
+                a, k = link
+                ca, cg = cols[index[a]], gen_cols[k]
+                cols[index[c]] = [cg[x] for x in ca]
+        mul = [list(row) for row in zip(*cols)]
         self._elements = ordered
         self._index = index
         self._mul = mul
-        self._inv = [row.index(0) for row in mul]
+        self._inv = [col.index(0) for col in cols]
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -324,7 +340,9 @@ class FiniteGroup:
         )
 
     def conjugate_subgroup(self, g: int, subgroup) -> frozenset[int]:
-        return frozenset(self.conj(g, h) for h in subgroup)
+        """g subgroup g^-1, read straight off the rows of g and of the table."""
+        mul, row, ginv = self._mul, self._mul[g], self._inv[g]
+        return frozenset([mul[row[h]][ginv] for h in subgroup])
 
     # -- cosets -----------------------------------------------------------
 
@@ -352,6 +370,11 @@ class FiniteGroup:
 
 
 def double_cosets(G: FiniteGroup, H, K) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """(least elements g, cells HgK), in increasing g.
+
+    A cell is a union of left cosets hgK, so an hg already in it adds
+    nothing: each coset is composed once.
+    """
     Hs, Ks = sorted(H), sorted(K)
     seen = [False] * G.order
     reps, cells = [], []
@@ -361,8 +384,9 @@ def double_cosets(G: FiniteGroup, H, K) -> tuple[tuple[int, ...], tuple[frozense
         cell = set()
         for h in Hs:
             hg = G.mul(h, g)
-            for k in Ks:
-                cell.add(G.mul(hg, k))
+            if hg not in cell:
+                row = G._mul[hg]
+                cell.update([row[k] for k in Ks])
         for x in cell:
             seen[x] = True
         reps.append(g)

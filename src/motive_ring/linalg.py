@@ -19,16 +19,22 @@ from .scalars import QQ, ScalarRing
 
 
 def solve_upper_triangular(matrix, rhs):
-    """Solve M x = rhs for square upper-triangular M with nonzero diagonal."""
+    """Solve M x = rhs for square upper-triangular M with nonzero diagonal.
+
+    Terms whose entry of M or whose x[j] is zero are skipped; int entries
+    multiply into the Fractions directly.
+    """
     n = len(matrix)
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
+        row = matrix[i]
+        if row[i] == 0:
+            raise ZeroDivisionError("zero diagonal entry in triangular solve")
         acc = Fraction(rhs[i])
         for j in range(i + 1, n):
-            acc -= Fraction(matrix[i][j]) * x[j]
-        if matrix[i][i] == 0:
-            raise ZeroDivisionError("zero diagonal entry in triangular solve")
-        x[i] = acc / Fraction(matrix[i][i])
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[i] = acc / row[i]
     return x
 
 

@@ -250,15 +250,26 @@ class MackeyAlgebra(Algebra):
         """True if x commutes with every basis span.
 
         This is the oracle for center membership: it tests the whole basis,
-        not the generator_spans that center_basis relies on.
+        not the generator_spans that center_basis relies on.  A product i j
+        is empty unless the source component of i is the target component
+        of j, so each span j is multiplied only with the support spans that
+        meet it that way; every other product is zero on both sides.
         """
         s = x.scalar
-        support = [(i, a) for i, a in enumerate(x.coeffs) if not s.is_zero(a)]
+        source = [self.component(b.x) for b in self.basis]
+        target = [self.component(b.y) for b in self.basis]
+        by_source: dict[int, list] = {}  # support spans i by source: i j may be nonzero
+        by_target: dict[int, list] = {}  # support spans i by target: j i may be nonzero
+        for i, a in enumerate(x.coeffs):
+            if not s.is_zero(a):
+                by_source.setdefault(source[i], []).append((i, a))
+                by_target.setdefault(target[i], []).append((i, a))
         for j in range(self.n):
             diff: dict[int, object] = {}
-            for i, a in support:
+            for i, a in by_source.get(target[j], ()):
                 for k, c in self.product(i, j):
                     diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c))
+            for i, a in by_target.get(source[j], ()):
                 for k, c in self.product(j, i):
                     diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
             if not all(s.is_zero(v) for v in diff.values()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, GroupTooLarge, Quotient, quotient_group
+from .groups import FiniteGroup, GroupTooLarge, Quotient, double_cosets, quotient_group
 
 DEFAULT_LATTICE_BOUND = 200
 
@@ -348,6 +348,22 @@ class SubgroupClassTable:
         for cls in self.classes:
             fibers.setdefault(self.residual_class(cls.index, mode), []).append(cls.index)
         return fibers
+
+    def double_coset_meets(self, h: int, k: int) -> tuple[tuple[int, int, int], ...]:
+        """One (class, conjugator, g) per double coset HgK, H and K the
+        representatives of classes h and k: (class, conjugator) is
+        fusion(H n gKg^-1).  Write-once memo, one entry per class pair; the
+        Burnside and crossed basis products read their constants off it.
+        """
+        cache = self._caches.setdefault("meets", {})
+        if (h, k) not in cache:
+            G = self.group
+            H, K = self.classes[h].representative, self.classes[k].representative
+            cache[(h, k)] = tuple(
+                (*self.fusion(H & G.conjugate_subgroup(g, K)), g)
+                for g in double_cosets(G, H, K)[0]
+            )
+        return cache[(h, k)]
 
     def quotient(self, N, J) -> Quotient:
         """Cached quotient construction (write-once memo)."""

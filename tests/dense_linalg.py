@@ -3,10 +3,13 @@
 Plain Gaussian elimination on dense rows of scalar ring elements: the
 independent oracle for the sparse integer elimination of
 motive_ring.linalg (integer_kernel, integer_rank) and for
-motive_ring.linalg.sparse_mat_mul.  It shares no code with them.
+motive_ring.linalg.sparse_mat_mul; back_substitute is the dense oracle for
+motive_ring.linalg.solve_upper_triangular.  It shares no code with them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from motive_ring.scalars import ScalarRing
 
@@ -74,3 +77,15 @@ def nullspace_field(rows, ring: ScalarRing, ncols: int | None = None):
             vec[pc] = ring.neg(red[r][fc])
         basis.append(vec)
     return basis
+
+
+def back_substitute(matrix, rhs):
+    """x with M x = rhs for upper-triangular M, every term over Fractions."""
+    n = len(matrix)
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(rhs[i])
+        for j in range(i + 1, n):
+            acc -= Fraction(matrix[i][j]) * x[j]
+        x[i] = acc / Fraction(matrix[i][i])
+    return x

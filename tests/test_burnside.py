@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from motive_ring.burnside import BurnsideRing
+from motive_ring.groups import construct_group
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local
+from motive_ring.subgroups import SubgroupClassTable
 
 
 def orbit_product_oracle(G, table, H, K):
@@ -120,6 +123,15 @@ def test_marks_multiplicative_sampled_a5(ws):
         mx = ring.marks(x).values
         my = ring.marks(y).values
         assert ring.marks(x * y).values == tuple(a * b for a, b in zip(mx, my))
+
+
+def test_marks_multiplicative_s5():
+    ring = BurnsideRing(SubgroupClassTable(construct_group("sym:5")))
+    marks = [ring.marks(ring.basis_element(i, QQ)).values for i in range(ring.n)]
+    for i in range(ring.n):
+        for j in range(ring.n):
+            product = ring.basis_element(i, QQ) * ring.basis_element(j, QQ)
+            assert ring.marks(product).values == tuple(a * b for a, b in zip(marks[i], marks[j]))
 
 
 def test_mixed_scalars_rejected(ws):

@@ -177,6 +177,15 @@ def test_blocks_large_prime_field_inside_the_bound():
     assert doc["field"] == "Fp:7919" and doc["count"] == 5
 
 
+def test_blocks_rejects_a_prime_that_differs_from_the_coefficients():
+    code, doc, _ = invoke(["blocks", "--group", "sym:3", "--prime", "2", "--coeff", "Fp:3"])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "--prime 2 and --coeff Fp:3 name different primes"
+    # the same prime in both flags is not a conflict
+    code, doc, _ = invoke(["blocks", "--group", "sym:3", "--prime", "3", "--coeff", "Fp:3:2"])
+    assert code == 0 and doc["field"] == "Fp:3:2"
+
+
 def test_p_local_report_command_reports_rank_mismatch():
     code, doc, _ = invoke(["p-local-report", "--group", "sym:3", "--prime", "2"])
     # the decomposition checks pass; the quotient-side rank comparison

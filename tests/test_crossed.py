@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,7 +102,7 @@ def test_unit(ws):
             assert (b * one).coeffs == b.coeffs
 
 
-@pytest.mark.parametrize("name", ["C2", "S3", "D8", "A4"])
+@pytest.mark.parametrize("name", ["C2", "S3", "D8", "A4", "S4"])
 def test_product_matches_orbit_oracle_exhaustively(name, ws):
     xr = ws.crossed(name)
     for i in range(xr.n):
@@ -109,14 +110,29 @@ def test_product_matches_orbit_oracle_exhaustively(name, ws):
             assert xr._basis_product(i, j) == xr.basis_product_oracle(i, j)
 
 
-def test_product_matches_orbit_oracle_sampled_a5(ws):
-    xr = ws.crossed("A5")
-    import random
-
-    rng = random.Random(0)
-    for _ in range(12):
+def assert_sampled_products_match_orbit_oracle(xr, pairs, seed):
+    rng = random.Random(seed)
+    for _ in range(pairs):
         i, j = rng.randrange(xr.n), rng.randrange(xr.n)
         assert xr._basis_product(i, j) == xr.basis_product_oracle(i, j)
+
+
+def test_product_matches_orbit_oracle_sampled_a5(ws):
+    assert_sampled_products_match_orbit_oracle(ws.crossed("A5"), 12, seed=0)
+
+
+def test_product_matches_orbit_oracle_sampled_s5():
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group("sym:5")))
+    assert_sampled_products_match_orbit_oracle(xr, 2000, seed=5)
+
+
+def test_product_matches_orbit_oracle_on_the_regular_quotient_s5():
+    # S5 / 1 acting on its 120 cosets: the largest quotient p-local-report builds
+    table = SubgroupClassTable(construct_group("sym:5"))
+    W = table.quotient(table.classes[-1].representative, table.classes[0].representative).group
+    assert W.degree == W.order == 120
+    xr = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
+    assert_sampled_products_match_orbit_oracle(xr, 300, seed=1)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import GROUP_SPECS
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.groups import (
@@ -16,6 +17,7 @@ from motive_ring.groups import (
     parse_cycles,
     quotient_group,
 )
+from motive_ring.subgroups import SubgroupClassTable
 
 
 def test_permutation_rejects_non_bijection():
@@ -111,6 +113,50 @@ def test_cayley_table_is_group(ws):
         for b in range(n):
             for c in range(n):
                 assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+
+
+def cayley_by_composition(G):
+    """Oracle: (mul, inv) by composing every pair of image tuples."""
+    index = {t: i for i, t in enumerate(G.elements)}
+    mul = [[index[tuple(b[x] for x in a)] for b in G.elements] for a in G.elements]
+    return mul, [row.index(0) for row in mul]
+
+
+def assert_cayley_table_by_composition(G):
+    assert list(G.elements) == sorted(G.elements)
+    assert (G._mul, G._inv) == cayley_by_composition(G)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_cayley_table_matches_composition_on_named_groups(name, ws):
+    assert_cayley_table_by_composition(ws.group(name))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_cayley_table_matches_composition_on_random_groups(spec):
+    assert_cayley_table_by_composition(small_group(spec, max_order=60))
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "sym:5"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_cayley_table_matches_composition_on_p_local_quotients(spec, p):
+    # the quotients N(J)/J of p-local-report, one per p-residual class J,
+    # each a regular permutation group of degree |N(J)/J|
+    table = SubgroupClassTable(construct_group(spec))
+    for j in table.residual_fiber_classes(p):
+        cls = table.classes[j]
+        W = table.quotient(cls.normalizer, cls.representative).group
+        assert W.degree == W.order == len(cls.normalizer) // cls.order
+        assert_cayley_table_by_composition(W)
+
+
+def test_order_bound_raises_in_the_search_before_any_table():
+    # S16 has order 16!: only a search that stops at the bound returns
+    G = construct_group("sym:16", order_bound=200)
+    with pytest.raises(GroupTooLarge, match="order exceeds bound 200"):
+        _ = G.order
+    assert not {"_elements", "_index", "_mul", "_inv"} & set(vars(G))
 
 
 def conjugacy_classes_by_sweep(G):

@@ -379,6 +379,26 @@ def test_center_vectors_commute(ws):
         assert mk.is_central(mk.element(vec, QQ))
 
 
+def commutes_with_every_span(mk, x):
+    """Oracle for is_central: the commutator x b - b x with every basis span b."""
+    for j in range(mk.n):
+        b = mk.basis_element(j, x.scalar)
+        if not (x * b - b * x).is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["C4", "V4", "S3"])
+@pytest.mark.parametrize("scalar", [QQ, F2])
+def test_is_central_matches_the_every_span_commutator(name, scalar, ws):
+    mk = ws.mackey(name)
+    central = [mk.element(vec, scalar) for vec in mk.center_basis(scalar)]
+    spans = [mk.basis_element(a, scalar) for a in mk.generator_spans()]
+    verdicts = [mk.is_central(x) for x in central + spans]
+    assert verdicts == [commutes_with_every_span(mk, x) for x in central + spans]
+    assert all(verdicts[: len(central)]) and not all(verdicts[len(central) :])
+
+
 # -- the central span image of the crossed ring ------------------------------------------
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from dense_linalg import nullspace_field, rank_field
+from dense_linalg import back_substitute, nullspace_field, rank_field
 
 from motive_ring.linalg import integer_kernel, integer_rank, solve_upper_triangular
 from motive_ring.scalars import (
@@ -85,6 +85,33 @@ def test_triangular_solve():
     assert x == [Fraction(1, 2), Fraction(0)]
     x = solve_upper_triangular(m, [Fraction(0), Fraction(1)])
     assert x == [Fraction(-1, 2), Fraction(1)]
+
+
+@st.composite
+def triangular_systems(draw):
+    """Upper-triangular integer M, mostly zero above a nonzero diagonal, and a rhs."""
+    n = draw(st.integers(1, 9))
+    sparse = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+    diagonal = st.integers(-7, 7).filter(bool)
+    matrix = [
+        [draw(diagonal) if j == i else draw(sparse) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [draw(st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6))) for _ in range(n)]
+    return matrix, rhs
+
+
+@given(triangular_systems())
+def test_triangular_solve_matches_dense_back_substitution(system):
+    matrix, rhs = system
+    assert solve_upper_triangular(matrix, rhs) == back_substitute(matrix, rhs)
+
+
+def test_triangular_solve_rejects_a_zero_diagonal():
+    with pytest.raises(ZeroDivisionError):
+        solve_upper_triangular([[1, 2], [0, 0]], [Fraction(1), Fraction(0)])
+    with pytest.raises(ZeroDivisionError):
+        solve_upper_triangular([[0, 1], [0, 3]], [Fraction(1), Fraction(1)])
 
 
 def test_rank_field_mod_2():
