@@ -12,6 +12,8 @@ ring.  The independent oracles of the subclasses keep their own loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .scalars import ScalarError, ScalarRing, ZZ
 
@@ -127,13 +129,33 @@ class Algebra:
 
     def idempotent_family(self, family) -> tuple[bool, bool, bool]:
         """(every e is idempotent, distinct members are orthogonal, the sum is 1)
-        for a nonempty list of elements over one scalar ring."""
+        for a nonempty list of elements over one scalar ring.
+
+        Over Q and Z_(p), where every coefficient is a Fraction, the family
+        is scaled once by the lcm d of all denominators to integer vectors
+        E = d e, and the checks run over Z: e e = e iff E E = d E, e f = 0
+        iff E F = 0, and the e sum to 1 iff the E sum to d 1.
+        """
         scalar = family[0].scalar
+        for e in family:
+            self._check(e, scalar)
+        d = 1
+        if all(isinstance(c, Fraction) for e in family for c in e.coeffs):
+            d = lcm(*(c.denominator for e in family for c in e.coeffs))
+            scalar = ZZ
+            family = [
+                Element(self, ZZ, tuple(c.numerator * (d // c.denominator) for c in e.coeffs))
+                for e in family
+            ]
+
+        def times_d(x: Element) -> tuple:
+            return tuple(scalar.mul_int(c, d) for c in x.coeffs)
+
         total = self.zero(scalar)
         for e in family:
             total = total + e
-        idempotent = all((e * e).coeffs == e.coeffs for e in family)
+        idempotent = all((e * e).coeffs == times_d(e) for e in family)
         orthogonal = all(
             (e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :]
         )
-        return idempotent, orthogonal, total.coeffs == self.one(scalar).coeffs
+        return idempotent, orthogonal, total.coeffs == times_d(self.one(scalar))

@@ -107,9 +107,9 @@ class BurnsideRing(Algebra):
         coefficients).  Returns (residual class index, element) pairs in
         class order.  A coefficient outside the promised ring aborts.
         """
+        scalar = ZZ if mode == "solvable" else p_local(mode)  # rejects a non-prime first
         rational = self.rational_idempotents()
         fibers = self.table.residual_fiber_classes(mode)
-        scalar = ZZ if mode == "solvable" else p_local(mode)
         out = []
         for j in sorted(fibers):
             coeffs = [Fraction(0)] * self.n

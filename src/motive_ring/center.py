@@ -11,6 +11,7 @@ idempotents over F_q, and the Lagrange projectors of each kernel vector
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 
 from .algebra import Algebra, Element
@@ -222,31 +223,63 @@ def blocks_mod_p(
     return field, block_idempotents(Z, field)
 
 
+def counted_structure_constants(G: FiniteGroup) -> dict[tuple[int, int, int], int]:
+    """Class-sum structure constants counted from the target side:
+    c_ijk = #{x in C_i : x^-1 z_k in C_j} for the representative z_k of C_k,
+    keyed (i, j, k), nonzero counts only.  The same numbers as
+    CenterAlgebra.product, by another count of the group."""
+    classes = G.conjugacy_classes
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    counts: dict[tuple[int, int, int], int] = {}
+    for k, cls in enumerate(classes):
+        z = cls[0]
+        for i, ci in enumerate(classes):
+            for x in ci:
+                key = (i, class_of[G.mul(G.inv(x), z)], k)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     """Exhaustive oracle for tiny centers: scan all q^dim elements for
-    idempotents and keep the minimal nonzero ones (e <= f iff ef = e)."""
-    if field.q**Z.n > 200000:
+    idempotents and keep the minimal nonzero ones (e <= f iff ef = e).
+
+    It reads no product from the algebra: the structure constants are
+    counted again from the group (counted_structure_constants).  They are
+    folded into one quadratic form per coordinate, rows (i <= j, c), and a
+    vector x is dropped at the first coordinate k where (x^2)_k != x_k; most
+    vectors fail at coordinate 0.
+    """
+    n = Z.n
+    if field.q**n > 200000:
         raise ValueError("center too large for the exhaustive idempotent scan")
-    elements = field.elements()
-    idems = []
+    counts = counted_structure_constants(Z.group)
+    bilinear: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    folded: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for (i, j, k), c in counts.items():
+        bilinear[k].append((i, j, c))
+        key = (min(i, j), max(i, j))
+        folded[k][key] = folded[k].get(key, 0) + c
+    forms = [[(i, j, c) for (i, j), c in form.items() if c % field.p] for form in folded]
 
-    def rec(prefix):
-        if len(prefix) == Z.n:
-            x = Z.element(list(prefix), field)
-            if not x.is_zero() and Z.multiply(x, x).coeffs == x.coeffs:
-                idems.append(x)
-            return
-        for v in elements:
-            rec(prefix + [v])
+    def value(rows, x, y):
+        acc = field.zero
+        for i, j, c in rows:
+            acc = field.add(acc, field.mul_int(field.mul(x[i], y[j]), c))
+        return acc
 
-    rec([])
-    minimal = []
-    for e in idems:
-        if not any(
-            f.coeffs != e.coeffs and Z.multiply(e, f).coeffs == f.coeffs for f in idems
-        ):
-            minimal.append(e)
-    return sorted(minimal, key=lambda e: e.coeffs)
+    zero = (field.zero,) * n
+    idems = [
+        x
+        for x in product(field.elements(), repeat=n)
+        if x != zero and all(value(rows, x, x) == x[k] for k, rows in enumerate(forms))
+    ]
+
+    def below(f, e):  # f <= e, that is e f = f
+        return all(value(rows, e, f) == f[k] for k, rows in enumerate(bilinear))
+
+    minimal = [e for e in idems if not any(f != e and below(f, e) for f in idems)]
+    return [Element(Z, field, e) for e in sorted(minimal)]
 
 
 def blocks_in_rho_span(G: FiniteGroup, blocks, rho_rows, field: PrimeFieldRing) -> bool:

@@ -346,13 +346,18 @@ class CrossedBurnsideRing(Algebra):
         for j, e in embedded:
             cls = self.table.classes[j]
             rank_g = self.ideal_rank(e)
-            quotient = self.table.quotient(cls.normalizer, cls.representative)
-            W = quotient.group
-            wtable = SubgroupClassTable(W, bound=max(W.order, 1))
-            wring = CrossedBurnsideRing(wtable)
-            wdress = dict(wring.burnside.dress_idempotents(p))
-            f1 = wdress[0]  # trivial class is first in the quotient's ordering
-            rank_w = wring.ideal_rank(wring.with_identity_labels(f1))
+            if cls.order == 1:
+                # N(1)/1 is G, and e is G's own idempotent at the trivial class
+                order_w, rank_w = self.group.order, rank_g
+            else:
+                quotient = self.table.quotient(cls.normalizer, cls.representative)
+                W = quotient.group
+                wtable = SubgroupClassTable(W, bound=max(W.order, 1))
+                wring = CrossedBurnsideRing(wtable)
+                wdress = dict(wring.burnside.dress_idempotents(p))
+                f1 = wdress[0]  # trivial class is first in the quotient's ordering
+                order_w = W.order
+                rank_w = wring.ideal_rank(wring.with_identity_labels(f1))
             components.append(
                 {
                     "residual": cls.name,
@@ -362,7 +367,7 @@ class CrossedBurnsideRing(Algebra):
                     "fiber_pair_count": sum(
                         1 for pr in self.pairs if pr.subgroup_class in fibers[j]
                     ),
-                    "quotient_order": W.order,
+                    "quotient_order": order_w,
                     "quotient_ideal_rank": rank_w,
                     "ranks_agree": rank_g == rank_w,
                 }

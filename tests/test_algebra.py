@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -10,8 +11,12 @@ from fractions import Fraction
 import pytest
 
 import motive_ring
+from motive_ring.center import blocks_mod_p
+from motive_ring.crossed import CrossedBurnsideRing
+from motive_ring.groups import construct_group
 from motive_ring.linalg import sparse_mat_mul
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local, prime_field
+from motive_ring.subgroups import SubgroupClassTable
 
 SCALARS = [ZZ, QQ, p_local(2), prime_field(2), prime_field(2, 2)]
 
@@ -105,3 +110,83 @@ def test_every_public_annotation_resolves():
                     typing.get_type_hints(fn)
                     resolved += 1
     assert resolved > 100
+
+
+# -- idempotent families ---------------------------------------------------------------
+
+
+def literal_idempotent_family(algebra, family):
+    """The three facts by element arithmetic over the family's own scalars."""
+    scalar = family[0].scalar
+    total = algebra.zero(scalar)
+    for e in family:
+        total = total + e
+    idempotent = all((e * e).coeffs == e.coeffs for e in family)
+    orthogonal = all((e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :])
+    return idempotent, orthogonal, total.coeffs == algebra.one(scalar).coeffs
+
+
+@functools.cache
+def s5_crossed():
+    return CrossedBurnsideRing(SubgroupClassTable(construct_group("sym:5")))
+
+
+def crossed_ring(name, ws):
+    return s5_crossed() if name == "S5" else ws.crossed(name)
+
+
+def true_families(name, ws):
+    """(algebra, family) pairs of idempotent families over Q and Z_(p), in the
+    Burnside ring and embedded in the crossed ring."""
+    xr = crossed_ring(name, ws)
+    families = [(xr.burnside, xr.burnside.rational_idempotents())]
+    for p in (2, 3):
+        families.append((xr.burnside, [f for _, f in xr.burnside.dress_idempotents(p)]))
+    families += [(xr, [xr.with_identity_labels(f) for f in family]) for _, family in families]
+    return families
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5"])
+def test_integer_idempotent_family_agrees_on_true_families(name, ws):
+    for algebra, family in true_families(name, ws):
+        assert algebra.idempotent_family(family) == (True, True, True)
+        assert literal_idempotent_family(algebra, family) == (True, True, True)
+
+
+def broken_families(family):
+    """Each failure mode of one true family, with the facts it keeps."""
+    e0, e1, rest = family[0], family[1], family[2:]
+    return [
+        ([e0 + e0, e1, *rest], (False, True, False)),  # a member that is not idempotent
+        ([e0 + e1, e1, *rest], (True, False, False)),  # a pair that is not orthogonal
+        ([e1, *rest], (True, True, False)),  # a member missing from the sum
+    ]
+
+
+@pytest.mark.parametrize("name", ["A4", "A5"])
+def test_integer_idempotent_family_agrees_on_each_failure_mode(name, ws):
+    for algebra, family in true_families(name, ws):
+        e0 = family[0]
+        fifth = algebra.element([c / 5 for c in e0.coeffs], e0.scalar)
+        # the lcm of the denominators grows by 5, a factor no true member has
+        cases = broken_families(family) + [([fifth, *family[1:]], (False, True, False))]
+        for broken, facts in cases:
+            assert literal_idempotent_family(algebra, broken) == facts
+            assert algebra.idempotent_family(broken) == facts
+
+
+def test_idempotent_family_over_fields_and_z_unchanged(ws):
+    G, Z = ws.group("A5"), ws.center("A5")
+    xr = ws.crossed("A5")
+    cases = [(Z, blocks_mod_p(G, p, algebra=Z)[1]) for p in (2, 3, 5)]  # F_2, F_9, F_5
+    cases.append((xr, [e for _, e in xr.integral_idempotents()]))
+    cases.append((ws.center("C3"), blocks_mod_p(ws.group("C3"), 2, algebra=ws.center("C3"))[1]))
+    for algebra, family in cases:
+        assert algebra.idempotent_family(family) == (True, True, True)
+        assert literal_idempotent_family(algebra, family) == (True, True, True)
+        for broken, _ in broken_families(family):
+            assert algebra.idempotent_family(broken) == literal_idempotent_family(algebra, broken)
+    one = [xr.one(QQ)]
+    assert xr.idempotent_family(one) == literal_idempotent_family(xr, one) == (True, True, True)
+    with pytest.raises(ScalarError, match="mixed scalar"):
+        xr.idempotent_family([xr.one(QQ), xr.one(p_local(2))])

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 
+import motive_ring.center as center
+from motive_ring.algebra import Algebra
 from motive_ring.center import (
+    CenterAlgebra,
     augmentation,
     block_scan_oracle,
     blocks_in_rho_span,
     blocks_mod_p,
+    counted_structure_constants,
 )
 from motive_ring.groups import GroupTooLarge, construct_group
-from motive_ring.scalars import QQ, ZZ
+from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import prime_divisors
 
 
@@ -111,6 +118,33 @@ def test_blocks_default_exponent_splits_c3():
     assert field1.tag == "Fp:2" and len(blocks1) == 2
 
 
+def literal_block_scan(Z, field):
+    """Every vector of F_q^n squared by Z.multiply; the minimal nonzero
+    idempotents under e <= f iff ef = e, sorted."""
+    idems = [
+        x
+        for x in (Z.element(list(v), field) for v in itertools.product(field.elements(), repeat=Z.n))
+        if not x.is_zero() and Z.multiply(x, x).coeffs == x.coeffs
+    ]
+    minimal = [
+        e
+        for e in idems
+        if not any(f.coeffs != e.coeffs and Z.multiply(e, f).coeffs == f.coeffs for f in idems)
+    ]
+    return sorted(minimal, key=lambda e: e.coeffs)
+
+
+@functools.cache
+def s5_center():
+    return CenterAlgebra(construct_group("sym:5"))
+
+
+def center_of(name, ws):
+    """The conftest workspace's center, or Z(Z S5), which it does not hold."""
+    Z = s5_center() if name == "S5" else ws.center(name)
+    return Z.group, Z
+
+
 SCAN_CASES = [
     ("C2", 2, None),
     ("C2", 3, None),
@@ -123,6 +157,10 @@ SCAN_CASES = [
     ("D10", 2, None),  # default field F_4
     ("S3", 2, 2),
     ("C4", 3, 2),
+    ("S4", 5, None),
+    ("A5", 5, None),
+    ("S5", 3, None),
+    ("S5", 2, None),
 ]
 
 
@@ -132,13 +170,49 @@ SCAN_CASES = [
     ids=[f"{name}-{p}" + (f"-e{e}" if e else "") for name, p, e in SCAN_CASES],
 )
 def test_blocks_match_exhaustive_scan(name, p, exponent, ws):
-    Z = ws.center(name)
-    field, blocks = blocks_mod_p(ws.group(name), p, exponent, algebra=Z)
+    G, Z = center_of(name, ws)
+    field, blocks = blocks_mod_p(G, p, exponent, algebra=Z)
     assert exponent is None or field.q == p**exponent
     if field.q**Z.n > 200000:
         pytest.skip("scan too large")
     scan = block_scan_oracle(Z, field)
     assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
+    assert [b.coeffs for b in scan] == [b.coeffs for b in literal_block_scan(Z, field)]
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "A4", "S4", "A5", "S5"])
+def test_counted_structure_constants_equal_the_products(name, ws):
+    G, Z = center_of(name, ws)
+    by_pair: dict = {}
+    for (i, j, k), c in sorted(counted_structure_constants(G).items()):
+        by_pair.setdefault((i, j), []).append((k, c))
+    for i in range(Z.n):
+        for j in range(Z.n):
+            assert tuple(by_pair.get((i, j), ())) == Z.product(i, j)
+
+
+def test_block_scan_reads_no_product_from_the_algebra(ws, monkeypatch):
+    Z = CenterAlgebra(ws.group("A4"))
+    field, blocks = blocks_mod_p(Z.group, 3, algebra=ws.center("A4"))
+
+    def refuse(*args):
+        raise AssertionError("the scan multiplied in the algebra")
+
+    monkeypatch.setattr(Algebra, "multiply", refuse)
+    monkeypatch.setattr(Algebra, "product", refuse)
+    scan = block_scan_oracle(Z, field)
+    assert [b.coeffs for b in scan] == [b.coeffs for b in blocks]
+
+
+def test_block_scan_bound_raises_before_any_enumeration(ws, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the bound check")
+
+    monkeypatch.setattr(center, "product", refuse)
+    monkeypatch.setattr(center, "counted_structure_constants", refuse)
+    Z = ws.center("S4")  # 13^5 = 371293 vectors
+    with pytest.raises(ValueError, match="too large for the exhaustive"):
+        block_scan_oracle(Z, prime_field(13))
 
 
 @pytest.mark.parametrize("name", ["C2", "S3", "A4", "S4", "A5"])

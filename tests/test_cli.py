@@ -186,6 +186,15 @@ def test_blocks_rejects_a_prime_that_differs_from_the_coefficients():
     assert code == 0 and doc["field"] == "Fp:3:2"
 
 
+@pytest.mark.parametrize("tag", ["Zp:0", "Zp:1", "Zp:4", "Zp:x"])
+@pytest.mark.parametrize("command", ["cbr-idempotents", "motivic-report", "burnside-idempotents"])
+def test_p_local_coefficients_need_a_prime(command, tag):
+    code, doc, _ = invoke([command, "--group", "sym:3", "--coeff", tag])
+    assert code == 2 and doc["exit"] == 2
+    want = "invalid literal" if tag == "Zp:x" else f"{tag[3:]} is not prime"
+    assert want in doc["error"]
+
+
 def test_p_local_report_command_reports_rank_mismatch():
     code, doc, _ = invoke(["p-local-report", "--group", "sym:3", "--prime", "2"])
     # the decomposition checks pass; the quotient-side rank comparison

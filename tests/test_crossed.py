@@ -400,6 +400,25 @@ def test_p_local_quotient_rank_comparison_documented_values(ws):
     }
 
 
+def regular_quotient_row(xr, p):
+    """quotient_order and quotient_ideal_rank for J = 1 as computed from the
+    regular permutation copy of N(1)/1 = G and its own lattice and ring."""
+    cls = xr.table.classes[0]
+    W = xr.table.quotient(cls.normalizer, cls.representative).group
+    wring = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
+    f1 = dict(wring.burnside.dress_idempotents(p))[0]
+    return W.order, wring.ideal_rank(wring.with_identity_labels(f1))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5"])
+def test_p_local_trivial_class_row_matches_the_regular_quotient(name, ws):
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group("sym:5"))) if name == "S5" else ws.crossed(name)
+    for p in (2, 3):
+        row = xr.p_local_report(p)["components"][0]
+        assert row["residual"] == "1#1"
+        assert (row["quotient_order"], row["quotient_ideal_rank"]) == regular_quotient_row(xr, p)
+
+
 def test_serialization_roundtrip(ws):
     xr = ws.crossed("A5")
     _, e = xr.integral_idempotents()[0]
