@@ -109,13 +109,6 @@ class CenterAlgebra(Algebra):
             coords[i] = x.get(cls[0], scalar.zero)
         return Element(self, scalar, tuple(coords))
 
-    def augmentation(self, x: Element):
-        s = x.scalar
-        acc = s.zero
-        for i, c in enumerate(x.coeffs):
-            acc = s.add(acc, s.mul(c, s.coerce(len(self.classes[i]))))
-        return acc
-
 
 # -- block idempotents over finite fields -------------------------------------
 
@@ -282,7 +275,7 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     return [Element(Z, field, e) for e in sorted(minimal)]
 
 
-def blocks_in_rho_span(G: FiniteGroup, blocks, rho_rows, field: PrimeFieldRing) -> bool:
+def blocks_in_rho_span(blocks, rho_rows, field: PrimeFieldRing) -> bool:
     """Check every block lies in the F_q-span of the given integer center
     vectors: that row space is the annihilator of their right kernel."""
     kernel = integer_kernel([dict(enumerate(row)) for row in rho_rows], blocks[0].algebra.n, field)

@@ -17,7 +17,7 @@ from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, blocks
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, NotNormal, construct_group, default_order_bound, parse_cycles
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
-from .scalars import QQ, ZZ, ScalarError, p_local, prime_field, ring_from_tag
+from .scalars import QQ, ScalarError, prime_field, ring_from_tag
 from .subgroups import DEFAULT_LATTICE_BOUND, SubgroupClassTable
 from . import verify
 
@@ -209,13 +209,10 @@ def dispatch(args) -> tuple[dict, bool]:
         doc["y"] = y.to_json()
         doc["product"] = product.to_json()
         oracle = xring.multiply_oracle(x, y)
-        checks.append(
-            verify.Check(
-                "product-matches-orbit-oracle",
-                product.coeffs == oracle.coeffs,
-                "" if product.coeffs == oracle.coeffs else str(oracle.to_json()),
-            )
-        )
+        checks.append(verify._check(
+            "product-matches-orbit-oracle",
+            [] if product.coeffs == oracle.coeffs else [str(oracle.to_json())],
+        ))
 
     elif name == "cbr-idempotents":
         xring = CrossedBurnsideRing(table)
@@ -293,16 +290,12 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         plc, report = verify.p_local_checks(xring, args.prime)
         checks.extend(plc)
-        for comp in report["components"]:
-            checks.append(
-                verify.Check(
-                    f"quotient-rank-match[J={comp['residual']}]",
-                    comp["ranks_agree"],
-                    ""
-                    if comp["ranks_agree"]
-                    else f"ideal rank {comp['ideal_rank']}, quotient-side rank {comp['quotient_ideal_rank']}",
-                )
-            )
+        checks.extend(
+            verify._check(f"quotient-rank-match[J={comp['residual']}]", [] if comp["ranks_agree"] else [
+                f"ideal rank {comp['ideal_rank']}, quotient-side rank {comp['quotient_ideal_rank']}"
+            ])
+            for comp in report["components"]
+        )
         doc["report"] = report
 
     elif name == "blocks":
@@ -338,7 +331,7 @@ def dispatch(args) -> tuple[dict, bool]:
         checks.append(
             verify.Check(
                 "blocks-in-center-image-span",
-                blocks_in_rho_span(G, blocks, xring.center_image_rows(ZZ), field),
+                blocks_in_rho_span(blocks, xring.center_image_rows(), field),
             )
         )
 
@@ -348,7 +341,7 @@ def dispatch(args) -> tuple[dict, bool]:
         scalars = (
             [ring_from_tag(args.coeff)] if args.coeff else [QQ, prime_field(2)]
         )
-        checks.extend(verify.mackey_checks(table, scalars, rng, mackey=mk, xring=xring))
+        checks.extend(verify.mackey_checks(mk, xring, scalars, rng))
         for scalar in scalars:
             checks.append(verify.zeta_surjectivity_check(mk, xring, scalar))
         doc["span_dimension"] = mk.n
@@ -360,11 +353,10 @@ def dispatch(args) -> tuple[dict, bool]:
         checks.extend(verify.group_checks(table, rng))
         checks.extend(verify.burnside_checks(ring, rng))
         checks.extend(verify.crossed_checks(xring, rng))
-        checks.extend(verify.center_checks(G, xring, rng))
+        checks.extend(verify.center_checks(xring))
         if G.order <= span_bound:
-            checks.extend(
-                verify.mackey_checks(table, [QQ, prime_field(2)], rng, bound=span_bound, xring=xring)
-            )
+            mk = MackeyAlgebra(table, bound=span_bound)
+            checks.extend(verify.mackey_checks(mk, xring, [QQ, prime_field(2)], rng))
 
     else:  # pragma: no cover - argparse filters unknown commands
         raise UsageError(f"unknown subcommand {name!r}")

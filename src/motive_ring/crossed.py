@@ -255,14 +255,13 @@ class CrossedBurnsideRing(Algebra):
                     out[t] = v
         return out
 
-    def center_image_rows(self, scalar: ScalarRing = ZZ) -> list[list]:
+    def center_image_rows(self) -> list[list[int]]:
         """Center images of all basis pairs, as conjugacy-class coordinate rows."""
-        G = self.group
-        classes = G.conjugacy_classes
+        classes = self.group.conjugacy_classes
         rows = []
         for i in range(self.n):
-            img = self.center_image(self.basis_element(i, scalar))
-            rows.append([img.get(cls[0], scalar.zero) for cls in classes])
+            img = self.center_image(self.basis_element(i))
+            rows.append([img.get(cls[0], 0) for cls in classes])
         return rows
 
     # -- idempotents ----------------------------------------------------------------
@@ -280,7 +279,9 @@ class CrossedBurnsideRing(Algebra):
 
         Every idempotent has 0/1 marks, so scanning all nonzero 0/1 ghost
         vectors, keeping integral pullbacks, embedding them, and taking the
-        minimal ones under e <= f iff ef = e finds every candidate.
+        minimal ones under e <= f iff ef = e finds every candidate.  Marks
+        are a ring map, so e <= f iff the mask of e lies inside that of f:
+        the minimal pass reads the masks and multiplies nothing.
 
         The scan takes 2^n steps for n subgroup classes, so it raises
         ``ValueError("class-count bound exceeded ...")`` before any scan
@@ -296,38 +297,38 @@ class CrossedBurnsideRing(Algebra):
         denom = lcm(*(c.denominator for u in units for c in u.coeffs))
         columns = [[int(c * denom) for c in u.coeffs] for u in units]
         acc = [0] * nclasses
-        found: list[Element] = []
+        found: list[tuple[int, Element]] = []
         for step in range(1, 1 << nclasses):
             # Gray code: step flips one bit of the previous mask
             bit = (step & -step).bit_length() - 1
-            sign = 1 if (step ^ step >> 1) >> bit & 1 else -1
+            mask = step ^ step >> 1
+            sign = 1 if mask >> bit & 1 else -1
             acc = [a + sign * c for a, c in zip(acc, columns[bit])]
             if all(a % denom == 0 for a in acc):
                 coeffs = [a // denom for a in acc]
-                found.append(self.with_identity_labels(self.burnside.element(coeffs, ZZ)))
-        minimal = []
-        for e in found:
-            if not any(
-                f.coeffs != e.coeffs and self.multiply(e, f).coeffs == f.coeffs
-                for f in found
-            ):
-                minimal.append(e)
+                found.append((mask, self.with_identity_labels(self.burnside.element(coeffs, ZZ))))
+        minimal = [
+            e for mask, e in found if not any(m != mask and m & mask == m for m, _ in found)
+        ]
         minimal.sort(key=lambda e: e.coeffs)
         return minimal
 
     # -- p-local decomposition report -------------------------------------------------
 
-    def ideal_rank(self, x: Element) -> int:
-        """Rank over Q of the ideal generated by x.
+    def ideal_rank(self, e: Element) -> int:
+        """Rank over Q of the ideal eA, for an idempotent e over Q or Z_(p).
 
-        x is scaled by the lcm d of its denominators, which leaves the rank
-        unchanged, so the products x b_j with the basis are integer vectors:
-        the columns of the multiplication matrix, whose rank is its rank.
+        Multiplication by e is a projection onto eA, so the rank is its
+        trace: the sum over i of e_i times the sum over j of the structure
+        constant c_ij^j.
         """
-        d = lcm(*(c.denominator for c in x.coeffs))
-        scaled = self.element([c.numerator * (d // c.denominator) for c in x.coeffs], ZZ)
-        columns = (self.multiply(scaled, self.basis_element(j)).coeffs for j in range(self.n))
-        return integer_rank((dict(enumerate(col)) for col in columns), QQ)
+        trace = sum(
+            c * sum(m for j in range(self.n) for k, m in self.product(i, j) if k == j)
+            for i, c in enumerate(e.coeffs)
+            if c
+        )
+        assert trace.denominator == 1, "the trace of an idempotent is its integer rank"
+        return int(trace)
 
     def p_local_report(self, p: int) -> dict:
         """Decomposition of the identity over p-local scalars.
@@ -384,7 +385,7 @@ class CrossedBurnsideRing(Algebra):
     # -- rank checks -------------------------------------------------------------------
 
     def center_image_rank(self, scalar: ScalarRing) -> int:
-        rows = self.center_image_rows(ZZ)
+        rows = self.center_image_rows()
         return integer_rank((dict(enumerate(row)) for row in rows), scalar)
 
     def marks_matrix_rows(self) -> list[list[int]]:

@@ -1,8 +1,8 @@
 """Named invariant checks, shared by the CLI verify commands and the tests.
 
-Each suite returns Check records; a failing check carries a minimal
-reproducer in its detail field.  Exhaustive where the group is small,
-seeded sampling above that.
+Each suite returns Check records; a failing check keeps as its detail the
+last reproducer its failure generator yields (_check).  Exhaustive where
+the group is small, seeded sampling above that.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from random import Random
 from .burnside import BurnsideRing
 from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_mod_p, blocks_in_rho_span, ga_equal, ga_mul
 from .crossed import CrossedBurnsideRing
-from .groups import FiniteGroup, double_cosets, fixed_cosets
+from .groups import double_cosets, fixed_cosets
 from .linalg import integer_kernel, integer_rank, sparse_mat_mul
 from .mackey import (
     HeckeAlgebra,
@@ -44,6 +44,28 @@ class Check:
         return doc
 
 
+def _check(name: str, failures) -> Check:
+    """A check over its failure messages: it passes when ``failures``
+    yields nothing, and otherwise keeps the last failure as its detail.
+    The whole iterable is walked, so a sampled check draws all its cases."""
+    detail = ""
+    for detail in failures:
+        pass
+    return Check(name, not detail, detail)
+
+
+def _family_failures(algebra, family, member: str, members: str):
+    """The verdicts of Algebra.idempotent_family, in the order idempotent,
+    sum, orthogonal."""
+    idempotent, orthogonal, sums_to_one = algebra.idempotent_family(family)
+    if not idempotent:
+        yield f"{member} not idempotent"
+    if not sums_to_one:
+        yield f"{members} do not sum to 1"
+    if not orthogonal:
+        yield f"{members} not orthogonal"
+
+
 def _pairs(n: int, exhaustive: bool, rng: Random):
     if exhaustive:
         return [(i, j) for i in range(n) for j in range(n)]
@@ -64,82 +86,72 @@ def _triples(n: int, exhaustive: bool, rng: Random):
 
 def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
     G = table.group
-    checks = []
+    class_pairs = [(a, b) for a in table.classes for b in table.classes]
 
-    bad = ""
-    for cls in table.classes:
-        for c in cls.centralizer:
-            for h in cls.representative:
-                if G.mul(c, h) != G.mul(h, c):
-                    bad = f"class {cls.name}: element {G.element_string(c)} does not commute with {G.element_string(h)}"
-    checks.append(Check("centralizer-commutes", not bad, bad))
+    def normalizer_failures():
+        for cls in table.classes:
+            for n in cls.normalizer:
+                if G.conjugate_subgroup(n, cls.representative) != cls.representative:
+                    yield f"class {cls.name}: normalizer element {G.element_string(n)} moves the subgroup"
+            for g in range(G.order):
+                inside = G.conjugate_subgroup(g, cls.representative) == cls.representative
+                if inside != (g in cls.normalizer):
+                    yield f"class {cls.name}: stabilizer mismatch at {G.element_string(g)}"
 
-    bad = ""
-    for cls in table.classes:
-        for n in cls.normalizer:
-            if G.conjugate_subgroup(n, cls.representative) != cls.representative:
-                bad = f"class {cls.name}: normalizer element {G.element_string(n)} moves the subgroup"
-        for g in range(G.order):
-            inside = G.conjugate_subgroup(g, cls.representative) == cls.representative
-            if inside != (g in cls.normalizer):
-                bad = f"class {cls.name}: stabilizer mismatch at {G.element_string(g)}"
-    checks.append(Check("normalizer-is-stabilizer", not bad, bad))
+    def fusion_failures():
+        sample = range(G.order) if G.order <= EXHAUSTIVE_PAIR_ORDER else [
+            rng.randrange(G.order) for _ in range(SAMPLE_SIZE)
+        ]
+        for cls in table.classes:
+            for g in sample:
+                K = G.conjugate_subgroup(g, cls.representative)
+                idx, conj = table.fusion(K)
+                if idx != cls.index:
+                    yield f"conjugate of {cls.name} by {G.element_string(g)} fused to class {idx}"
+                if G.conjugate_subgroup(conj, K) != cls.representative:
+                    yield f"fusion conjugator wrong for {cls.name} at {G.element_string(g)}"
 
-    bad = ""
-    sample = range(G.order) if G.order <= EXHAUSTIVE_PAIR_ORDER else [
-        rng.randrange(G.order) for _ in range(SAMPLE_SIZE)
-    ]
-    for cls in table.classes:
-        for g in sample:
-            K = G.conjugate_subgroup(g, cls.representative)
-            idx, conj = table.fusion(K)
-            if idx != cls.index:
-                bad = f"conjugate of {cls.name} by {G.element_string(g)} fused to class {idx}"
-            if G.conjugate_subgroup(conj, K) != cls.representative:
-                bad = f"fusion conjugator wrong for {cls.name} at {G.element_string(g)}"
-    checks.append(Check("fusion-conjugates", not bad, bad))
-
-    bad = ""
-    for a in range(len(table.classes)):
-        for b in range(len(table.classes)):
-            H = table.classes[a].representative
-            K = table.classes[b].representative
-            _, cells = double_cosets(G, H, K)
+    def coset_failures():
+        for a, b in class_pairs:
+            _, cells = double_cosets(G, a.representative, b.representative)
             total = sum(len(c) for c in cells)
             if total != G.order:
-                bad = f"double cosets of ({table.classes[a].name},{table.classes[b].name}) cover {total} of {G.order}"
-    checks.append(Check("double-cosets-partition", not bad, bad))
+                yield f"double cosets of ({a.name},{b.name}) cover {total} of {G.order}"
 
-    bad = ""
-    for a in range(len(table.classes)):
-        for b in range(len(table.classes)):
-            H = table.classes[a].representative
-            K = table.classes[b].representative
-            fixed = fixed_cosets(G, H, K)
-            subconj = any(
-                G.conjugate_subgroup(g, H) <= K for g in range(G.order)
-            )
-            if bool(fixed) != subconj:
-                bad = f"fixed cosets vs subconjugacy mismatch for ({table.classes[a].name},{table.classes[b].name})"
-    checks.append(Check("fixed-points-iff-subconjugate", not bad, bad))
+    def derived_failures():
+        for cls in table.classes:
+            steps = 0
+            cur = cls.representative
+            while True:
+                nxt = derived_subgroup(G, cur)
+                if nxt == cur:
+                    break
+                cur = nxt
+                steps += 1
+            if steps > max(1, int(math.log2(max(cls.order, 2)))):
+                yield f"derived series of {cls.name} took {steps} steps"
+            if derived_subgroup(G, cur) != cur:
+                yield f"stable derived term of {cls.name} is not perfect"
 
-    bad = ""
-    for cls in table.classes:
-        steps = 0
-        cur = cls.representative
-        while True:
-            nxt = derived_subgroup(G, cur)
-            if nxt == cur:
-                break
-            cur = nxt
-            steps += 1
-        if steps > max(1, int(math.log2(max(cls.order, 2)))):
-            bad = f"derived series of {cls.name} took {steps} steps"
-        if derived_subgroup(G, cur) != cur:
-            bad = f"stable derived term of {cls.name} is not perfect"
-    checks.append(Check("derived-series-stabilizes", not bad, bad))
-
-    return checks
+    return [
+        _check("centralizer-commutes", (
+            f"class {cls.name}: element {G.element_string(c)} does not commute with {G.element_string(h)}"
+            for cls in table.classes
+            for c in cls.centralizer
+            for h in cls.representative
+            if G.mul(c, h) != G.mul(h, c)
+        )),
+        _check("normalizer-is-stabilizer", normalizer_failures()),
+        _check("fusion-conjugates", fusion_failures()),
+        _check("double-cosets-partition", coset_failures()),
+        _check("fixed-points-iff-subconjugate", (
+            f"fixed cosets vs subconjugacy mismatch for ({a.name},{b.name})"
+            for a, b in class_pairs
+            if bool(fixed_cosets(G, a.representative, b.representative))
+            != any(G.conjugate_subgroup(g, a.representative) <= b.representative for g in range(G.order))
+        )),
+        _check("derived-series-stabilizes", derived_failures()),
+    ]
 
 
 # -- burnside ------------------------------------------------------------------
@@ -148,77 +160,63 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
 def burnside_checks(ring: BurnsideRing, rng: Random) -> list[Check]:
     G = ring.group
     table = ring.table
-    checks = []
     tom = ring.table_of_marks().marks
     n = ring.n
 
-    bad = ""
-    for i in range(n):
-        if tom[i][i] == 0:
-            bad = f"zero diagonal at {table.classes[i].name}"
-        expected = len(table.classes[i].normalizer) // table.classes[i].order
-        if tom[i][i] != expected:
-            bad = f"diagonal at {table.classes[i].name} is {tom[i][i]}, expected {expected}"
-        for j in range(i):
-            if tom[i][j] != 0:
-                bad = f"non-triangular entry at ({i},{j})"
-        if tom[i][n - 1] != 1:
-            bad = f"marks of the point set wrong at {table.classes[i].name}"
-        if tom[0][i] != G.order // table.classes[i].order:
-            bad = f"trivial-subgroup mark wrong at {table.classes[i].name}"
-    checks.append(Check("mark-matrix-shape", not bad, bad))
+    def shape_failures():
+        for i in range(n):
+            if tom[i][i] == 0:
+                yield f"zero diagonal at {table.classes[i].name}"
+            expected = len(table.classes[i].normalizer) // table.classes[i].order
+            if tom[i][i] != expected:
+                yield f"diagonal at {table.classes[i].name} is {tom[i][i]}, expected {expected}"
+            for j in range(i):
+                if tom[i][j] != 0:
+                    yield f"non-triangular entry at ({i},{j})"
+            if tom[i][n - 1] != 1:
+                yield f"marks of the point set wrong at {table.classes[i].name}"
+            if tom[0][i] != G.order // table.classes[i].order:
+                yield f"trivial-subgroup mark wrong at {table.classes[i].name}"
 
-    bad = ""
-    exhaustive = G.order <= EXHAUSTIVE_PAIR_ORDER
-    for i, j in _pairs(n, exhaustive, rng):
+    def multiplicative(i, j):
         x = ring.basis_element(i, QQ)
         y = ring.basis_element(j, QQ)
-        lhs = ring.marks(ring.multiply(x, y)).values
         mx = ring.marks(x).values
         my = ring.marks(y).values
-        rhs = tuple(a * b for a, b in zip(mx, my))
-        if lhs != rhs:
-            bad = f"marks not multiplicative on ({table.classes[i].name},{table.classes[j].name})"
-    checks.append(Check("marks-ring-homomorphism", not bad, bad))
+        return ring.marks(ring.multiply(x, y)).values == tuple(a * b for a, b in zip(mx, my))
 
-    idem = ring.rational_idempotents()
-    idempotent, orthogonal, sums_to_one = ring.idempotent_family(idem)
-    bad = ""
-    if not idempotent:
-        bad = "rational idempotents not idempotent"
-    if not sums_to_one:
-        bad = "rational idempotents do not sum to 1"
-    if not orthogonal:
-        bad = "rational idempotents not orthogonal"
-    for i, e in enumerate(idem):
-        marks = ring.marks(e).values
-        want = tuple(Fraction(1 if k == i else 0) for k in range(n))
-        if marks != want:
-            bad = f"marks of rational idempotent {table.classes[i].name} not an indicator"
-    checks.append(Check("rational-idempotents", not bad, bad))
+    def rational_failures():
+        idem = ring.rational_idempotents()
+        yield from _family_failures(ring, idem, "rational idempotents", "rational idempotents")
+        for i, e in enumerate(idem):
+            if ring.marks(e).values != tuple(Fraction(1 if k == i else 0) for k in range(n)):
+                yield f"marks of rational idempotent {table.classes[i].name} not an indicator"
 
-    modes = ["solvable"] + prime_divisors(G.order)
-    bad = ""
-    for mode in modes:
-        family = ring.dress_idempotents(mode)
-        scalar = family[0][1].scalar
-        idempotent, orthogonal, sums_to_one = ring.idempotent_family([e for _, e in family])
-        if not idempotent:
-            bad = f"mode {mode}: residual idempotent not idempotent"
-        if not sums_to_one:
-            bad = f"mode {mode}: residual idempotents do not sum to 1"
-        if not orthogonal:
-            bad = f"mode {mode}: residual idempotents not orthogonal"
-        fibers = table.residual_fiber_classes(mode)
-        for j, e in family:
-            marks = ring.marks(e).values
-            for k in range(n):
-                want = scalar.one if k in fibers[j] else scalar.zero
-                if marks[k] != want:
-                    bad = f"mode {mode}: marks of f_{table.classes[j].name} not the fiber indicator"
-    checks.append(Check("residual-idempotents", not bad, bad))
+    def residual_failures():
+        for mode in ["solvable"] + prime_divisors(G.order):
+            family = ring.dress_idempotents(mode)
+            scalar = family[0][1].scalar
+            yield from _family_failures(
+                ring, [e for _, e in family],
+                f"mode {mode}: residual idempotent", f"mode {mode}: residual idempotents",
+            )
+            fibers = table.residual_fiber_classes(mode)
+            for j, e in family:
+                marks = ring.marks(e).values
+                for k in range(n):
+                    if marks[k] != (scalar.one if k in fibers[j] else scalar.zero):
+                        yield f"mode {mode}: marks of f_{table.classes[j].name} not the fiber indicator"
 
-    return checks
+    return [
+        _check("mark-matrix-shape", shape_failures()),
+        _check("marks-ring-homomorphism", (
+            f"marks not multiplicative on ({table.classes[i].name},{table.classes[j].name})"
+            for i, j in _pairs(n, G.order <= EXHAUSTIVE_PAIR_ORDER, rng)
+            if not multiplicative(i, j)
+        )),
+        _check("rational-idempotents", rational_failures()),
+        _check("residual-idempotents", residual_failures()),
+    ]
 
 
 # -- crossed --------------------------------------------------------------------
@@ -229,136 +227,121 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
     table = xring.table
     checks = []
     n = xring.n
-
-    bad = ""
+    names = xring.labels
     exhaustive = G.order <= EXHAUSTIVE_PAIR_ORDER
-    for i, j in _pairs(n, exhaustive, rng):
-        if xring.product(i, j) != xring.basis_product_oracle(i, j):
-            bad = f"product mismatch on ({xring.pairs[i].name},{xring.pairs[j].name})"
-    checks.append(Check("crossed-product-matches-orbit-oracle", not bad, bad))
 
-    bad = ""
-    one = xring.one()
-    for i in range(n):
-        b = xring.basis_element(i)
-        if (one * b).coeffs != b.coeffs or (b * one).coeffs != b.coeffs:
-            bad = f"unit fails on {xring.pairs[i].name}"
-    for i, j in _pairs(n, exhaustive, rng):
-        if xring._basis_product(i, j) != xring._basis_product(j, i):
-            bad = f"commutativity fails on ({xring.pairs[i].name},{xring.pairs[j].name})"
-    exhaustive3 = G.order <= EXHAUSTIVE_TRIPLE_ORDER
-    for i, j, k in _triples(n, exhaustive3, rng):
-        bi, bj, bk = (xring.basis_element(t) for t in (i, j, k))
-        if ((bi * bj) * bk).coeffs != (bi * (bj * bk)).coeffs:
-            bad = f"associativity fails on ({i},{j},{k})"
-    checks.append(Check("crossed-ring-axioms", not bad, bad))
+    checks.append(_check("crossed-product-matches-orbit-oracle", (
+        f"product mismatch on ({names[i]},{names[j]})"
+        for i, j in _pairs(n, exhaustive, rng)
+        if xring.product(i, j) != xring.basis_product_oracle(i, j)
+    )))
 
-    bad = ""
-    for i, j in _pairs(n, exhaustive, rng):
+    def axiom_failures():
+        one = xring.one()
+        for i in range(n):
+            b = xring.basis_element(i)
+            if (one * b).coeffs != b.coeffs or (b * one).coeffs != b.coeffs:
+                yield f"unit fails on {names[i]}"
+        for i, j in _pairs(n, exhaustive, rng):
+            if xring._basis_product(i, j) != xring._basis_product(j, i):
+                yield f"commutativity fails on ({names[i]},{names[j]})"
+        for i, j, k in _triples(n, G.order <= EXHAUSTIVE_TRIPLE_ORDER, rng):
+            bi, bj, bk = (xring.basis_element(t) for t in (i, j, k))
+            if ((bi * bj) * bk).coeffs != (bi * (bj * bk)).coeffs:
+                yield f"associativity fails on ({i},{j},{k})"
+
+    checks.append(_check("crossed-ring-axioms", axiom_failures()))
+
+    def marks_multiplicative(i, j):
         x = xring.basis_element(i)
         y = xring.basis_element(j)
-        lhs = xring.crossed_marks(x * y)
         rhs = xring.ghost_multiply(xring.crossed_marks(x), xring.crossed_marks(y))
-        if not xring.ghost_equal(lhs, rhs):
-            bad = f"crossed marks not multiplicative on ({xring.pairs[i].name},{xring.pairs[j].name})"
-    checks.append(Check("crossed-marks-ring-homomorphism", not bad, bad))
+        return xring.ghost_equal(xring.crossed_marks(x * y), rhs)
+
+    checks.append(_check("crossed-marks-ring-homomorphism", (
+        f"crossed marks not multiplicative on ({names[i]},{names[j]})"
+        for i, j in _pairs(n, exhaustive, rng)
+        if not marks_multiplicative(i, j)
+    )))
 
     rank = integer_rank((dict(enumerate(row)) for row in xring.marks_matrix_rows()), QQ)
-    checks.append(
-        Check(
-            "crossed-marks-injective",
-            rank == n,
-            "" if rank == n else f"mark rank {rank} < basis size {n}",
-        )
-    )
+    checks.append(_check("crossed-marks-injective", [] if rank == n else [f"mark rank {rank} < basis size {n}"]))
 
-    bad = ""
-    for i in range(n):
-        x = xring.basis_element(i)
-        lhs = xring.ghost_augmentation(xring.crossed_marks(x)).values
-        rhs = xring.burnside.marks(xring.forget_labels(x)).values
-        if lhs != rhs:
-            bad = f"augmentation square fails on {xring.pairs[i].name}"
-    for k in range(len(table)):
-        b = xring.burnside.basis_element(k)
-        lhs2 = xring.crossed_marks(xring.with_identity_labels(b))
-        rhs2 = xring.ghost_lift(xring.burnside.marks(b))
-        if not xring.ghost_equal(lhs2, rhs2):
-            bad = f"lift square fails on {table.classes[k].name}"
-    checks.append(Check("mark-squares-commute", not bad, bad))
+    def square_failures():
+        for i in range(n):
+            x = xring.basis_element(i)
+            lhs = xring.ghost_augmentation(xring.crossed_marks(x)).values
+            if lhs != xring.burnside.marks(xring.forget_labels(x)).values:
+                yield f"augmentation square fails on {names[i]}"
+        for k in range(len(table)):
+            b = xring.burnside.basis_element(k)
+            lhs = xring.crossed_marks(xring.with_identity_labels(b))
+            if not xring.ghost_equal(lhs, xring.ghost_lift(xring.burnside.marks(b))):
+                yield f"lift square fails on {table.classes[k].name}"
 
-    bad = ""
-    for k in range(len(table)):
-        b = xring.burnside.basis_element(k)
-        if xring.forget_labels(xring.with_identity_labels(b)).coeffs != b.coeffs:
-            bad = f"forget(embed) != id on {table.classes[k].name}"
-    checks.append(Check("embed-section", not bad, bad))
+    checks.append(_check("mark-squares-commute", square_failures()))
+    checks.append(_check("embed-section", (
+        f"forget(embed) != id on {table.classes[k].name}"
+        for k, b in enumerate(map(xring.burnside.basis_element, range(len(table))))
+        if xring.forget_labels(xring.with_identity_labels(b)).coeffs != b.coeffs
+    )))
 
-    bad = ""
-    ghost_central = ""
-    sample = range(n) if n <= 30 else [rng.randrange(n) for _ in range(SAMPLE_SIZE)]
-    for i in sample:
-        ghost = xring.crossed_marks(xring.basis_element(i))
-        for k, cls in enumerate(table.classes):
-            comp = ghost.components[k]
-            C = sorted(cls.centralizer)
-            for c in C:
-                moved = {G.conj(c, t): v for t, v in comp.items()}
-                if moved != comp:
-                    ghost_central = f"component {cls.name} of marks({xring.pairs[i].name}) not central"
-            for nrm in G.small_generating_set(cls.normalizer) or [0]:
-                moved = {G.conj(nrm, t): v for t, v in comp.items()}
-                if moved != comp:
-                    ghost_central = f"component {cls.name} of marks({xring.pairs[i].name}) not normalizer-stable"
-    checks.append(Check("ghost-components-central-and-stable", not ghost_central, ghost_central))
+    def ghost_failures():
+        sample = range(n) if n <= 30 else [rng.randrange(n) for _ in range(SAMPLE_SIZE)]
+        for i in sample:
+            ghost = xring.crossed_marks(xring.basis_element(i))
+            for k, cls in enumerate(table.classes):
+                comp = ghost.components[k]
+                for c in sorted(cls.centralizer):
+                    if {G.conj(c, t): v for t, v in comp.items()} != comp:
+                        yield f"component {cls.name} of marks({names[i]}) not central"
+                for nrm in G.small_generating_set(cls.normalizer) or [0]:
+                    if {G.conj(nrm, t): v for t, v in comp.items()} != comp:
+                        yield f"component {cls.name} of marks({names[i]}) not normalizer-stable"
 
-    bad = ""
-    for i, j in _pairs(n, exhaustive, rng):
+    checks.append(_check("ghost-components-central-and-stable", ghost_failures()))
+
+    def image_multiplicative(i, j):
         x = xring.basis_element(i)
         y = xring.basis_element(j)
-        lhs = xring.center_image(x * y)
         rhs = ga_mul(G, xring.center_image(x), xring.center_image(y), ZZ)
-        if not ga_equal(lhs, rhs, ZZ):
-            bad = f"center image not multiplicative on ({xring.pairs[i].name},{xring.pairs[j].name})"
-    checks.append(Check("center-image-ring-homomorphism", not bad, bad))
+        return ga_equal(xring.center_image(x * y), rhs, ZZ)
 
-    nclasses_conj = len(G.conjugacy_classes)
-    bad = ""
-    got = xring.center_image_rank(QQ)
-    if got != nclasses_conj:
-        bad = f"rank over Q is {got}, expected {nclasses_conj}"
-    for p in prime_divisors(G.order):
-        got = xring.center_image_rank(prime_field(p))
-        if got != nclasses_conj:
-            bad = f"rank over F_{p} is {got}, expected {nclasses_conj}"
-    checks.append(Check("center-image-spans-center", not bad, bad))
+    checks.append(_check("center-image-ring-homomorphism", (
+        f"center image not multiplicative on ({names[i]},{names[j]})"
+        for i, j in _pairs(n, exhaustive, rng)
+        if not image_multiplicative(i, j)
+    )))
 
-    bad = ""
-    for j, e in xring.integral_idempotents():
-        img = xring.center_image(e)
-        expected = {} if table.classes[j].order > 1 else {0: 1}
-        if img != expected:
-            bad = f"center image of the {table.classes[j].name} idempotent is {img}"
-    checks.append(Check("center-image-of-integral-idempotents", not bad, bad))
+    def span_failures():
+        expected = len(G.conjugacy_classes)
+        for name, scalar in [("Q", QQ)] + [(f"F_{p}", prime_field(p)) for p in prime_divisors(G.order)]:
+            got = xring.center_image_rank(scalar)
+            if got != expected:
+                yield f"rank over {name} is {got}, expected {expected}"
+
+    def integral_image_failures():
+        for j, e in xring.integral_idempotents():
+            img = xring.center_image(e)
+            if img != ({} if table.classes[j].order > 1 else {0: 1}):
+                yield f"center image of the {table.classes[j].name} idempotent is {img}"
+
+    checks.append(_check("center-image-spans-center", span_failures()))
+    checks.append(_check("center-image-of-integral-idempotents", integral_image_failures()))
 
     if len(table) <= 14:
         oracle = xring.idempotent_oracle()
         mine = sorted(e.coeffs for _, e in xring.integral_idempotents())
         theirs = sorted(e.coeffs for e in oracle)
-        ok = mine == theirs
-        checks.append(
-            Check(
-                "integral-idempotents-match-scan",
-                ok,
-                "" if ok else f"family sizes {len(mine)} vs {len(theirs)}",
-            )
-        )
-        bad = ""
-        for e in oracle:
-            back = xring.with_identity_labels(xring.forget_labels(e))
-            if back.coeffs != e.coeffs:
-                bad = "embed(forget) does not fix a scanned idempotent"
-        checks.append(Check("idempotents-fixed-by-embed-forget", not bad, bad))
+        checks.append(_check(
+            "integral-idempotents-match-scan",
+            [] if mine == theirs else [f"family sizes {len(mine)} vs {len(theirs)}"],
+        ))
+        checks.append(_check("idempotents-fixed-by-embed-forget", (
+            "embed(forget) does not fix a scanned idempotent"
+            for e in oracle
+            if xring.with_identity_labels(xring.forget_labels(e)).coeffs != e.coeffs
+        )))
 
     return checks
 
@@ -366,84 +349,62 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 # -- center ---------------------------------------------------------------------
 
 
-def center_checks(G: FiniteGroup, xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
+def center_checks(xring: CrossedBurnsideRing) -> list[Check]:
+    G = xring.group
     Z = CenterAlgebra(G)
-    checks = []
     sums = Z.class_sums(QQ)
 
-    bad = ""
-    for i in range(Z.n):
-        for j in range(Z.n):
-            fast = Z.multiply(sums[i], sums[j])
-            slow = Z.multiply_oracle(sums[i], sums[j])
-            if fast.coeffs != slow.coeffs:
-                bad = f"structure constants disagree with convolution at ({i},{j})"
-    if Z.multiply(Z.one(QQ), sums[0]).coeffs != sums[0].coeffs:
-        bad = "identity class sum is not the unit"
-    checks.append(Check("center-multiplication-matches-convolution", not bad, bad))
+    def convolution_failures():
+        for i in range(Z.n):
+            for j in range(Z.n):
+                if Z.multiply(sums[i], sums[j]).coeffs != Z.multiply_oracle(sums[i], sums[j]).coeffs:
+                    yield f"structure constants disagree with convolution at ({i},{j})"
+        if Z.multiply(Z.one(QQ), sums[0]).coeffs != sums[0].coeffs:
+            yield "identity class sum is not the unit"
 
-    bad = ""
-    for i in range(xring.n):
-        pair = xring.pairs[i]
-        img = xring.center_image(xring.basis_element(i))
-        points = G.order // xring.table.classes[pair.subgroup_class].order
-        if ga_augmentation(img, ZZ) != points:
-            bad = f"augmentation of the image of {pair.name} is not {points}"
-    checks.append(Check("augmentation-counts-points", not bad, bad))
+    def augmentation_failures():
+        for i, pair in enumerate(xring.pairs):
+            img = xring.center_image(xring.basis_element(i))
+            points = G.order // xring.table.classes[pair.subgroup_class].order
+            if ga_augmentation(img, ZZ) != points:
+                yield f"augmentation of the image of {pair.name} is not {points}"
 
-    bad = ""
-    for p in prime_divisors(G.order):
-        field, blocks = blocks_mod_p(G, p, algebra=Z)
-        idempotent, orthogonal, sums_to_one = Z.idempotent_family(blocks)
-        if not idempotent:
-            bad = f"p={p}: block not idempotent"
-        if not sums_to_one:
-            bad = f"p={p}: blocks do not sum to 1"
-        if not orthogonal:
-            bad = f"p={p}: blocks not orthogonal"
-        if field.q**Z.n <= 5000:
-            scan = block_scan_oracle(Z, field)
-            if [b.coeffs for b in scan] != [b.coeffs for b in blocks]:
-                bad = f"p={p}: blocks disagree with exhaustive scan"
-        rows = xring.center_image_rows(ZZ)
-        if not blocks_in_rho_span(G, blocks, rows, field):
-            bad = f"p={p}: some block outside the span of the center images"
-    checks.append(Check("blocks", not bad, bad))
+    def block_failures():
+        rows = xring.center_image_rows()
+        for p in prime_divisors(G.order):
+            field, blocks = blocks_mod_p(G, p, algebra=Z)
+            yield from _family_failures(Z, blocks, f"p={p}: block", f"p={p}: blocks")
+            if field.q**Z.n <= 5000:
+                scan = block_scan_oracle(Z, field)
+                if [b.coeffs for b in scan] != [b.coeffs for b in blocks]:
+                    yield f"p={p}: blocks disagree with exhaustive scan"
+            if not blocks_in_rho_span(blocks, rows, field):
+                yield f"p={p}: some block outside the span of the center images"
 
-    return checks
+    return [
+        _check("center-multiplication-matches-convolution", convolution_failures()),
+        _check("augmentation-counts-points", augmentation_failures()),
+        _check("blocks", block_failures()),
+    ]
 
 
 # -- mackey -----------------------------------------------------------------------
 
 
 def mackey_checks(
-    table: SubgroupClassTable,
-    scalars: list[ScalarRing],
-    rng: Random,
-    bound: int = 24,
-    mackey: MackeyAlgebra | None = None,
-    xring: CrossedBurnsideRing | None = None,
+    mk: MackeyAlgebra, xr: CrossedBurnsideRing, scalars: list[ScalarRing], rng: Random
 ) -> list[Check]:
-    G = table.group
     checks = []
-    mk = mackey if mackey is not None else MackeyAlgebra(table, bound=bound)
-    xr = xring if xring is not None else CrossedBurnsideRing(table)
-    Z = CenterAlgebra(G)
+    Z = CenterAlgebra(mk.table.group)
 
     formula = mk.orbit_count_formula()
-    checks.append(
-        Check(
-            "span-count-formula",
-            mk.n == formula,
-            "" if mk.n == formula else f"enumerated {mk.n}, formula {formula}",
-        )
-    )
+    checks.append(_check("span-count-formula", [] if mk.n == formula else [f"enumerated {mk.n}, formula {formula}"]))
 
     # the unit is a sum of diagonal spans e_H, one per subgroup: multiply it
     # with every basis span through the sparse products of its support
     units = [(e, c) for e, c in enumerate(mk.one().coeffs) if c]
-    bad = ""
-    for i in range(mk.n):
+
+    def unit_fixes(i):
         left: dict[int, int] = {}
         right: dict[int, int] = {}
         for e, c in units:
@@ -451,12 +412,11 @@ def mackey_checks(
                 left[k] = left.get(k, 0) + c * d
             for k, d in mk.product(i, e):
                 right[k] = right.get(k, 0) + c * d
-        if left != {i: 1} or right != {i: 1}:
-            bad = f"identity fails on span {i}"
-    checks.append(Check("span-identity", not bad, bad))
+        return left == right == {i: 1}
 
-    bad = ""
-    for i, j, k in _triples(mk.n, mk.n <= 30, rng):
+    checks.append(_check("span-identity", (f"identity fails on span {i}" for i in range(mk.n) if not unit_fixes(i))))
+
+    def associative(i, j, k):
         left: dict[int, int] = {}
         for m, c in mk.product(i, j):
             for t, d in mk.product(m, k):
@@ -465,9 +425,13 @@ def mackey_checks(
         for m, c in mk.product(j, k):
             for t, d in mk.product(i, m):
                 right[t] = right.get(t, 0) + c * d
-        if left != right:
-            bad = f"associativity fails on spans ({i},{j},{k})"
-    checks.append(Check("span-associativity", not bad, bad))
+        return left == right
+
+    checks.append(_check("span-associativity", (
+        f"associativity fails on spans ({i},{j},{k})"
+        for i, j, k in _triples(mk.n, mk.n <= 30, rng)
+        if not associative(i, j, k)
+    )))
 
     hk = HeckeAlgebra(mk)
     # integer rows of the rank checks, built once and read over each scalar
@@ -485,79 +449,66 @@ def mackey_checks(
         ok = crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs == mk.one(scalar).coeffs
         checks.append(Check(f"zeta-unital[{tag}]", ok))
 
-        bad = ""
-        for i in rng.sample(range(xr.n), min(xr.n, 6)) if xr.n > 8 else range(xr.n):
-            if not mk.is_central(zimgs[i]):
-                bad = f"image of {xr.pairs[i].name} not central"
-        checks.append(Check(f"zeta-lands-in-center[{tag}]", not bad, bad))
+        checks.append(_check(f"zeta-lands-in-center[{tag}]", (
+            f"image of {xr.pairs[i].name} not central"
+            for i in (rng.sample(range(xr.n), min(xr.n, 6)) if xr.n > 8 else range(xr.n))
+            if not mk.is_central(zimgs[i])
+        )))
 
-        bad = ""
-        for i, j in _pairs(xr.n, xr.n <= 10, rng):
-            lhs = crossed_to_mackey_center(
-                mk, xr, xr.multiply(xr.basis_element(i, scalar), xr.basis_element(j, scalar))
-            )
-            rhs = mk.multiply(zimgs[i], zimgs[j])
-            if lhs.coeffs != rhs.coeffs:
-                bad = f"multiplicativity fails on ({xr.pairs[i].name},{xr.pairs[j].name})"
-        checks.append(Check(f"zeta-ring-homomorphism[{tag}]", not bad, bad))
+        def zeta_multiplicative(i, j):
+            x, y = xr.basis_element(i, scalar), xr.basis_element(j, scalar)
+            lhs = crossed_to_mackey_center(mk, xr, xr.multiply(x, y))
+            return lhs.coeffs == mk.multiply(zimgs[i], zimgs[j]).coeffs
 
-        bad = ""
-        for i, j in _pairs(mk.n, mk.n <= 30, rng):
-            lhs = mk.project(mk.multiply(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
-            rhs = sparse_mat_mul(
-                mk.project(mk.basis_element(i, scalar)),
-                mk.project(mk.basis_element(j, scalar)),
-                scalar,
-            )
-            if lhs != rhs:
-                bad = f"projection not multiplicative on spans ({i},{j})"
-        checks.append(Check(f"projection-algebra-homomorphism[{tag}]", not bad, bad))
+        checks.append(_check(f"zeta-ring-homomorphism[{tag}]", (
+            f"multiplicativity fails on ({xr.pairs[i].name},{xr.pairs[j].name})"
+            for i, j in _pairs(xr.n, xr.n <= 10, rng)
+            if not zeta_multiplicative(i, j)
+        )))
+
+        def projection_multiplicative(i, j):
+            x, y = mk.basis_element(i, scalar), mk.basis_element(j, scalar)
+            return mk.project(mk.multiply(x, y)) == sparse_mat_mul(mk.project(x), mk.project(y), scalar)
+
+        checks.append(_check(f"projection-algebra-homomorphism[{tag}]", (
+            f"projection not multiplicative on spans ({i},{j})"
+            for i, j in _pairs(mk.n, mk.n <= 30, rng)
+            if not projection_multiplicative(i, j)
+        )))
 
         proj_rank = integer_rank(proj_rows, scalar)
-        checks.append(
-            Check(
-                f"projection-onto-hecke[{tag}]",
-                proj_rank == hk.n,
-                "" if proj_rank == hk.n else f"rank {proj_rank}, dim {hk.n}",
-            )
-        )
+        checks.append(_check(
+            f"projection-onto-hecke[{tag}]", [] if proj_rank == hk.n else [f"rank {proj_rank}, dim {hk.n}"]
+        ))
 
-        bad = ""
-        for i in range(xr.n):
-            rho = xr.center_image(xr.basis_element(i, scalar))
-            zc = Z.from_group_algebra(rho, scalar)
-            lhs = mk.project(zimgs[i])
-            rhs = center_to_hecke(mk, Z, zc)
-            if lhs != rhs:
-                bad = f"diagram fails on {xr.pairs[i].name}"
-        checks.append(Check(f"projection-of-zeta-is-hecke-image-of-rho[{tag}]", not bad, bad))
+        def diagram_commutes(i):
+            zc = Z.from_group_algebra(xr.center_image(xr.basis_element(i, scalar)), scalar)
+            return mk.project(zimgs[i]) == center_to_hecke(mk, Z, zc)
 
-        sums = Z.class_sums(scalar)
-        bad = ""
-        iota_ops = [center_to_hecke(mk, Z, z) for z in sums]
-        ident = {(a, a): scalar.one for a in range(mk.npoints)}
-        if center_to_hecke(mk, Z, Z.one(scalar)) != ident:
-            bad = "unit not preserved"
-        for i in range(Z.n):
-            for j in range(Z.n):
-                lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
-                rhs = sparse_mat_mul(iota_ops[i], iota_ops[j], scalar)
-                if lhs != rhs:
-                    bad = f"center embedding not multiplicative on classes ({i},{j})"
-        checks.append(Check(f"center-embedding-ring-homomorphism[{tag}]", not bad, bad))
+        checks.append(_check(f"projection-of-zeta-is-hecke-image-of-rho[{tag}]", (
+            f"diagram fails on {xr.pairs[i].name}" for i in range(xr.n) if not diagram_commutes(i)
+        )))
+
+        def embedding_failures():
+            sums = Z.class_sums(scalar)
+            iota_ops = [center_to_hecke(mk, Z, z) for z in sums]
+            if center_to_hecke(mk, Z, Z.one(scalar)) != {(a, a): scalar.one for a in range(mk.npoints)}:
+                yield "unit not preserved"
+            for i in range(Z.n):
+                for j in range(Z.n):
+                    lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
+                    if lhs != sparse_mat_mul(iota_ops[i], iota_ops[j], scalar):
+                        yield f"center embedding not multiplicative on classes ({i},{j})"
+
+        checks.append(_check(f"center-embedding-ring-homomorphism[{tag}]", embedding_failures()))
 
         # composite image spans the center of the Hecke algebra
         zy = hecke_center_dimension(mk, hk, scalar)
         comp_rank = integer_rank(comp_rows, scalar)
         iota_rank = integer_rank(iota_rows, scalar)
-        ok = comp_rank == zy and iota_rank == zy
-        checks.append(
-            Check(
-                f"hecke-center-reached[{tag}]",
-                ok,
-                "" if ok else f"dim Z(hecke) {zy}, composite rank {comp_rank}, embedding rank {iota_rank}",
-            )
-        )
+        checks.append(_check(f"hecke-center-reached[{tag}]", [] if comp_rank == iota_rank == zy else [
+            f"dim Z(hecke) {zy}, composite rank {comp_rank}, embedding rank {iota_rank}"
+        ]))
 
     return checks
 
@@ -614,10 +565,9 @@ def zeta_surjectivity_check(
     )
     rank = integer_rank(rows, scalar)
     dim = len(mk.center_basis(scalar))
-    return Check(
+    return _check(
         f"zeta-image-spans-mackey-center[{scalar.tag}]",
-        rank == dim,
-        "" if rank == dim else f"image rank {rank} < center dimension {dim}",
+        [] if rank == dim else [f"image rank {rank} < center dimension {dim}"],
     )
 
 
@@ -632,9 +582,9 @@ def p_local_checks(xring: CrossedBurnsideRing, p: int) -> tuple[list[Check], dic
         Check(f"p-local-orthogonal[p={p}]", report["orthogonal"]),
         Check(f"p-local-sum-is-one[p={p}]", report["sum_is_one"]),
     ]
-    bad = ""
-    for comp in report["components"]:
-        if comp["ideal_rank"] != comp["fiber_pair_count"]:
-            bad = f"J={comp['residual']}: ideal rank {comp['ideal_rank']} != fiber pair count {comp['fiber_pair_count']}"
-    checks.append(Check(f"p-local-rank-matches-fiber-size[p={p}]", not bad, bad))
+    checks.append(_check(f"p-local-rank-matches-fiber-size[p={p}]", (
+        f"J={comp['residual']}: ideal rank {comp['ideal_rank']} != fiber pair count {comp['fiber_pair_count']}"
+        for comp in report["components"]
+        if comp["ideal_rank"] != comp["fiber_pair_count"]
+    )))
     return checks, report

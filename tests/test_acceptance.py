@@ -324,9 +324,9 @@ def test_criterion_8_blocks(ws):
         crit.expect(
             total.coeffs == Z.one(field).coeffs, f"({name},{p}): blocks do not sum to 1"
         )
-        rows = ws.crossed(name).center_image_rows(ZZ)
+        rows = ws.crossed(name).center_image_rows()
         crit.expect(
-            blocks_in_rho_span(G, blocks, rows, field),
+            blocks_in_rho_span(blocks, rows, field),
             f"({name},{p}): a block lies outside the span of the basis images",
         )
     crit.finish()

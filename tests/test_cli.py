@@ -14,6 +14,7 @@ import pytest
 
 import motive_ring
 from motive_ring.cli import run
+from motive_ring.crossed import CrossedBurnsideRing
 
 
 def invoke(argv):
@@ -332,33 +333,70 @@ GOLDENS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
 )["commands"]
 
-# every recorded benchmark command on a group of order <= 24; a golden key
-# is the argv joined by spaces, and the gens: argument contains spaces, so
-# each argv is spelled out as a list
-SMALL_GOLDEN_ARGVS = [
+# every recorded benchmark command; a golden key is the argv joined by
+# spaces, and the gens: argument contains spaces, so each argv is spelled
+# out as a list
+GOLDEN_ARGVS = [
     ["mackey-check", "--group", "cyclic:4"],
     ["mackey-check", "--group", "gens:(1 2)(3 4);(1 3)(2 4)"],
     ["mackey-check", "--group", "sym:3"],
-    ["verify-all", "--group", "sym:3"],
+    *(["verify-all", "--group", group] for group in ("sym:3", "alt:5")),
     *(
         ["cbr-idempotents", "--group", group, "--coeff", coeff]
-        for group in ("alt:4", "sym:4")
+        for group in ("alt:4", "sym:4", "alt:5", "sym:5")
         for coeff in ("Z", "Zp:2", "Zp:3")
     ),
-    *(["p-local-report", "--group", "sym:4", "--prime", p] for p in ("2", "3")),
-    *(["blocks", "--group", "sym:4", "--prime", p] for p in ("2", "3", "5")),
+    *(
+        ["p-local-report", "--group", group, "--prime", p]
+        for group in ("sym:4", "alt:5", "sym:5")
+        for p in ("2", "3")
+    ),
+    *(
+        ["blocks", "--group", group, "--prime", p]
+        for group in ("sym:4", "alt:5", "sym:5")
+        for p in ("2", "3", "5")
+    ),
+    *(["motivic-report", "--group", group, "--coeff", "Z"] for group in ("alt:5", "sym:5")),
 ]
 
 
-def test_small_golden_argvs_are_every_golden_up_to_order_24():
-    small = {key for key, g in GOLDENS.items() if g["sizes"]["group_order"] <= 24}
-    assert {" ".join(argv) for argv in SMALL_GOLDEN_ARGVS} == small
-    assert len(SMALL_GOLDEN_ARGVS) == len(small) == 15
+def test_golden_argvs_are_every_recorded_golden():
+    assert {" ".join(argv) for argv in GOLDEN_ARGVS} == set(GOLDENS)
+    assert len(GOLDEN_ARGVS) == len(GOLDENS) == 34
 
 
-@pytest.mark.parametrize("argv", SMALL_GOLDEN_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
 def test_stdout_matches_the_recorded_golden(argv):
     golden = GOLDENS[" ".join(argv)]
     buf = io.StringIO()
     assert run(argv, stream=buf) == golden["exit"]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == golden["stdout_sha256"]
+
+
+def test_a_failing_check_reports_its_last_failure(monkeypatch):
+    # S3 is inside the exhaustive pair order, so pairs run in order (i, j)
+    wrong = {(1, 2), (3, 1)}
+    oracle = CrossedBurnsideRing.basis_product_oracle
+
+    def spoiled(self, i, j):
+        return ((0, 99),) if (i, j) in wrong else oracle(self, i, j)
+
+    monkeypatch.setattr(CrossedBurnsideRing, "basis_product_oracle", spoiled)
+    code, doc, _ = invoke(["verify-all", "--group", "sym:3"])
+    assert code == 1
+    checks = {c["name"]: c for c in doc["checks"]}
+    failed = checks.pop("crossed-product-matches-orbit-oracle")
+    assert failed == {
+        "name": "crossed-product-matches-orbit-oracle",
+        "pass": False,
+        "detail": "product mismatch on ([C2#1,()],[1#1,(2 3)])",
+    }
+    assert all(c["pass"] and "detail" not in c for c in checks.values())
+
+
+def test_survivor_check_keeps_its_detail_when_it_passes():
+    code, doc, _ = invoke(["motivic-report", "--group", "sym:3"])
+    assert code == 0
+    assert doc["checks"] == [
+        {"name": "survivor-is-trivial-residual", "pass": True, "detail": "survivors: ['1#1']"}
+    ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from dense_linalg import rank_field
@@ -11,6 +12,7 @@ from test_subgroups import gens_specs, small_group
 
 from motive_ring.center import ga_equal, ga_mul
 from motive_ring.groups import construct_group, parse_cycles
+from motive_ring.linalg import integer_rank
 from motive_ring.scalars import QQ, ZZ, ScalarError, prime_field
 from motive_ring.subgroups import SubgroupClassTable, prime_divisors
 from motive_ring.crossed import CrossedBurnsideRing
@@ -430,3 +432,41 @@ def test_serialization_roundtrip(ws):
         lab = xr.group.element_index(parse_cycles(label, xr.group.degree))
         coeffs[xr.canonical_pair(cls.representative, lab)] = int(val)
     assert tuple(coeffs) == e.coeffs
+
+
+IDEMPOTENT_SCAN_SPECS = ["cyclic:6", "sym:3", "alt:4", "sym:4", "alt:5", "dihedral:4", "dihedral:6"]
+
+
+@pytest.mark.parametrize("spec", IDEMPOTENT_SCAN_SPECS)
+def test_idempotent_scan_multiplies_nothing(spec, monkeypatch):
+    from motive_ring.algebra import Algebra
+
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group(spec)))
+    mine = sorted(e.coeffs for _, e in xr.integral_idempotents())
+
+    def refuse(*args):
+        raise AssertionError("the scan multiplied in the algebra")
+
+    monkeypatch.setattr(Algebra, "multiply", refuse)
+    monkeypatch.setattr(Algebra, "product", refuse)
+    assert sorted(e.coeffs for e in xr.idempotent_oracle()) == mine
+
+
+def eliminated_ideal_rank(xr, e):
+    """Rank over Q of eA by elimination: e scaled to an integer vector, times
+    every basis element, as the columns of the multiplication matrix."""
+    d = lcm(*(c.denominator for c in e.coeffs))
+    scaled = xr.element([c.numerator * (d // c.denominator) for c in e.coeffs], ZZ)
+    columns = (xr.multiply(scaled, xr.basis_element(j)).coeffs for j in range(xr.n))
+    return integer_rank((dict(enumerate(col)) for col in columns), QQ)
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4", "alt:4", "sym:4", "alt:5", "sym:5"])
+def test_ideal_rank_trace_matches_elimination(spec):
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group(spec)))
+    for p in (2, 3, 5):
+        for _, f in xr.burnside.dress_idempotents(p):
+            e = xr.with_identity_labels(f)
+            rank = xr.ideal_rank(e)
+            assert type(rank) is int
+            assert rank == eliminated_ideal_rank(xr, e)
