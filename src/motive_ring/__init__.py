@@ -10,14 +10,13 @@ algebra with its comparison maps.
 
 from .algebra import Algebra, Element
 from .burnside import BurnsideRing, GhostVector, TableOfMarks
-from .center import CenterAlgebra, augmentation, blocks_mod_p
+from .center import CenterAlgebra, augmentation
 from .crossed import CrossedBurnsideRing, CrossedGhostVector, CrossedPairClass
 from .groups import (
     FiniteGroup,
     GroupTooLarge,
     NotNormal,
     Permutation,
-    Quotient,
     construct_group,
     parse_cycles,
     quotient_group,
@@ -53,7 +52,6 @@ __all__ = [
     "NotNormal",
     "Permutation",
     "QQ",
-    "Quotient",
     "ScalarError",
     "SpanBasisElement",
     "SubgroupClass",
@@ -61,7 +59,6 @@ __all__ = [
     "TableOfMarks",
     "ZZ",
     "augmentation",
-    "blocks_mod_p",
     "center_to_hecke",
     "construct_group",
     "crossed_to_mackey_center",

@@ -6,7 +6,9 @@ products are nonnegative integer combinations of basis elements.  A
 subclass supplies its basis size ``n``, its ``labels``, ``one()`` and the
 hook ``_basis_product(i, j)``; this module supplies the elements, their
 checks, the cached sparse products and one ``multiply`` over any scalar
-ring.  The independent oracles of the subclasses keep their own loops.
+ring.  A commutative algebra also splits into its primitive idempotents
+over a finite field (primitive_idempotents).  The independent oracles of
+the subclasses keep their own loops.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import ScalarError, ScalarRing, ZZ
+from .groups import GroupTooLarge
+from .linalg import integer_kernel
+from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
+
+MAX_FIELD_ORDER = 65536  # the root scan walks all of F_q
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,17 @@ class Element:
 
     def __mul__(self, other):
         return self.algebra.multiply(self, other)
+
+    def __pow__(self, n: int):
+        """self^n for n >= 0, by square and multiply."""
+        acc, x = self.algebra.one(self.scalar), self
+        while n:
+            if n & 1:
+                acc = acc * x
+            n >>= 1
+            if n:
+                x = x * x
+        return acc
 
     def is_zero(self) -> bool:
         return all(self.scalar.is_zero(c) for c in self.coeffs)
@@ -159,3 +176,92 @@ class Algebra:
             (e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :]
         )
         return idempotent, orthogonal, total.coeffs == times_d(self.one(scalar))
+
+    # -- splitting over finite fields ---------------------------------------
+
+    def _splitting_exponent(self, p: int) -> int:
+        """Order of x -> x^p on the semisimple part of the algebra over F_p,
+        which the basis spans once raised to a power p^k >= n.  It is the lcm
+        of the residue degrees of the primitive idempotents: F_{p^e} is the
+        least field where they all split."""
+        Fp = prime_field(p)
+        pk = p
+        while pk < self.n:
+            pk *= p
+        e = 1
+        for i in range(self.n):
+            s = self.basis_element(i, Fp) ** pk
+            t, period = s**p, 1
+            while t.coeffs != s.coeffs:
+                t, period = t**p, period + 1
+            e = lcm(e, period)
+        return e
+
+    def primitive_idempotents(
+        self, p: int, exponent: int | None = None
+    ) -> tuple[PrimeFieldRing, list[Element]]:
+        """The field F_q, q = p^exponent, and the primitive orthogonal
+        idempotents of this commutative algebra over F_q, sorted; they sum to 1.
+
+        Without an explicit exponent the field is the least one over which
+        every idempotent splits (see _splitting_exponent).  q is checked
+        against MAX_FIELD_ORDER before any splitting work.  Each vector b of
+        an F_p basis of the fixed space of x -> x^q combines the idempotents;
+        the Lagrange projectors prod_{mu != lam} (b - mu) / (lam - mu) over
+        the roots lam of its minimal polynomial sort them by coefficient in
+        b, so the nonzero products of the projectors of all b are the
+        primitive idempotents.
+        """
+        if not self.commutative:
+            raise ValueError("primitive idempotents are split only in a commutative algebra")
+        if exponent is None:
+            exponent = self._splitting_exponent(p)
+        q = p**exponent
+        if q > MAX_FIELD_ORDER:
+            raise GroupTooLarge(
+                f"field too large: q = {p}^{exponent} = {q} > field bound {MAX_FIELD_ORDER}"
+            )
+        field = prime_field(p, exponent)
+        Fp = prime_field(p)
+        n = self.n
+        frob = [(self.basis_element(i, Fp) ** q).coeffs for i in range(n)]
+        rows = [{j: frob[j][i] - (i == j) for j in range(n)} for i in range(n)]
+        fixed = integer_kernel(rows, n, Fp)
+        one = self.one(field).coeffs
+        idempotents = [self.one(field)]
+        for v in fixed:
+            if len(idempotents) == len(fixed):
+                break
+            b = self.element(v, Fp)
+            powers = [self.one(Fp)]
+            for _ in range(n):
+                powers.append(powers[-1] * b)
+            # the first kernel vector of [1, b, ..., b^n] is the minimal polynomial
+            rows = [{d: x.coeffs[i] for d, x in enumerate(powers)} for i in range(n)]
+            poly = integer_kernel(rows, n + 1, Fp)[0]
+            degree = max(d for d, c in enumerate(poly) if c)
+            coeffs = [field.coerce(c) for c in reversed(poly[: degree + 1])]
+            roots = []
+            for lam in field.elements():
+                acc = field.zero
+                for c in coeffs:
+                    acc = field.add(field.mul(acc, lam), c)
+                if field.is_zero(acc):
+                    roots.append(lam)
+                    if len(roots) == degree:
+                        break
+            bq = self.element(v, field).coeffs
+            projectors = []
+            for lam in roots:
+                piece = self.one(field)
+                for mu in roots:
+                    if mu != lam:
+                        scale = field.inv(field.sub(lam, mu))
+                        shifted = (field.sub(c, field.mul(mu, u)) for c, u in zip(bq, one))
+                        factor = tuple(field.mul(scale, c) for c in shifted)
+                        piece = piece * Element(self, field, factor)
+                projectors.append(piece)
+            idempotents = [f for e in idempotents for P in projectors if not (f := e * P).is_zero()]
+        if len(idempotents) != len(fixed):
+            raise RuntimeError("splitting did not reach the expected count")
+        return field, sorted(idempotents, key=lambda e: e.coeffs)

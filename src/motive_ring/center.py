@@ -1,23 +1,21 @@
-"""Centers of group algebras: class sums, structure constants, blocks.
+"""Centers of group algebras: class sums, structure constants, block oracles.
 
 Group-algebra elements are dicts element-index -> scalar; an element of
 the center stores one coefficient per conjugacy class (class-sum basis).
-Block idempotents over F_q come from the Frobenius fixed-point method on
-the one sparse integer elimination: x -> x^q has F_p entries on the class
-sums, the kernel of (x -> x^q) - id over F_p spans the primitive
-idempotents over F_q, and the Lagrange projectors of each kernel vector
-(roots of its minimal polynomial, found by scanning F_q) split them.
+The blocks of Z F_q G are its primitive idempotents, split by the algebra
+core (Algebra.primitive_idempotents); this module keeps the exhaustive
+scan that checks them without the core's products, and the test that they
+lie in the span of the crossed ring's center images.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
 
 from .algebra import Algebra, Element
-from .groups import FiniteGroup, GroupTooLarge
+from .groups import FiniteGroup
 from .linalg import integer_kernel
-from .scalars import PrimeFieldRing, ScalarRing, ZZ, prime_field
+from .scalars import PrimeFieldRing, ScalarRing, ZZ
 
 
 # -- group-algebra dict helpers ---------------------------------------------
@@ -110,110 +108,7 @@ class CenterAlgebra(Algebra):
         return Element(self, scalar, tuple(coords))
 
 
-# -- block idempotents over finite fields -------------------------------------
-
-MAX_FIELD_ORDER = 65536  # the root scan walks all of F_q
-
-
-def _power(x: Element, n: int) -> Element:
-    """x^n for n >= 1, by square and multiply."""
-    acc = x.algebra.one(x.scalar)
-    while n:
-        if n & 1:
-            acc = acc * x
-        x = x * x
-        n >>= 1
-    return acc
-
-
-def _splitting_exponent(Z: CenterAlgebra, p: int) -> int:
-    """Order of x -> x^p on the semisimple part of Z F_p G, which the class
-    sums span once raised to a power p^k >= n.  It is the lcm of the residue
-    degrees of the blocks: F_{p^e} is the least field where they all split."""
-    Fp = prime_field(p)
-    pk = p
-    while pk < Z.n:
-        pk *= p
-    e = 1
-    for c in Z.class_sums(Fp):
-        s = _power(c, pk)
-        t, period = _power(s, p), 1
-        while t.coeffs != s.coeffs:
-            t, period = _power(t, p), period + 1
-        e = lcm(e, period)
-    return e
-
-
-def block_idempotents(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
-    """Primitive orthogonal idempotents of Z F_q G, summing to 1, sorted.
-
-    Each vector b of an F_p basis of the fixed space of x -> x^q combines
-    them; the Lagrange projectors prod_{mu != lam} (b - mu) / (lam - mu) over
-    the roots lam of its minimal polynomial sort them by coefficient in b, so
-    the nonzero products of the projectors of all b are the blocks.
-    """
-    Fp = prime_field(field.p)
-    n = Z.n
-    frob = [_power(c, field.q).coeffs for c in Z.class_sums(Fp)]
-    fixed = integer_kernel([{j: frob[j][i] - (i == j) for j in range(n)} for i in range(n)], n, Fp)
-    blocks = [Z.one(field)]
-    for v in fixed:
-        if len(blocks) == len(fixed):
-            break
-        b = Z.element(v, Fp)
-        powers = [Z.one(Fp)]
-        for _ in range(n):
-            powers.append(powers[-1] * b)
-        # the first kernel vector of [1, b, ..., b^n] is the minimal polynomial
-        poly = integer_kernel([{d: x.coeffs[i] for d, x in enumerate(powers)} for i in range(n)], n + 1, Fp)[0]
-        degree = max(d for d, c in enumerate(poly) if c)
-        coeffs = [field.coerce(c) for c in reversed(poly[: degree + 1])]
-        roots = []
-        for lam in field.elements():
-            acc = field.zero
-            for c in coeffs:
-                acc = field.add(field.mul(acc, lam), c)
-            if field.is_zero(acc):
-                roots.append(lam)
-                if len(roots) == degree:
-                    break
-        bq = Z.element(v, field).coeffs
-        projectors = []
-        for lam in roots:
-            piece = Z.one(field)
-            for mu in roots:
-                if mu != lam:
-                    scale = field.inv(field.sub(lam, mu))
-                    shifted = (field.sub(bq[0], mu),) + bq[1:]
-                    piece = piece * Element(Z, field, tuple(field.mul(scale, c) for c in shifted))
-            projectors.append(piece)
-        blocks = [f for e in blocks for P in projectors if not (f := e * P).is_zero()]
-    if len(blocks) != len(fixed):
-        raise RuntimeError("block splitting did not reach the expected count")
-    return sorted(blocks, key=lambda e: e.coeffs)
-
-
-def blocks_mod_p(
-    G: FiniteGroup,
-    p: int,
-    exponent: int | None = None,
-    algebra: CenterAlgebra | None = None,
-) -> tuple[PrimeFieldRing, list[Element]]:
-    """Blocks of Z F_q G with q = p^exponent.
-
-    Without an explicit exponent the field is the least one over which every
-    block splits (see _splitting_exponent).  q is checked against
-    MAX_FIELD_ORDER before any block work.
-    """
-    Z = algebra if algebra is not None else CenterAlgebra(G)
-    if exponent is None:
-        exponent = _splitting_exponent(Z, p)
-    if p**exponent > MAX_FIELD_ORDER:
-        raise GroupTooLarge(
-            f"field too large: q = {p}^{exponent} = {p**exponent} > field bound {MAX_FIELD_ORDER}"
-        )
-    field = prime_field(p, exponent)
-    return field, block_idempotents(Z, field)
+# -- oracles for the blocks of Z F_q G ----------------------------------------
 
 
 def counted_structure_constants(G: FiniteGroup) -> dict[tuple[int, int, int], int]:

@@ -13,11 +13,11 @@ import sys
 from random import Random
 
 from .burnside import BurnsideRing
-from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, blocks_mod_p
+from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, NotNormal, construct_group, default_order_bound, parse_cycles
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
-from .scalars import QQ, ScalarError, prime_field, ring_from_tag
+from .scalars import QQ, PrimeFieldRing, ScalarError, prime_field, ring_from_tag
 from .subgroups import DEFAULT_LATTICE_BOUND, SubgroupClassTable
 from . import verify
 
@@ -102,16 +102,13 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
     return xring.element(coeffs, scalar)
 
 
-def _crossed_idempotents(xring: CrossedBurnsideRing, tag: str):
-    """The primitive idempotents (residual class, element) of the crossed
-    Burnside ring over Z or Zp:<p>; None for other coefficients."""
+def _dress_mode(tag: str):
+    """The Dress idempotent mode of a coefficient tag: "solvable" for Z,
+    the prime p for Zp:<p> (not yet checked prime), None for other tags."""
     if tag == "Z":
-        return xring.integral_idempotents()
+        return "solvable"
     if tag.startswith("Zp:"):
-        return [
-            (j, xring.with_identity_labels(f))
-            for j, f in xring.burnside.dress_idempotents(int(tag[3:]))
-        ]
+        return int(tag[3:])
     return None
 
 
@@ -176,14 +173,14 @@ def dispatch(args) -> tuple[dict, bool]:
         ring = BurnsideRing(table)
         tag = args.coeff or "Q"
         doc["coeff"] = tag
+        mode = _dress_mode(tag)
         if tag == "Q":
             idem = ring.rational_idempotents()
             doc["idempotents"] = [
                 {"class": table.classes[i].name, "element": e.to_json()}
                 for i, e in enumerate(idem)
             ]
-        elif tag == "Z" or tag.startswith("Zp:"):
-            mode = "solvable" if tag == "Z" else int(tag[3:])
+        elif mode is not None:
             family = ring.dress_idempotents(mode)
             doc["idempotents"] = [
                 {"residual": table.classes[j].name, "element": e.to_json()}
@@ -218,9 +215,10 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         tag = args.coeff or "Z"
         doc["coeff"] = tag
-        family = _crossed_idempotents(xring, tag)
-        if family is None:
+        mode = _dress_mode(tag)
+        if mode is None:
             raise UsageError(f"unsupported coefficients {tag!r} for these idempotents")
+        family = xring.dress_idempotents(mode)
         doc["idempotents"] = [
             {"residual": table.classes[j].name, "element": e.to_json()}
             for j, e in family
@@ -252,11 +250,12 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         tag = args.coeff or "Z"
         doc["coeff"] = tag
-        family = _crossed_idempotents(xring, tag)
-        if family is None:
+        mode = _dress_mode(tag)
+        if mode is None:
             raise UsageError(
                 f"unsupported coefficients {tag!r}: the summand decomposition is computed over Z or Zp:<p>"
             )
+        family = xring.dress_idempotents(mode)
         Z = CenterAlgebra(G)
         summands = []
         survivors = []
@@ -303,7 +302,7 @@ def dispatch(args) -> tuple[dict, bool]:
         exponent = None
         if args.coeff:
             ring = ring_from_tag(args.coeff)
-            if not hasattr(ring, "q"):
+            if not isinstance(ring, PrimeFieldRing):
                 raise UsageError("blocks need prime-field coefficients Fp:<p>[:<e>]")
             if p is not None and p != ring.p:
                 raise UsageError(f"--prime {p} and --coeff {args.coeff} name different primes")
@@ -312,7 +311,7 @@ def dispatch(args) -> tuple[dict, bool]:
         if p is None:
             raise UsageError("blocks requires --prime or --coeff Fp:<p>[:<e>]")
         Z = CenterAlgebra(G)
-        field, blocks = blocks_mod_p(G, p, exponent, algebra=Z)
+        field, blocks = Z.primitive_idempotents(p, exponent)
         doc["field"] = field.tag
         doc["blocks"] = [b.to_json() for b in blocks]
         doc["count"] = len(blocks)

@@ -21,7 +21,6 @@ from .burnside import BurnsideRing, GhostVector
 from .center import augmentation as ga_augmentation
 from .center import ga_equal, ga_mul
 from .groups import fixed_cosets, orbits
-from .linalg import integer_rank
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
 
@@ -266,13 +265,12 @@ class CrossedBurnsideRing(Algebra):
 
     # -- idempotents ----------------------------------------------------------------
 
-    def integral_idempotents(self) -> list[tuple[int, Element]]:
-        """The primitive idempotents over Z: embedded solvable-residual
-        idempotents of the Burnside ring, one per perfect residual class."""
-        out = []
-        for j, f in self.burnside.dress_idempotents("solvable"):
-            out.append((j, self.with_identity_labels(f)))
-        return out
+    def dress_idempotents(self, mode) -> list[tuple[int, Element]]:
+        """The Burnside ring's Dress idempotents for mode ("solvable" or a
+        prime p, see BurnsideRing.dress_idempotents), embedded.  For
+        "solvable" they are the primitive idempotents over Z, one per
+        perfect residual class."""
+        return [(j, self.with_identity_labels(f)) for j, f in self.burnside.dress_idempotents(mode)]
 
     def idempotent_oracle(self) -> list[Element]:
         """Independent scan for the primitive idempotents over Z.
@@ -339,8 +337,7 @@ class CrossedBurnsideRing(Algebra):
         agreement flag per class.
         """
         scalar = p_local(p)
-        dress = self.burnside.dress_idempotents(p)
-        embedded = [(j, self.with_identity_labels(f)) for j, f in dress]
+        embedded = self.dress_idempotents(p)
         fibers = self.table.residual_fiber_classes(p)
         idempotent, orthogonal, sum_is_one = self.idempotent_family([e for _, e in embedded])
         components = []
@@ -351,14 +348,12 @@ class CrossedBurnsideRing(Algebra):
                 # N(1)/1 is G, and e is G's own idempotent at the trivial class
                 order_w, rank_w = self.group.order, rank_g
             else:
-                quotient = self.table.quotient(cls.normalizer, cls.representative)
-                W = quotient.group
-                wtable = SubgroupClassTable(W, bound=max(W.order, 1))
-                wring = CrossedBurnsideRing(wtable)
-                wdress = dict(wring.burnside.dress_idempotents(p))
-                f1 = wdress[0]  # trivial class is first in the quotient's ordering
+                W = self.table.quotient(cls.normalizer, cls.representative)
+                wring = CrossedBurnsideRing(SubgroupClassTable(W, bound=max(W.order, 1)))
+                # the trivial class is first in the quotient's ordering
+                f1 = dict(wring.dress_idempotents(p))[0]
                 order_w = W.order
-                rank_w = wring.ideal_rank(wring.with_identity_labels(f1))
+                rank_w = wring.ideal_rank(f1)
             components.append(
                 {
                     "residual": cls.name,
@@ -383,10 +378,6 @@ class CrossedBurnsideRing(Algebra):
         }
 
     # -- rank checks -------------------------------------------------------------------
-
-    def center_image_rank(self, scalar: ScalarRing) -> int:
-        rows = self.center_image_rows()
-        return integer_rank((dict(enumerate(row)) for row in rows), scalar)
 
     def marks_matrix_rows(self) -> list[list[int]]:
         """Crossed marks of each basis pair, flattened to integer coordinates."""

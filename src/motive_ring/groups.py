@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 
 
 DEFAULT_DEGREE_BOUND = 16
@@ -21,7 +20,7 @@ class GroupTooLarge(ValueError):
 
 
 class NotNormal(ValueError):
-    """Quotient requested by a non-normal subgroup."""
+    """A quotient N/J requested with J not normal in N."""
 
 
 def default_order_bound() -> int:
@@ -406,16 +405,9 @@ def fixed_cosets(G: FiniteGroup, H, K) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """Quotient N/J as a permutation group plus the projection N -> W."""
-
-    group: FiniteGroup
-    projection: dict[int, int]
-
-
-def quotient_group(G: FiniteGroup, N, J) -> Quotient:
-    """Left-multiplication action of N on the cosets N/J.
+def quotient_group(G: FiniteGroup, N, J) -> FiniteGroup:
+    """N/J as the permutation group of the left-multiplication action of N
+    on the cosets N/J.
 
     J must be normal in N; raises NotNormal otherwise.
     """
@@ -442,11 +434,7 @@ def quotient_group(G: FiniteGroup, N, J) -> Quotient:
     W = FiniteGroup(degree, perms, order_bound=max(degree, 1))
     if W.order != len(Nset) // len(Jset):
         raise RuntimeError("quotient order mismatch")  # pragma: no cover
-    projection = {}
-    for n in Nset:
-        img = Permutation(tuple(where[G.mul(n, r)] for r in reps))
-        projection[n] = W.element_index(img)
-    return Quotient(W, projection)
+    return W
 
 
 # -- group construction ---------------------------------------------------

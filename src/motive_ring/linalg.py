@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import QQ, ScalarRing
+from .scalars import QQ, PrimeFieldRing, ScalarRing
 
 
 def solve_upper_triangular(matrix, rhs):
@@ -94,7 +94,7 @@ def _modulus(scalar: ScalarRing) -> int | None:
     An integer matrix has the same rank and kernel over F_q as over F_p,
     and the same over Z, Q and Z_(p) as over Q.
     """
-    return scalar.p if scalar.is_field and hasattr(scalar, "p") else None
+    return scalar.p if isinstance(scalar, PrimeFieldRing) else None
 
 
 def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:

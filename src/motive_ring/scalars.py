@@ -16,29 +16,32 @@ class ScalarError(ValueError):
 
 
 class ScalarRing:
-    """Common interface for the coefficient rings used by ring elements."""
+    """Common interface for the coefficient rings used by ring elements.
+
+    The arithmetic defaults are Python's own, right for the int and
+    Fraction elements of Z, Q and Z_(p); F_q overrides them.
+    """
 
     tag: str
-    is_field = False
 
     def coerce(self, value):
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul_int(self, a, n: int):
         """a times the integer n."""
-        return self.mul(a, self.coerce(n))
+        return a * n
 
     def is_zero(self, a):
         return a == self.zero
@@ -47,7 +50,7 @@ class ScalarRing:
         return str(a)
 
     def parse(self, text: str):
-        raise NotImplementedError
+        return self.coerce(Fraction(text))
 
     def __repr__(self):
         return f"<{self.tag}>"
@@ -75,25 +78,9 @@ class IntegerRing(ScalarRing):
             return int(value)
         raise ScalarError(f"cannot coerce {value!r} into Z")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def mul_int(self, a, n: int):
-        return a * n
-
-    def parse(self, text):
-        return self.coerce(Fraction(text))
-
 
 class RationalRing(ScalarRing):
     tag = "Q"
-    is_field = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -104,32 +91,17 @@ class RationalRing(ScalarRing):
             return Fraction(value)
         raise ScalarError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def mul_int(self, a, n: int):
-        return a * n
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def parse(self, text):
-        return Fraction(text)
 
 
 class PLocalRing(ScalarRing):
     """Rationals whose denominator is coprime to a fixed prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ScalarError(f"{p} is not prime")
         self.p = p
         self.tag = f"Zp:{p}"
@@ -148,21 +120,6 @@ class PLocalRing(ScalarRing):
             return value
         raise ScalarError(f"cannot coerce {value!r} into {self.tag}")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def mul_int(self, a, n: int):
-        return a * n
-
-    def parse(self, text):
-        return self.coerce(Fraction(text))
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -175,8 +132,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_mod(coeffs: list[int], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Reduce an integer coefficient list mod (modulus, p); modulus is monic."""
+def _poly_mod(coeffs, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Reduce an integer coefficient sequence mod (modulus, p); modulus is monic."""
     e = len(modulus) - 1
     coeffs = [c % p for c in coeffs]
     for i in range(len(coeffs) - 1, e - 1, -1):
@@ -189,49 +146,33 @@ def _poly_mod(coeffs: list[int], modulus: tuple[int, ...], p: int) -> tuple[int,
     return tuple(coeffs)
 
 
+def _digits(idx: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of idx, least significant first."""
+    digits = []
+    for _ in range(e):
+        idx, r = divmod(idx, p)
+        digits.append(r)
+    return tuple(digits)
+
+
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree e over F_p."""
-    # trial division against all monic polynomials of degree 1..e//2
-    def poly_from_index(idx, deg):
-        coeffs = []
-        for _ in range(deg):
-            coeffs.append(idx % p)
-            idx //= p
-        return coeffs + [1]
-
-    def divides(d, f):
-        # synthetic division of f by monic d over F_p, True if remainder 0
-        rem = list(f)
-        dd = len(d) - 1
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] % p
-            if c:
-                for j in range(dd + 1):
-                    rem[i - dd + j] = (rem[i - dd + j] - c * d[j]) % p
-        return all(c % p == 0 for c in rem[:dd])
-
+    """Lexicographically first monic irreducible of degree e over F_p, by
+    trial division against every monic polynomial of degree 1..e//2."""
     for idx in range(p**e):
-        f = poly_from_index(idx, e)
+        f = _digits(idx, p, e) + (1,)
         if f[0] == 0:  # divisible by x
             continue
-        ok = True
-        for deg in range(1, e // 2 + 1):
-            for didx in range(p**deg):
-                d = poly_from_index(didx, deg)
-                if divides(d, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tuple(f)
+        if all(
+            any(_poly_mod(f, _digits(d, p, deg) + (1,), p))
+            for deg in range(1, e // 2 + 1)
+            for d in range(p**deg)
+        ):
+            return f
     raise RuntimeError(f"no irreducible of degree {e} over F_{p}")
 
 
 class PrimeFieldRing(ScalarRing):
     """F_q with q = p^e.  Elements are ints for e = 1, coefficient tuples else."""
-
-    is_field = True
 
     def __init__(self, p: int, e: int = 1):
         if not _is_prime(p):
@@ -315,14 +256,7 @@ class PrimeFieldRing(ScalarRing):
     def elements(self):
         if self.e == 1:
             return list(range(self.p))
-        out = []
-        for idx in range(self.q):
-            coeffs = []
-            for _ in range(self.e):
-                coeffs.append(idx % self.p)
-                idx //= self.p
-            out.append(tuple(coeffs))
-        return out
+        return [_digits(idx, self.p, self.e) for idx in range(self.q)]
 
     def format(self, a):
         if self.e == 1:

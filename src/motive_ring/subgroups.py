@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, GroupTooLarge, Quotient, double_cosets, quotient_group
+from .groups import FiniteGroup, GroupTooLarge, double_cosets, quotient_group
 
 DEFAULT_LATTICE_BOUND = 200
 
@@ -365,7 +365,7 @@ class SubgroupClassTable:
             )
         return cache[(h, k)]
 
-    def quotient(self, N, J) -> Quotient:
+    def quotient(self, N, J) -> FiniteGroup:
         """Cached quotient construction (write-once memo)."""
         key = (subgroup_key(N), subgroup_key(J))
         cache = self._caches.setdefault("quotients", {})

@@ -13,7 +13,7 @@ from fractions import Fraction
 from random import Random
 
 from .burnside import BurnsideRing
-from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_mod_p, blocks_in_rho_span, ga_equal, ga_mul
+from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
 from .crossed import CrossedBurnsideRing
 from .groups import double_cosets, fixed_cosets
 from .linalg import integer_kernel, integer_rank, sparse_mat_mul
@@ -315,13 +315,14 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 
     def span_failures():
         expected = len(G.conjugacy_classes)
+        rows = [dict(enumerate(row)) for row in xring.center_image_rows()]
         for name, scalar in [("Q", QQ)] + [(f"F_{p}", prime_field(p)) for p in prime_divisors(G.order)]:
-            got = xring.center_image_rank(scalar)
+            got = integer_rank(rows, scalar)
             if got != expected:
                 yield f"rank over {name} is {got}, expected {expected}"
 
     def integral_image_failures():
-        for j, e in xring.integral_idempotents():
+        for j, e in xring.dress_idempotents("solvable"):
             img = xring.center_image(e)
             if img != ({} if table.classes[j].order > 1 else {0: 1}):
                 yield f"center image of the {table.classes[j].name} idempotent is {img}"
@@ -331,7 +332,7 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 
     if len(table) <= 14:
         oracle = xring.idempotent_oracle()
-        mine = sorted(e.coeffs for _, e in xring.integral_idempotents())
+        mine = sorted(e.coeffs for _, e in xring.dress_idempotents("solvable"))
         theirs = sorted(e.coeffs for e in oracle)
         checks.append(_check(
             "integral-idempotents-match-scan",
@@ -372,7 +373,7 @@ def center_checks(xring: CrossedBurnsideRing) -> list[Check]:
     def block_failures():
         rows = xring.center_image_rows()
         for p in prime_divisors(G.order):
-            field, blocks = blocks_mod_p(G, p, algebra=Z)
+            field, blocks = Z.primitive_idempotents(p)
             yield from _family_failures(Z, blocks, f"p={p}: block", f"p={p}: blocks")
             if field.q**Z.n <= 5000:
                 scan = block_scan_oracle(Z, field)

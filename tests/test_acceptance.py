@@ -13,9 +13,9 @@ import time
 
 from dense_linalg import rank_field
 
-from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, blocks_mod_p, ga_equal, ga_mul
+from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
 from motive_ring.cli import run
-from motive_ring.linalg import sparse_mat_mul
+from motive_ring.linalg import integer_rank, sparse_mat_mul
 from motive_ring.mackey import (
     center_to_hecke,
     crossed_to_mackey_center,
@@ -93,7 +93,7 @@ def test_criterion_1_a5_golden_idempotents(ws):
 def test_criterion_2_rho_images_of_a5_idempotents(ws):
     crit = Criterion(2, "images in Z(ZG): 1 for the trivial residual, 0 for the full one", 60)
     xr = ws.crossed("A5")
-    family = {ws.table("A5").classes[j].name: e for j, e in xr.integral_idempotents()}
+    family = {ws.table("A5").classes[j].name: e for j, e in xr.dress_idempotents("solvable")}
     crit.expect(xr.center_image(family["1#1"]) == {0: 1}, "image of the trivial-residual idempotent is not 1")
     crit.expect(xr.center_image(family["A5#1"]) == {}, "image of the full-residual idempotent is not 0")
     crit.finish()
@@ -103,7 +103,7 @@ def test_criterion_3_idempotent_scan_equivalence(ws):
     crit = Criterion(3, "integral idempotents equal the ghost-scan family for nine groups", 600)
     for name in ORACLE_GROUPS:
         xr = ws.crossed(name)
-        mine = sorted(e.coeffs for _, e in xr.integral_idempotents())
+        mine = sorted(e.coeffs for _, e in xr.dress_idempotents("solvable"))
         scanned = sorted(e.coeffs for e in xr.idempotent_oracle())
         crit.expect(mine == scanned, f"{name}: families differ ({len(mine)} vs {len(scanned)})")
     crit.finish()
@@ -222,10 +222,11 @@ def test_criterion_6_center_image_spans_group_algebra_center(ws):
     for name in RHO_GROUPS:
         xr = ws.crossed(name)
         nclasses = len(ws.group(name).conjugacy_classes)
-        got = xr.center_image_rank(QQ)
+        rows = [dict(enumerate(row)) for row in xr.center_image_rows()]
+        got = integer_rank(rows, QQ)
         crit.expect(got == nclasses, f"{name}: rank over Q is {got}, expected {nclasses}")
         for p in prime_divisors(ws.group(name).order):
-            got = xr.center_image_rank(prime_field(p))
+            got = integer_rank(rows, prime_field(p))
             crit.expect(got == nclasses, f"{name}: rank over F_{p} is {got}, expected {nclasses}")
     crit.finish()
 
@@ -303,9 +304,8 @@ def test_criterion_7_mackey_diagram_suite(ws):
 def test_criterion_8_blocks(ws):
     crit = Criterion(8, "block idempotents match the exhaustive scan and lie in the image span", 120)
     for name, p in BLOCK_CASES:
-        G = ws.group(name)
         Z = ws.center(name)
-        field, blocks = blocks_mod_p(G, p, algebra=Z)
+        field, blocks = Z.primitive_idempotents(p)
         scan = block_scan_oracle(Z, field)
         crit.expect(
             [b.coeffs for b in blocks] == [b.coeffs for b in scan],

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 import motive_ring
-from motive_ring.center import blocks_mod_p
+import motive_ring.algebra as algebra_mod
+from motive_ring.algebra import Algebra
 from motive_ring.crossed import CrossedBurnsideRing
-from motive_ring.groups import construct_group
+from motive_ring.groups import GroupTooLarge, construct_group
 from motive_ring.linalg import sparse_mat_mul
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local, prime_field
 from motive_ring.subgroups import SubgroupClassTable
@@ -176,11 +177,11 @@ def test_integer_idempotent_family_agrees_on_each_failure_mode(name, ws):
 
 
 def test_idempotent_family_over_fields_and_z_unchanged(ws):
-    G, Z = ws.group("A5"), ws.center("A5")
+    Z = ws.center("A5")
     xr = ws.crossed("A5")
-    cases = [(Z, blocks_mod_p(G, p, algebra=Z)[1]) for p in (2, 3, 5)]  # F_2, F_9, F_5
-    cases.append((xr, [e for _, e in xr.integral_idempotents()]))
-    cases.append((ws.center("C3"), blocks_mod_p(ws.group("C3"), 2, algebra=ws.center("C3"))[1]))
+    cases = [(Z, Z.primitive_idempotents(p)[1]) for p in (2, 3, 5)]  # F_2, F_9, F_5
+    cases.append((xr, [e for _, e in xr.dress_idempotents("solvable")]))
+    cases.append((ws.center("C3"), ws.center("C3").primitive_idempotents(2)[1]))
     for algebra, family in cases:
         assert algebra.idempotent_family(family) == (True, True, True)
         assert literal_idempotent_family(algebra, family) == (True, True, True)
@@ -190,3 +191,34 @@ def test_idempotent_family_over_fields_and_z_unchanged(ws):
     assert xr.idempotent_family(one) == literal_idempotent_family(xr, one) == (True, True, True)
     with pytest.raises(ScalarError, match="mixed scalar"):
         xr.idempotent_family([xr.one(QQ), xr.one(p_local(2))])
+
+
+# -- splitting over finite fields ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,scalar", [("S3", prime_field(3)), ("A4", prime_field(2, 2)), ("S3", QQ)])
+def test_power_is_repeated_multiplication(name, scalar, ws):
+    for algebra in (ws.center(name), ws.crossed(name)):
+        x = algebra.zero(scalar)
+        for i in range(algebra.n):
+            x = x + algebra.basis_element(i, scalar)
+            acc = algebra.one(scalar)
+            for n in range(7):
+                assert (x**n).coeffs == acc.coeffs
+                acc = acc * x
+
+
+def test_primitive_idempotents_refuse_a_noncommutative_algebra(ws):
+    with pytest.raises(ValueError, match="commutative"):
+        ws.mackey("C2").primitive_idempotents(2)
+
+
+def test_primitive_idempotents_check_the_field_bound_before_any_work(ws, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("splitting work started before the bound check")
+
+    monkeypatch.setattr(Algebra, "multiply", refuse)
+    monkeypatch.setattr(algebra_mod, "integer_kernel", refuse)
+    for algebra in (ws.center("S3"), ws.crossed("S3")):
+        with pytest.raises(GroupTooLarge, match="field bound 65536"):
+            algebra.primitive_idempotents(2, exponent=17)

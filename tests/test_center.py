@@ -4,6 +4,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_subgroups import gens_specs, small_group
 
 import motive_ring.center as center
 from motive_ring.algebra import Algebra
@@ -12,7 +14,6 @@ from motive_ring.center import (
     augmentation,
     block_scan_oracle,
     blocks_in_rho_span,
-    blocks_mod_p,
     counted_structure_constants,
 )
 from motive_ring.groups import GroupTooLarge, construct_group
@@ -91,9 +92,9 @@ def test_c2_center_image_augmentation(ws):
 
 def test_blocks_c2():
     G = construct_group("cyclic:2")
-    field, blocks = blocks_mod_p(G, 2)
+    field, blocks = CenterAlgebra(G).primitive_idempotents(2)
     assert field.tag == "Fp:2" and len(blocks) == 1
-    field, blocks = blocks_mod_p(G, 3)
+    field, blocks = CenterAlgebra(G).primitive_idempotents(3)
     assert field.tag == "Fp:3" and len(blocks) == 2
     assert [b.to_json() for b in blocks] == [
         {"()": "2", "(1 2)": "1"},
@@ -102,19 +103,18 @@ def test_blocks_c2():
 
 
 def test_blocks_s3(ws):
-    G = ws.group("S3")
-    field, blocks = blocks_mod_p(G, 2, algebra=ws.center("S3"))
+    field, blocks = ws.center("S3").primitive_idempotents(2)
     assert len(blocks) == 2
-    field, blocks = blocks_mod_p(G, 3, algebra=ws.center("S3"))
+    field, blocks = ws.center("S3").primitive_idempotents(3)
     assert len(blocks) == 1
 
 
 def test_blocks_default_exponent_splits_c3():
     G = construct_group("cyclic:3")
-    field, blocks = blocks_mod_p(G, 2)
+    field, blocks = CenterAlgebra(G).primitive_idempotents(2)
     assert field.tag == "Fp:2:2"
     assert len(blocks) == 3
-    field1, blocks1 = blocks_mod_p(G, 2, exponent=1)
+    field1, blocks1 = CenterAlgebra(G).primitive_idempotents(2, exponent=1)
     assert field1.tag == "Fp:2" and len(blocks1) == 2
 
 
@@ -170,14 +170,25 @@ SCAN_CASES = [
     ids=[f"{name}-{p}" + (f"-e{e}" if e else "") for name, p, e in SCAN_CASES],
 )
 def test_blocks_match_exhaustive_scan(name, p, exponent, ws):
-    G, Z = center_of(name, ws)
-    field, blocks = blocks_mod_p(G, p, exponent, algebra=Z)
+    _, Z = center_of(name, ws)
+    field, blocks = Z.primitive_idempotents(p, exponent)
     assert exponent is None or field.q == p**exponent
     if field.q**Z.n > 200000:
         pytest.skip("scan too large")
     scan = block_scan_oracle(Z, field)
     assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
     assert [b.coeffs for b in scan] == [b.coeffs for b in literal_block_scan(Z, field)]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_blocks_match_the_scan_on_random_groups(spec):
+    Z = CenterAlgebra(small_group(spec, max_order=24))
+    for p in prime_divisors(Z.group.order):
+        field, blocks = Z.primitive_idempotents(p)
+        assert Z.idempotent_family(blocks) == (True, True, True)
+        if field.q**Z.n <= 200000:
+            assert [b.coeffs for b in blocks] == [b.coeffs for b in block_scan_oracle(Z, field)]
 
 
 @pytest.mark.parametrize("name", ["S3", "D8", "A4", "S4", "A5", "S5"])
@@ -193,7 +204,7 @@ def test_counted_structure_constants_equal_the_products(name, ws):
 
 def test_block_scan_reads_no_product_from_the_algebra(ws, monkeypatch):
     Z = CenterAlgebra(ws.group("A4"))
-    field, blocks = blocks_mod_p(Z.group, 3, algebra=ws.center("A4"))
+    field, blocks = ws.center("A4").primitive_idempotents(3)
 
     def refuse(*args):
         raise AssertionError("the scan multiplied in the algebra")
@@ -221,7 +232,7 @@ def test_blocks_properties_and_rho_span(name, ws):
     xr = ws.crossed(name)
     rows = xr.center_image_rows()
     for p in prime_divisors(ws.group(name).order):
-        field, blocks = blocks_mod_p(ws.group(name), p, algebra=Z)
+        field, blocks = Z.primitive_idempotents(p)
         total = Z.zero(field)
         for a, b in enumerate(blocks):
             total = total + b
@@ -244,7 +255,7 @@ def test_blocks_properties_and_rho_span(name, ws):
     ],
 )
 def test_default_field_is_the_splitting_field(group, p, tag):
-    field, blocks = blocks_mod_p(construct_group(group), p)
+    field, blocks = CenterAlgebra(construct_group(group)).primitive_idempotents(p)
     assert field.tag == tag
 
 
@@ -252,7 +263,7 @@ def test_blocks_outside_one_center_image_row(ws):
     # over F_2 the blocks of S3 are not multiples of 1, the image of [S3/S3, 1]
     Z = ws.center("S3")
     xr = ws.crossed("S3")
-    field, blocks = blocks_mod_p(ws.group("S3"), 2, algebra=Z)
+    field, blocks = Z.primitive_idempotents(2)
     one_row = [list(Z.one(ZZ).coeffs)]
     assert one_row[0] in xr.center_image_rows()
     assert len(blocks) == 2
@@ -262,9 +273,9 @@ def test_blocks_outside_one_center_image_row(ws):
 
 def test_blocks_field_bound():
     with pytest.raises(GroupTooLarge, match="field bound 65536"):
-        blocks_mod_p(construct_group("sym:3"), 2, exponent=17)
+        CenterAlgebra(construct_group("sym:3")).primitive_idempotents(2, exponent=17)
     with pytest.raises(GroupTooLarge, match="7\\^10"):
-        blocks_mod_p(construct_group("cyclic:11"), 7)
+        CenterAlgebra(construct_group("cyclic:11")).primitive_idempotents(7)
 
 
 def test_blocks_minimality_via_scan(ws):
@@ -272,7 +283,7 @@ def test_blocks_minimality_via_scan(ws):
     # algorithm is the minimality statement for these centers
     Z = ws.center("S3")
     for p in (2, 3):
-        field, blocks = blocks_mod_p(ws.group("S3"), p, algebra=Z)
+        field, blocks = Z.primitive_idempotents(p)
         scan = block_scan_oracle(Z, field)
         assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
 

@@ -373,6 +373,30 @@ def test_stdout_matches_the_recorded_golden(argv):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == golden["stdout_sha256"]
 
 
+# blocks commands the goldens miss (extension fields, the default field of
+# cyclic and dihedral groups, the field bound): (the arguments after
+# --group, exit code, stdout sha256)
+PINNED_BLOCKS = [
+    ("cyclic:4 --coeff Fp:3:2", 0, "dd0203df8160d796ec65a9e4a25a435fcd7844a87172aa85e9877607d4111e68"),
+    ("cyclic:5 --prime 2", 0, "539a4aa44221cac8d831805701567b12dca605ac58e9a4baff4afc46fbc09e8b"),
+    ("cyclic:7 --prime 2", 0, "2e8a8249f5d9d12cfa6d6cc049a9c06278cf3cec08de9686cb23e81da34fd632"),
+    ("dihedral:5 --prime 2", 0, "4224845a7d55dafd9fe58027cf45fadc3b28248773aafa0367674e99785bda27"),
+    ("alt:4 --prime 2", 0, "9a0326c9139de198ce6df063db5529c7803bb98a02802ea03da96be8239056bd"),
+    ("alt:4 --prime 3", 0, "989b5fdd641cde36f7184fdb51f0c2801915560bcdd68f625ce25a00360185a0"),
+    ("alt:5 --coeff Fp:2:2", 0, "9d9f260fcb3e0827cec05c4cebb17a631ccc3a61811e420c3ecd84d7d0cc97b9"),
+    ("sym:3 --coeff Fp:2:3", 0, "eb1157fb4bb30f9c5646d38a652af9b3d03b24b78fa181ae24f137f663a94362"),
+    ("dihedral:4 --prime 2", 0, "a346262bf625093bb3246f2d36eedfb9904c4a4075be163e91a9029bd052aca8"),
+    ("cyclic:11 --prime 7", 3, "eb106b66fb3902ba2d3f2c2914d53126e4a2b99bc77b7adc9650fa58a5b69ca5"),
+]
+
+
+@pytest.mark.parametrize("args,code,sha256", PINNED_BLOCKS, ids=[a for a, _, _ in PINNED_BLOCKS])
+def test_blocks_stdout_is_pinned(args, code, sha256):
+    buf = io.StringIO()
+    assert run(["blocks", "--group", *args.split()], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+
 def test_a_failing_check_reports_its_last_failure(monkeypatch):
     # S3 is inside the exhaustive pair order, so pairs run in order (i, j)
     wrong = {(1, 2), (3, 1)}

@@ -8,6 +8,8 @@ import pytest
 from dense_linalg import rank_field
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_algebra import crossed_ring
+from test_center import literal_block_scan
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.center import ga_equal, ga_mul
@@ -131,7 +133,7 @@ def test_product_matches_orbit_oracle_sampled_s5():
 def test_product_matches_orbit_oracle_on_the_regular_quotient_s5():
     # S5 / 1 acting on its 120 cosets: the largest quotient p-local-report builds
     table = SubgroupClassTable(construct_group("sym:5"))
-    W = table.quotient(table.classes[-1].representative, table.classes[0].representative).group
+    W = table.quotient(table.classes[-1].representative, table.classes[0].representative)
     assert W.degree == W.order == 120
     xr = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
     assert_sampled_products_match_orbit_oracle(xr, 300, seed=1)
@@ -278,9 +280,10 @@ def test_center_image_is_conjugation_invariant(ws):
 def test_center_image_spans_center(name, ws):
     xr = ws.crossed(name)
     nclasses = len(ws.group(name).conjugacy_classes)
-    assert xr.center_image_rank(QQ) == nclasses
+    rows = [dict(enumerate(row)) for row in xr.center_image_rows()]
+    assert integer_rank(rows, QQ) == nclasses
     for p in prime_divisors(ws.group(name).order):
-        assert xr.center_image_rank(prime_field(p)) == nclasses
+        assert integer_rank(rows, prime_field(p)) == nclasses
 
 
 # -- integral idempotents --------------------------------------------------------------
@@ -289,14 +292,14 @@ def test_center_image_spans_center(name, ws):
 @pytest.mark.parametrize("name", ["C2", "C4", "V4", "S3", "D8", "Q8", "A4", "S4"])
 def test_soluble_integral_idempotent_is_identity(name, ws):
     xr = ws.crossed(name)
-    family = xr.integral_idempotents()
+    family = xr.dress_idempotents("solvable")
     assert len(family) == 1
     assert family[0][1].coeffs == xr.one().coeffs
 
 
 def test_a5_integral_idempotents_published_values(ws):
     xr = ws.crossed("A5")
-    family = {ws.table("A5").classes[j].name: e for j, e in xr.integral_idempotents()}
+    family = {ws.table("A5").classes[j].name: e for j, e in xr.dress_idempotents("solvable")}
     assert family["1#1"].to_json() == {
         "[1#1,()]": "1",
         "[C2#1,()]": "-2",
@@ -318,7 +321,7 @@ def test_a5_integral_idempotents_published_values(ws):
 
 def test_a5_center_images_of_idempotents(ws):
     xr = ws.crossed("A5")
-    family = {ws.table("A5").classes[j].name: e for j, e in xr.integral_idempotents()}
+    family = {ws.table("A5").classes[j].name: e for j, e in xr.dress_idempotents("solvable")}
     assert xr.center_image(family["1#1"]) == {0: 1}
     assert xr.center_image(family["A5#1"]) == {}
 
@@ -326,7 +329,7 @@ def test_a5_center_images_of_idempotents(ws):
 @pytest.mark.parametrize("name", ["C2", "C4", "V4", "S3", "D8"])
 def test_scan_oracle_equivalence_small(name, ws):
     xr = ws.crossed(name)
-    mine = sorted(e.coeffs for _, e in xr.integral_idempotents())
+    mine = sorted(e.coeffs for _, e in xr.dress_idempotents("solvable"))
     scanned = sorted(e.coeffs for e in xr.idempotent_oracle())
     assert mine == scanned
 
@@ -406,7 +409,7 @@ def regular_quotient_row(xr, p):
     """quotient_order and quotient_ideal_rank for J = 1 as computed from the
     regular permutation copy of N(1)/1 = G and its own lattice and ring."""
     cls = xr.table.classes[0]
-    W = xr.table.quotient(cls.normalizer, cls.representative).group
+    W = xr.table.quotient(cls.normalizer, cls.representative)
     wring = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
     f1 = dict(wring.burnside.dress_idempotents(p))[0]
     return W.order, wring.ideal_rank(wring.with_identity_labels(f1))
@@ -423,7 +426,7 @@ def test_p_local_trivial_class_row_matches_the_regular_quotient(name, ws):
 
 def test_serialization_roundtrip(ws):
     xr = ws.crossed("A5")
-    _, e = xr.integral_idempotents()[0]
+    _, e = xr.dress_idempotents("solvable")[0]
     doc = e.to_json()
     coeffs = [0] * xr.n
     for key, val in doc.items():
@@ -442,7 +445,7 @@ def test_idempotent_scan_multiplies_nothing(spec, monkeypatch):
     from motive_ring.algebra import Algebra
 
     xr = CrossedBurnsideRing(SubgroupClassTable(construct_group(spec)))
-    mine = sorted(e.coeffs for _, e in xr.integral_idempotents())
+    mine = sorted(e.coeffs for _, e in xr.dress_idempotents("solvable"))
 
     def refuse(*args):
         raise AssertionError("the scan multiplied in the algebra")
@@ -470,3 +473,30 @@ def test_ideal_rank_trace_matches_elimination(spec):
             rank = xr.ideal_rank(e)
             assert type(rank) is int
             assert rank == eliminated_ideal_rank(xr, e)
+
+
+# primitive idempotents of the crossed ring over F_p: more than the Dress
+# family on every pair (2, 2, 3, 3, 3, 3, 9, 5, 7, 8, 5, 16, 18 members)
+CROSSED_PRIMITIVE_COUNTS = {
+    ("C3", 2): 4, ("S3", 2): 4, ("S3", 3): 4, ("A4", 2): 4, ("A4", 3): 8,
+    ("S4", 2): 4, ("S4", 3): 24, ("A5", 2): 8, ("A5", 3): 13, ("A5", 5): 14,
+    ("S5", 2): 8, ("S5", 3): 33, ("S5", 5): 44,
+}
+
+
+@pytest.mark.parametrize("name,p", [("C3", 2), ("S3", 2), ("S3", 3), ("A4", 2)])
+def test_crossed_primitive_idempotents_match_the_literal_scan(name, p, ws):
+    xr = ws.crossed(name)
+    field, idempotents = xr.primitive_idempotents(p, exponent=1)
+    assert field.tag == f"Fp:{p}"
+    assert [e.coeffs for e in idempotents] == [e.coeffs for e in literal_block_scan(xr, field)]
+
+
+def test_crossed_primitive_idempotent_counts(ws):
+    counts = {}
+    for name, p in CROSSED_PRIMITIVE_COUNTS:
+        xr = crossed_ring(name, ws)
+        _, idempotents = xr.primitive_idempotents(p, exponent=1)
+        assert xr.idempotent_family(idempotents) == (True, True, True)
+        counts[(name, p)] = len(idempotents)
+    assert counts == CROSSED_PRIMITIVE_COUNTS
