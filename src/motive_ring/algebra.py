@@ -7,8 +7,10 @@ subclass supplies its basis size ``n``, its ``labels``, ``one()`` and the
 hook ``_basis_product(i, j)``; this module supplies the elements, their
 checks, the cached sparse products and one ``multiply`` over any scalar
 ring.  A commutative algebra also splits into its primitive idempotents
-over a finite field (primitive_idempotents).  The independent oracles of
-the subclasses keep their own loops.
+over a finite field (primitive_idempotents).  The comparison maps between
+the algebras are Z-linear, so each is a set of integer rows, one per basis
+element, read over any scalar ring by Element.image.  The independent
+oracles of the subclasses keep their own loops.
 """
 
 from __future__ import annotations
@@ -62,6 +64,19 @@ class Element:
 
     def is_zero(self) -> bool:
         return all(self.scalar.is_zero(c) for c in self.coeffs)
+
+    def image(self, row) -> dict:
+        """Image under a Z-linear map given by the integer rows row(i) =
+        {key: int} of the basis elements: the sum of c row(i) over the
+        nonzero coefficients c = coeffs[i], read over this element's scalar
+        ring.  Sparse: {key: nonzero value}."""
+        s = self.scalar
+        out: dict = {}
+        for i, c in enumerate(self.coeffs):
+            if not s.is_zero(c):
+                for key, m in row(i).items():
+                    out[key] = s.add(out.get(key, s.zero), s.mul_int(c, m))
+        return {key: v for key, v in out.items() if not s.is_zero(v)}
 
     def to_json(self) -> dict[str, str]:
         labels = self.algebra.labels

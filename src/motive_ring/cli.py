@@ -94,8 +94,15 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
     for key, value in raw.items():
         if not (key.startswith("[") and key.endswith("]")) or "," not in key:
             raise UsageError(f"malformed basis key {key!r}")
+        if isinstance(value, int) and not isinstance(value, bool):
+            value = str(value)
+        if not isinstance(value, str):
+            raise UsageError(f"coefficient of {key!r} must be a string or an integer")
         cls_name, _, label_str = key[1:-1].partition(",")
-        cls = xring.table.class_named(cls_name)
+        try:
+            cls = xring.table.class_named(cls_name)
+        except KeyError:
+            raise UsageError(f"unknown subgroup class {cls_name!r} in {key!r}") from None
         label = G.element_index(parse_cycles(label_str, G.degree))
         idx = xring.canonical_pair(cls.representative, label)
         coeffs[idx] = scalar.add(coeffs[idx], scalar.parse(value))
@@ -238,12 +245,11 @@ def dispatch(args) -> tuple[dict, bool]:
         xring = CrossedBurnsideRing(table)
         scalar = ring_from_tag(args.coeff or "Z")
         Z = CenterAlgebra(G)
-        images = {}
-        for i in range(xring.n):
-            img = xring.center_image(xring.basis_element(i, scalar))
-            images[xring.pairs[i].name] = Z.from_group_algebra(img, scalar).to_json()
         doc["coeff"] = scalar.tag
-        doc["images"] = images
+        doc["images"] = {
+            pair.name: Z.element(row, scalar).to_json()
+            for pair, row in zip(xring.pairs, xring.center_image_rows())
+        }
         doc["center_dimension"] = Z.n
 
     elif name == "motivic-report":
@@ -257,11 +263,12 @@ def dispatch(args) -> tuple[dict, bool]:
             )
         family = xring.dress_idempotents(mode)
         Z = CenterAlgebra(G)
+        rows = [dict(enumerate(row)) for row in xring.center_image_rows()]
         summands = []
         survivors = []
         for j, e in family:
-            img = xring.center_image(e)
-            zc = Z.from_group_algebra(img, e.scalar)
+            img = e.image(rows.__getitem__)
+            zc = Z.element([img.get(k, 0) for k in range(Z.n)], e.scalar)
             survives = not zc.is_zero()
             if survives:
                 survivors.append(table.classes[j].name)

@@ -68,7 +68,7 @@ class CrossedBurnsideRing(Algebra):
         self.pairs = tuple(pairs)
         self.n = len(pairs)
         self.labels = tuple(p.name for p in pairs)
-        self._fixed_coset_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._mark_rows: dict[int, list[dict[int, int]]] = {}
 
     # -- canonicalization ---------------------------------------------------
 
@@ -106,7 +106,8 @@ class CrossedBurnsideRing(Algebra):
         Points are pairs of cosets with the diagonal action, split into
         orbits through the generators of G; the label of a point is the
         product of the conjugated labels; each orbit is one transitive
-        crossed set.  The result has the sparse form of product.
+        crossed set, with the stabilizer rx H rx^-1 n ry K ry^-1 of its
+        first point (rx H, ry K).  The result has the sparse form of product.
         """
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
@@ -125,11 +126,7 @@ class CrossedBurnsideRing(Algebra):
         for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
             x0, y0 = orbit[0]
             rx, ry = reps_h[x0], reps_k[y0]
-            stab = frozenset(
-                g
-                for g in range(G.order)
-                if where_h[G.mul(g, rx)] == x0 and where_k[G.mul(g, ry)] == y0
-            )
+            stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
             label = G.mul(G.conj(rx, a), G.conj(ry, b))
             k = self.canonical_pair(stab, label)
             counts[k] = counts.get(k, 0) + 1
@@ -173,36 +170,34 @@ class CrossedBurnsideRing(Algebra):
 
     # -- marks -------------------------------------------------------------------
 
-    def _fixed_cosets(self, h_class: int, d_class: int) -> tuple[int, ...]:
-        """Coset reps gD with class-h representative inside gDg^-1."""
-        key = (h_class, d_class)
-        if key not in self._fixed_coset_cache:
-            classes = self.table.classes
-            self._fixed_coset_cache[key] = fixed_cosets(
-                self.group, classes[h_class].representative, classes[d_class].representative
-            )
-        return self._fixed_coset_cache[key]
+    def mark_rows(self, k: int) -> list[dict[int, int]]:
+        """Integer rows of the mark component at subgroup class k, one per
+        basis pair: row i counts the conjugates g a g^-1 of the label a of
+        pair [D,a] over the cosets gD whose conjugate gDg^-1 contains the
+        class-k representative.  Built once per class, on first use; class
+        0, the trivial subgroup, alone gives the center image."""
+        if k not in self._mark_rows:
+            G, classes = self.group, self.table.classes
+            H = classes[k].representative
+            cosets: dict[int, tuple[int, ...]] = {}  # subgroup class D -> fixed cosets
+            rows = []
+            for pair in self.pairs:
+                d = pair.subgroup_class
+                if d not in cosets:
+                    cosets[d] = fixed_cosets(G, H, classes[d].representative)
+                row: dict[int, int] = {}
+                for g in cosets[d]:
+                    t = G.conj(g, pair.label)
+                    row[t] = row.get(t, 0) + 1
+                rows.append(row)
+            self._mark_rows[k] = rows
+        return self._mark_rows[k]
 
     def crossed_marks(self, x: Element) -> CrossedGhostVector:
         """Per subgroup class H: sum of conjugated labels over H-fixed cosets."""
-        G = self.group
-        s = x.scalar
-        components = []
-        for cls in self.table.classes:
-            comp: dict = {}
-            for i, c in enumerate(x.coeffs):
-                if s.is_zero(c):
-                    continue
-                pair = self.pairs[i]
-                for g in self._fixed_cosets(cls.index, pair.subgroup_class):
-                    t = G.conj(g, pair.label)
-                    v = s.add(comp.get(t, s.zero), c)
-                    if s.is_zero(v):
-                        comp.pop(t, None)
-                    else:
-                        comp[t] = v
-            components.append(comp)
-        return CrossedGhostVector(s, tuple(components))
+        return CrossedGhostVector(
+            x.scalar, tuple(x.image(self.mark_rows(k).__getitem__) for k in range(len(self.table)))
+        )
 
     def ghost_multiply(self, u: CrossedGhostVector, v: CrossedGhostVector) -> CrossedGhostVector:
         s = u.scalar
@@ -237,31 +232,12 @@ class CrossedBurnsideRing(Algebra):
         [H,a] goes to the sum of the conjugates of a over coset
         representatives of H.
         """
-        G = self.group
-        s = x.scalar
-        out: dict = {}
-        for i, c in enumerate(x.coeffs):
-            if s.is_zero(c):
-                continue
-            pair = self.pairs[i]
-            H = self.table.classes[pair.subgroup_class].representative
-            for g in G.left_cosets(H):
-                t = G.conj(g, pair.label)
-                v = s.add(out.get(t, s.zero), c)
-                if s.is_zero(v):
-                    out.pop(t, None)
-                else:
-                    out[t] = v
-        return out
+        return x.image(self.mark_rows(0).__getitem__)
 
     def center_image_rows(self) -> list[list[int]]:
         """Center images of all basis pairs, as conjugacy-class coordinate rows."""
-        classes = self.group.conjugacy_classes
-        rows = []
-        for i in range(self.n):
-            img = self.center_image(self.basis_element(i))
-            rows.append([img.get(cls[0], 0) for cls in classes])
-        return rows
+        reps = [cls[0] for cls in self.group.conjugacy_classes]
+        return [[row.get(t, 0) for t in reps] for row in self.mark_rows(0)]
 
     # -- idempotents ----------------------------------------------------------------
 
@@ -381,14 +357,5 @@ class CrossedBurnsideRing(Algebra):
 
     def marks_matrix_rows(self) -> list[list[int]]:
         """Crossed marks of each basis pair, flattened to integer coordinates."""
-        rows = []
-        layout = []
-        for cls in self.table.classes:
-            layout.append(tuple(sorted(cls.centralizer)))
-        for i in range(self.n):
-            ghost = self.crossed_marks(self.basis_element(i, ZZ))
-            row: list[int] = []
-            for comp, support in zip(ghost.components, layout):
-                row.extend(comp.get(t, 0) for t in support)
-            rows.append(row)
-        return rows
+        layout = [(self.mark_rows(k), sorted(cls.centralizer)) for k, cls in enumerate(self.table.classes)]
+        return [[rows[i].get(t, 0) for rows, support in layout for t in support] for i in range(self.n)]

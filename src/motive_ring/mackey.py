@@ -11,7 +11,9 @@ caches the products sparsely as ((k, c), ...).  The Hecke algebra is the
 endomorphism algebra of the permutation module on Omega; spans project onto
 it by counting fibers, and the projection direction is fixed so the count is
 an algebra map onto matrix products.  Operators on Omega are sparse dicts
-{(to, from): value}.
+{(to, from): value}.  The projection pi, the central span image zeta of
+the crossed ring and the embedding iota of Z kG are integer rows, built
+once per basis element on this algebra and read over any scalar ring.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ class MackeyAlgebra(Algebra):
         self._index: dict[tuple[int, int, int], int] = {
             t: i for i, orbit in enumerate(spans) for t in orbit
         }
-        self._proj: dict[int, dict[tuple[int, int], int]] = {}
+        # the integer rows of the comparison maps, built once each on first use
+        self._proj: dict[int, dict[tuple[int, int], int]] = {}  # pi, per span
+        self._zeta: dict[int, dict[int, int]] = {}  # zeta, per crossed pair
+        self._iota: dict[int, dict[tuple[int, int], int]] = {}  # iota, per conjugacy class
 
     # -- points ---------------------------------------------------------------
 
@@ -198,7 +203,6 @@ class MackeyAlgebra(Algebra):
         In each the stabilizer is the full stabilizer of the point pair.
         """
         G = self.group
-        where = {H: si for si, H in enumerate(self.subgroups)}
         group_gens = G.small_generating_set(range(G.order))
         gens: set[int] = set()
         for si, H in enumerate(self.subgroups):
@@ -208,12 +212,12 @@ class MackeyAlgebra(Algebra):
             for K in below:
                 if any(K < L for L in below):
                     continue
-                eK = self.point_of(where[K], 0)
+                eK = self.point_of(self._position[K], 0)
                 gens.add(self.span_index(K, eK, eH))
                 gens.add(self.span_index(K, eH, eK))
             for g in group_gens:
                 gHg = G.conjugate_subgroup(g, H)
-                gens.add(self.span_index(gHg, self.point_of(si, g), self.point_of(where[gHg], 0)))
+                gens.add(self.span_index(gHg, self.point_of(si, g), self.point_of(self._position[gHg], 0)))
         return sorted(gens)
 
     def center_basis(self, scalar: ScalarRing):
@@ -276,10 +280,11 @@ class MackeyAlgebra(Algebra):
                 return False
         return True
 
-    # -- projection to the Hecke algebra --------------------------------------------------
+    # -- the comparison maps as integer rows ----------------------------------------------
 
     def project_matrix(self, i: int) -> dict[tuple[int, int], int]:
-        """Operator of basis span i, sparse: {(to, from): fiber points}."""
+        """Row of the projection pi onto the Hecke algebra: the operator of
+        basis span i, sparse {(to, from): fiber points}."""
         if i not in self._proj:
             b = self.basis[i]
             op: dict[tuple[int, int], int] = {}
@@ -289,17 +294,45 @@ class MackeyAlgebra(Algebra):
             self._proj[i] = op
         return self._proj[i]
 
+    def zeta_row(self, xring: CrossedBurnsideRing, i: int) -> dict[int, int]:
+        """Row of the central span image zeta of crossed pair i, for the
+        crossed ring of this algebra's class table: {span: multiplicity}.
+
+        The pair [L,a] contributes, for every subgroup U and every double
+        coset rep w of L\\G/U, the span with stabilizer w^-1 L w n U over
+        the point pair (eU, sU) in the U-component, where s = w^-1 a w.
+        """
+        if i not in self._zeta:
+            G = self.group
+            pair = xring.pairs[i]
+            L = xring.table.classes[pair.subgroup_class].representative
+            row: dict[int, int] = {}
+            for si, U in enumerate(self.subgroups):
+                for w in double_cosets(G, L, U)[0]:
+                    winv = G.inv(w)
+                    S = G.conjugate_subgroup(winv, L) & U
+                    s = G.conj(winv, pair.label)
+                    k = self.span_index(S, self.point_of(si, 0), self.point_of(si, s))
+                    row[k] = row.get(k, 0) + 1
+            self._zeta[i] = row
+        return self._zeta[i]
+
+    def iota_row(self, k: int) -> dict[tuple[int, int], int]:
+        """Row of the embedding iota of Z kG in the Hecke algebra at the k-th
+        class sum: the class sum acts on the permutation module k Omega by
+        x p for x in the class, so the row counts {(x p, p): elements x}."""
+        if k not in self._iota:
+            row: dict[tuple[int, int], int] = {}
+            for x in self.group.conjugacy_classes[k]:
+                for p, xp in enumerate(self.act[x]):
+                    row[(xp, p)] = row.get((xp, p), 0) + 1
+            self._iota[k] = row
+        return self._iota[k]
+
     def project(self, x: Element) -> dict:
         """Image in the endomorphism algebra of the permutation module,
         sparse: {(to, from): nonzero value}."""
-        s = x.scalar
-        op: dict = {}
-        for i, c in enumerate(x.coeffs):
-            if s.is_zero(c):
-                continue
-            for key, count in self.project_matrix(i).items():
-                op[key] = s.add(op.get(key, s.zero), s.mul_int(c, count))
-        return {key: v for key, v in op.items() if not s.is_zero(v)}
+        return x.image(self.project_matrix)
 
 
 class HeckeAlgebra:
@@ -321,64 +354,22 @@ class HeckeAlgebra:
         self.orbit_id = orbit_id  # orbit_id[x][y]: the orbit of the pair (x, y)
 
 
-# -- the two comparison maps -----------------------------------------------------
+# -- the comparison maps on elements ------------------------------------------------
 
 
 def crossed_to_mackey_center(
     mackey: MackeyAlgebra, xring: CrossedBurnsideRing, x: Element
 ) -> Element:
-    """Central span image of a crossed element.
-
-    A basis pair [L,a] contributes, for every subgroup U and every double
-    coset rep w of L\\G/U, the span with stabilizer w^-1 L w n U over the
-    point pair (eU, sU) in the U-component, where s = w^-1 a w.
-    """
-    G = mackey.group
+    """Central span image of a crossed element (MackeyAlgebra.zeta_row)."""
     s = x.scalar
-    acc = [s.zero] * mackey.n
-    for i, c in enumerate(x.coeffs):
-        if s.is_zero(c):
-            continue
-        pair = xring.pairs[i]
-        L = xring.table.classes[pair.subgroup_class].representative
-        a = pair.label
-        for si, U in enumerate(mackey.subgroups):
-            reps, _ = double_cosets(G, L, U)
-            for w in reps:
-                winv = G.inv(w)
-                S = G.conjugate_subgroup(winv, L) & U
-                slabel = G.conj(winv, a)
-                k = mackey.span_index(S, mackey.point_of(si, 0), mackey.point_of(si, slabel))
-                acc[k] = s.add(acc[k], c)
-    return Element(mackey, s, tuple(acc))
+    coeffs = [s.zero] * mackey.n
+    for k, v in x.image(lambda i: mackey.zeta_row(xring, i)).items():
+        coeffs[k] = v
+    return Element(mackey, s, tuple(coeffs))
 
 
-def center_to_hecke(
-    mackey: MackeyAlgebra, Z: CenterAlgebra, z: Element
-):
-    """Image of a central group-algebra element in the Hecke algebra,
-    sparse: {(to, from): nonzero value}, block diagonal over the G/H.
-
-    For each subgroup H and double coset rep g of H\\G/H the operator of
-    the span (H n gHg^-1 over (eH, gH)) enters with coefficient
-    sum over x in H of the coefficient of z at gx.
-    """
-    G = mackey.group
-    s = z.scalar
-    ga = Z.to_group_algebra(z)
-    op: dict = {}
-    for si, H in enumerate(mackey.subgroups):
-        reps, _ = double_cosets(G, H, H)
-        for g in reps:
-            coeff = s.zero
-            for h in H:
-                coeff = s.add(coeff, ga.get(G.mul(g, h), s.zero))
-            if s.is_zero(coeff):
-                continue
-            S = H & G.conjugate_subgroup(g, H)
-            x_pt = mackey.point_of(si, 0)
-            y_pt = mackey.point_of(si, g)
-            for v in G.left_cosets(S):
-                key = (mackey.act[v][y_pt], mackey.act[v][x_pt])
-                op[key] = s.add(op.get(key, s.zero), coeff)
-    return {key: v for key, v in op.items() if not s.is_zero(v)}
+def center_to_hecke(mackey: MackeyAlgebra, Z: CenterAlgebra, z: Element) -> dict:
+    """Image of a central group-algebra element z of Z in the Hecke algebra
+    (MackeyAlgebra.iota_row), sparse: {(to, from): nonzero value}, block
+    diagonal over the G/H."""
+    return z.image(mackey.iota_row)

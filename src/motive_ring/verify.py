@@ -435,17 +435,14 @@ def mackey_checks(
     )))
 
     hk = HeckeAlgebra(mk)
-    # integer rows of the rank checks, built once and read over each scalar
+    # the integer rows of zeta, pi o zeta, pi and iota, read over each scalar
     zeta_zz = [crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)) for i in range(xr.n)]
     proj_rows = [_flat(mk.project_matrix(i), mk.npoints) for i in range(mk.n)]
     comp_rows = [_flat(mk.project(z), mk.npoints) for z in zeta_zz]
-    iota_rows = [_flat(center_to_hecke(mk, Z, z), mk.npoints) for z in Z.class_sums(ZZ)]
+    iota_rows = [_flat(mk.iota_row(k), mk.npoints) for k in range(Z.n)]
     for scalar in scalars:
         tag = scalar.tag
-        zimgs = [
-            crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
-            for i in range(xr.n)
-        ]
+        zimgs = [mk.element(z.coeffs, scalar) for z in zeta_zz]
 
         ok = crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs == mk.one(scalar).coeffs
         checks.append(Check(f"zeta-unital[{tag}]", ok))
@@ -560,11 +557,7 @@ def zeta_surjectivity_check(
     mk: MackeyAlgebra, xr: CrossedBurnsideRing, scalar: ScalarRing
 ) -> Check:
     """Rank of the central span images against the full center dimension."""
-    rows = (
-        dict(enumerate(crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)).coeffs))
-        for i in range(xr.n)
-    )
-    rank = integer_rank(rows, scalar)
+    rank = integer_rank((mk.zeta_row(xr, i) for i in range(xr.n)), scalar)
     dim = len(mk.center_basis(scalar))
     return _check(
         f"zeta-image-spans-mackey-center[{scalar.tag}]",

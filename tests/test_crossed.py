@@ -6,14 +6,14 @@ from math import lcm
 
 import pytest
 from dense_linalg import rank_field
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_algebra import crossed_ring
 from test_center import literal_block_scan
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.center import ga_equal, ga_mul
-from motive_ring.groups import construct_group, parse_cycles
+from motive_ring.groups import construct_group, orbits, parse_cycles
 from motive_ring.linalg import integer_rank
 from motive_ring.scalars import QQ, ZZ, ScalarError, prime_field
 from motive_ring.subgroups import SubgroupClassTable, prime_divisors
@@ -137,6 +137,44 @@ def test_product_matches_orbit_oracle_on_the_regular_quotient_s5():
     assert W.degree == W.order == 120
     xr = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
     assert_sampled_products_match_orbit_oracle(xr, 300, seed=1)
+
+
+def literal_orbit_stabilizers(xr, i, j):
+    """(stabilizer, label) of the first point of every orbit of the product
+    set of pairs i and j, in the oracle's orbit order; the stabilizer is
+    found by testing every element of G."""
+    G = xr.group
+    H = xr.table.classes[xr.pairs[i].subgroup_class].representative
+    K = xr.table.classes[xr.pairs[j].subgroup_class].representative
+    reps_h, where_h = G.coset_lookup(H)
+    reps_k, where_k = G.coset_lookup(K)
+    gens = [
+        ([where_h[G.mul(g, r)] for r in reps_h], [where_k[G.mul(g, r)] for r in reps_k])
+        for g in G.generator_indices
+    ]
+    points = [(x, y) for x in range(len(reps_h)) for y in range(len(reps_k))]
+    out = []
+    for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
+        x0, y0 = orbit[0]
+        rx, ry = reps_h[x0], reps_k[y0]
+        stab = frozenset(
+            g for g in range(G.order) if where_h[G.mul(g, rx)] == x0 and where_k[G.mul(g, ry)] == y0
+        )
+        out.append((stab, G.mul(G.conj(rx, xr.pairs[i].label), G.conj(ry, xr.pairs[j].label))))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5"])
+def test_oracle_stabilizers_match_the_literal_scan(spec, monkeypatch):
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group(spec)))
+    seen = []
+    canonical = xr.canonical_pair
+    monkeypatch.setattr(xr, "canonical_pair", lambda stab, label: seen.append((stab, label)) or canonical(stab, label))
+    for i in range(xr.n):
+        for j in range(xr.n):
+            seen.clear()
+            xr.basis_product_oracle(i, j)
+            assert seen == literal_orbit_stabilizers(xr, i, j)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -332,6 +370,16 @@ def test_scan_oracle_equivalence_small(name, ws):
     mine = sorted(e.coeffs for _, e in xr.dress_idempotents("solvable"))
     scanned = sorted(e.coeffs for e in xr.idempotent_oracle())
     assert mine == scanned
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_scan_oracle_equivalence_on_random_groups(spec):
+    table = SubgroupClassTable(small_group(spec, max_order=24))
+    assume(len(table) <= 14)
+    xr = CrossedBurnsideRing(table)
+    mine = sorted(e.coeffs for _, e in xr.dress_idempotents("solvable"))
+    assert mine == sorted(e.coeffs for e in xr.idempotent_oracle())
 
 
 def test_scan_oracle_trivial_group():
