@@ -19,11 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .groups import GroupTooLarge
 from .linalg import integer_kernel
 from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
-
-MAX_FIELD_ORDER = 65536  # the root scan walks all of F_q
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,10 @@ class Algebra:
         idempotents of this commutative algebra over F_q, sorted; they sum to 1.
 
         Without an explicit exponent the field is the least one over which
-        every idempotent splits (see _splitting_exponent).  q is checked
-        against MAX_FIELD_ORDER before any splitting work.  Each vector b of
-        an F_p basis of the fixed space of x -> x^q combines the idempotents;
+        every idempotent splits (see _splitting_exponent).  Building F_q
+        checks q against scalars.MAX_FIELD_ORDER, before any splitting
+        work.  Each vector b of an F_p basis of the fixed space of
+        x -> x^q combines the idempotents;
         the Lagrange projectors prod_{mu != lam} (b - mu) / (lam - mu) over
         the roots lam of its minimal polynomial sort them by coefficient in
         b, so the nonzero products of the projectors of all b are the
@@ -231,15 +229,10 @@ class Algebra:
             raise ValueError("primitive idempotents are split only in a commutative algebra")
         if exponent is None:
             exponent = self._splitting_exponent(p)
-        q = p**exponent
-        if q > MAX_FIELD_ORDER:
-            raise GroupTooLarge(
-                f"field too large: q = {p}^{exponent} = {q} > field bound {MAX_FIELD_ORDER}"
-            )
         field = prime_field(p, exponent)
         Fp = prime_field(p)
         n = self.n
-        frob = [(self.basis_element(i, Fp) ** q).coeffs for i in range(n)]
+        frob = [(self.basis_element(i, Fp) ** field.q).coeffs for i in range(n)]
         rows = [{j: frob[j][i] - (i == j) for j in range(n)} for i in range(n)]
         fixed = integer_kernel(rows, n, Fp)
         one = self.one(field).coeffs

@@ -250,24 +250,25 @@ class MackeyAlgebra(Algebra):
         support = sorted(i for block in diagonal.values() for i in block)
         return integer_kernel(rows.values(), self.n, scalar, support=support)
 
-    def is_central(self, x: Element) -> bool:
-        """True if x commutes with every basis span.
+    def commutator(self, x: dict, scalar: ScalarRing) -> dict:
+        """The commutators x b - b x with every basis span b, for x given by
+        its nonzero coefficients {span: value} over the scalar ring: sparse
+        {(b, k): nonzero value}, k the span of the coefficient.
 
-        This is the oracle for center membership: it tests the whole basis,
-        not the generator_spans that center_basis relies on.  A product i j
-        is empty unless the source component of i is the target component
-        of j, so each span j is multiplied only with the support spans that
-        meet it that way; every other product is zero on both sides.
+        A product i j is empty unless the source component of i is the
+        target component of j, so each span b is multiplied only with the
+        support spans that meet it that way; every other product is zero
+        on both sides.
         """
-        s = x.scalar
+        s = scalar
         source = [self.component(b.x) for b in self.basis]
         target = [self.component(b.y) for b in self.basis]
         by_source: dict[int, list] = {}  # support spans i by source: i j may be nonzero
         by_target: dict[int, list] = {}  # support spans i by target: j i may be nonzero
-        for i, a in enumerate(x.coeffs):
-            if not s.is_zero(a):
-                by_source.setdefault(source[i], []).append((i, a))
-                by_target.setdefault(target[i], []).append((i, a))
+        for i, a in x.items():
+            by_source.setdefault(source[i], []).append((i, a))
+            by_target.setdefault(target[i], []).append((i, a))
+        out: dict = {}
         for j in range(self.n):
             diff: dict[int, object] = {}
             for i, a in by_source.get(target[j], ()):
@@ -276,9 +277,17 @@ class MackeyAlgebra(Algebra):
             for i, a in by_target.get(source[j], ()):
                 for k, c in self.product(j, i):
                     diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
-            if not all(s.is_zero(v) for v in diff.values()):
-                return False
-        return True
+            out.update(((j, k), v) for k, v in diff.items() if not s.is_zero(v))
+        return out
+
+    def is_central(self, x: Element) -> bool:
+        """True if x commutes with every basis span.
+
+        This is the oracle for center membership: it tests the whole basis
+        (commutator), not the generator_spans that center_basis relies on.
+        """
+        s = x.scalar
+        return not self.commutator({i: a for i, a in enumerate(x.coeffs) if not s.is_zero(a)}, s)
 
     # -- the comparison maps as integer rows ----------------------------------------------
 

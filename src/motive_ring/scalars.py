@@ -10,6 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from .groups import GroupTooLarge
+
+MAX_FIELD_ORDER = 65536  # the root and idempotent scans walk all of F_q
+
 
 class ScalarError(ValueError):
     """Raised when a value does not belong to the requested scalar ring."""
@@ -171,10 +175,27 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {e} over F_{p}")
 
 
+def _check_field_order(p: int, e: int) -> None:
+    """Refuse F_q, q = p^e, above MAX_FIELD_ORDER with GroupTooLarge.
+
+    Nothing large is formed: p^e has at most e * bits(p) bits, and only
+    when that is small is it computed and printed.  Exponents below 1 and
+    p below 2 name no field and are left to the checks of PrimeFieldRing.
+    """
+    if p < 2 or e < 1:
+        return
+    if e * p.bit_length() > 4096:  # p^e >= 2^(e (bits(p) - 1)) > 2^2048
+        raise GroupTooLarge(f"field too large: q = {p}^{e} > field bound {MAX_FIELD_ORDER}")
+    q = p**e
+    if q > MAX_FIELD_ORDER:
+        raise GroupTooLarge(f"field too large: q = {p}^{e} = {q} > field bound {MAX_FIELD_ORDER}")
+
+
 class PrimeFieldRing(ScalarRing):
     """F_q with q = p^e.  Elements are ints for e = 1, coefficient tuples else."""
 
     def __init__(self, p: int, e: int = 1):
+        _check_field_order(p, e)  # first: the prime test trial-divides p
         if not _is_prime(p):
             raise ScalarError(f"{p} is not prime")
         if e < 1:

@@ -198,6 +198,26 @@ def test_blocks_field_bound_exits_3_at_once(argv):
     assert "field bound 65536" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mackey-check", "--group", "sym:3", "--coeff", "Fp:2:40"],
+        ["mackey-check", "--group", "sym:3", "--coeff", "Fp:2:17"],
+        ["blocks", "--group", "sym:3", "--coeff", "Fp:2:99999999999"],
+        ["rho", "--group", "sym:3", "--coeff", "Fp:3:99999999999"],
+        ["cbr-multiply", "--group", "sym:3", "--coeff", "Fp:70001", "--x", "{}", "--y", "{}"],
+        ["blocks", "--group", "sym:3", "--prime", "1000000000000000000000007"],
+    ],
+)
+def test_an_oversized_field_exits_3_at_once_on_every_subcommand(argv):
+    start = time.perf_counter()
+    code, doc, _ = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and doc["exit"] == 3
+    assert doc["error"].startswith("field too large: q = ")
+    assert doc["error"].endswith("> field bound 65536")
+
+
 def test_blocks_large_prime_field_inside_the_bound():
     code, doc, _ = invoke(["blocks", "--group", "sym:4", "--prime", "7919"])
     assert code == 0

@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from dense_linalg import back_substitute, nullspace_field, rank_field
 
+from motive_ring.groups import GroupTooLarge
 from motive_ring.linalg import integer_kernel, integer_rank, solve_upper_triangular
 from motive_ring.scalars import (
+    MAX_FIELD_ORDER,
     QQ,
     ZZ,
+    PrimeFieldRing,
     ScalarError,
     p_local,
     prime_field,
@@ -23,6 +26,26 @@ def test_tag_roundtrip():
         assert ring_from_tag(tag).tag == tag
     with pytest.raises(ScalarError):
         ring_from_tag("R")
+
+
+def test_a_field_is_bounded_before_it_is_built():
+    assert prime_field(2, 16).q == MAX_FIELD_ORDER == 65536
+    assert prime_field(65521).q == 65521  # the largest prime inside the bound
+    with pytest.raises(GroupTooLarge, match=r"^field too large: q = 2\^17 = 131072 > field bound 65536$"):
+        PrimeFieldRing(2, 17)
+    with pytest.raises(GroupTooLarge, match=r"^field too large: q = 65537\^1 = 65537 > field bound 65536$"):
+        ring_from_tag("Fp:65537")
+    # an exponent whose power would not fit in memory is named, not formed
+    with pytest.raises(GroupTooLarge, match=r"^field too large: q = 3\^99999999999 > field bound 65536$"):
+        ring_from_tag("Fp:3:99999999999")
+    # names of no field are still refused as input errors
+    for tag, error in [
+        ("Fp:4", "4 is not prime"),
+        ("Fp:2:0", "field exponent must be >= 1"),
+        ("Fp:1:9", "1 is not prime"),
+    ]:
+        with pytest.raises(ScalarError, match=error):
+            ring_from_tag(tag)
 
 
 def test_integer_ring_rejects_fractions():
