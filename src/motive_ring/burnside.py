@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Element
-from .groups import fixed_cosets
 from .linalg import solve_upper_triangular
 from .scalars import QQ, ZZ, ScalarRing, ScalarError, p_local
 from .subgroups import SubgroupClassTable
@@ -48,14 +47,21 @@ class BurnsideRing(Algebra):
     # -- marks ------------------------------------------------------------
 
     def table_of_marks(self) -> TableOfMarks:
+        """Marks read off the lattice: the cosets gK_j fixed by H_i are those
+        with H_i <= gK_jg^-1, and |N_G(K_j):K_j| cosets give each conjugate,
+        so the mark is |N_G(K_j):K_j| times the number of class-j subgroups
+        containing H_i."""
         if self._marks is None:
-            reps = [c.representative for c in self.table.classes]
+            classes = self.table.classes
+            counts = [[0] * self.n for _ in range(self.n)]
+            for K in self.table.all_subgroups:
+                j = self.table.fusion(K)[0]
+                for i in range(j + 1):  # H_i <= K needs i <= j in the class order
+                    if classes[i].representative <= K:
+                        counts[i][j] += 1
             rows = tuple(
-                tuple(
-                    len(fixed_cosets(self.group, H, K)) if i <= j else 0
-                    for j, K in enumerate(reps)
-                )
-                for i, H in enumerate(reps)
+                tuple(c * (len(cls.normalizer) // cls.order) for c, cls in zip(row, classes))
+                for row in counts
             )
             self._marks = TableOfMarks(self.labels, rows)
         return self._marks

@@ -17,7 +17,7 @@ from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, NotNormal, construct_group, default_order_bound, parse_cycles
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
-from .scalars import QQ, PrimeFieldRing, ScalarError, prime_field, ring_from_tag
+from .scalars import QQ, PrimeFieldRing, ScalarError, check_prime_bound, prime_field, ring_from_tag, tag_int
 from .subgroups import DEFAULT_LATTICE_BOUND, SubgroupClassTable
 from . import verify
 
@@ -37,17 +37,25 @@ SUBCOMMANDS = [
 ]
 
 
+# subcommands that never read --coeff
+IGNORE_COEFF = {"subgroups", "marks", "cbr-basis", "p-local-report", "verify-all"}
+
+
 class UsageError(ValueError):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser, with a subparser for each of names.  When only some are
+    built, the usage line still lists every subcommand, so their usage
+    errors print as they would with the full parser."""
     parser = argparse.ArgumentParser(
         prog="motive-ring",
         description="Exact Burnside / crossed Burnside ring computations",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in SUBCOMMANDS:
+    every = "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", metavar=None if names == SUBCOMMANDS else every)
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("--group", required=True, help="sym:N | alt:N | cyclic:N | dihedral:N | gens:\"<cycles>;...\"")
         p.add_argument("--coeff", default=None, help="Z | Q | Zp:<p> | Fp:<p>[:<e>]")
@@ -115,13 +123,15 @@ def _dress_mode(tag: str):
     if tag == "Z":
         return "solvable"
     if tag.startswith("Zp:"):
-        return int(tag[3:])
+        return tag_int(tag, tag[3:])
     return None
 
 
 def run(argv, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    parser = build_parser()
+    # a known subcommand needs only its own subparser; anything else (help,
+    # no command, an unknown one) gets all of them, for the full usage text
+    parser = build_parser(argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -147,6 +157,11 @@ def dispatch(args) -> tuple[dict, bool]:
     order_bound = args.bound if args.bound is not None else default_order_bound()
     degree_bound = max(16, args.bound or 0)
     G = construct_group(args.group, degree_bound=degree_bound, order_bound=order_bound)
+    # a p-local prime past the bound of the primality test is refused before the lattice
+    if args.command == "p-local-report" and args.prime is not None:
+        check_prime_bound(args.prime)
+    elif args.command not in IGNORE_COEFF and (args.coeff or "").startswith("Zp:"):
+        check_prime_bound(tag_int(args.coeff, args.coeff[3:]))
     table = SubgroupClassTable(G, bound=lattice_bound)
     rng = Random(args.seed)
     doc: dict = {"command": args.command, "group": args.group}

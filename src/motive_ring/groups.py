@@ -306,36 +306,58 @@ class FiniteGroup:
     # -- subgroups (as frozensets of element indices) ----------------------
 
     def closure(self, gens) -> frozenset[int]:
-        """Subgroup generated by the given element indices."""
-        els = {0}
-        gens = [g for g in gens if g != 0]
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = self._mul[a][g]
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(els)
+        """Subgroup generated by the given element indices (Dimino's algorithm)."""
+        elements, members, used = [0], {0}, []
+        for g in gens:
+            if g not in members:
+                used.append(g)
+                self._extend(elements, members, used)
+        return frozenset(elements)
+
+    def _extend(self, elements, members, gens) -> None:
+        """Grow the subgroup H = <gens[:-1]>, listed in elements and held in
+        members, to <gens> in place; gens[-1] lies outside H.
+
+        Dimino: the new subgroup is a union of cosets rH.  Left
+        multiplication by a generator s carries rH to (s r)H, so the
+        representatives are reached as products s r, and a product already
+        in members names a coset already taken.  Each new coset is read off
+        the table row of its representative.
+        """
+        mul = self._mul
+        H = elements[:]
+        reps = [0]  # H itself, whose products s H are H again or gH
+        for r in reps:
+            for s in gens:
+                t = mul[s][r]
+                if t not in members:
+                    row = mul[t]
+                    coset = [row[h] for h in H]
+                    elements.extend(coset)
+                    members.update(coset)
+                    reps.append(t)
 
     def small_generating_set(self, subgroup) -> list[int]:
+        """Generators chosen greedily in increasing order: each is the least
+        element outside the subgroup generated by the ones before it."""
         gens: list[int] = []
-        cur = frozenset({0})
+        elements, members = [0], {0}
+        n = len(subgroup)
         for x in sorted(subgroup):
-            if x not in cur:
+            if len(elements) == n:
+                break
+            if x not in members:
                 gens.append(x)
-                cur = self.closure(gens)
-                if len(cur) == len(subgroup):
-                    break
+                self._extend(elements, members, gens)
         return gens
 
-    def centralizer(self, subgroup) -> frozenset[int]:
-        gens = self.small_generating_set(subgroup) or [0]
+    def centralizer(self, elements) -> frozenset[int]:
+        """Elements commuting with every given element: the centralizer of
+        the subgroup they generate, so a generating set is enough."""
+        mul = self._mul
+        pairs = [(h, mul[h]) for h in elements]
         return frozenset(
-            g for g in range(self.order) if all(self.mul(g, h) == self.mul(h, g) for h in gens)
+            g for g, row in enumerate(mul) if all(row[h] == hrow[g] for h, hrow in pairs)
         )
 
     def conjugate_subgroup(self, g: int, subgroup) -> frozenset[int]:
@@ -347,24 +369,26 @@ class FiniteGroup:
 
     def left_cosets(self, subgroup) -> list[int]:
         """Canonical left-coset representatives of the subgroup (least member)."""
-        sub = sorted(subgroup)
+        sub = list(subgroup)
         seen = [False] * self.order
         reps = []
-        for g in range(self.order):
+        for g, row in enumerate(self._mul):
             if seen[g]:
                 continue
             reps.append(g)
             for h in sub:
-                seen[self.mul(g, h)] = True
+                seen[row[h]] = True
         return reps
 
     def coset_lookup(self, subgroup):
         """(reps, element -> coset index) for left cosets of the subgroup."""
         reps = self.left_cosets(subgroup)
         where = [0] * self.order
+        mul = self._mul
         for idx, r in enumerate(reps):
+            row = mul[r]
             for h in subgroup:
-                where[self.mul(r, h)] = idx
+                where[row[h]] = idx
         return reps, where
 
 

@@ -105,6 +105,7 @@ class PLocalRing(ScalarRing):
     """Rationals whose denominator is coprime to a fixed prime p."""
 
     def __init__(self, p: int):
+        check_prime_bound(p)
         if not _is_prime(p):
             raise ScalarError(f"{p} is not prime")
         self.p = p
@@ -125,15 +126,40 @@ class PLocalRing(ScalarRing):
         raise ScalarError(f"cannot coerce {value!r} into {self.tag}")
 
 
+# The Miller-Rabin test to the prime bases 2..41 decides primality for every
+# p below 3.3 * 10^24 (Sorenson and Webster, 2015); a larger p is refused.
+PRIME_BOUND = 3317044064679887385961980
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test for p <= PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def check_prime_bound(p: int) -> None:
+    """Refuse p above PRIME_BOUND, whose primality is not decided, with
+    GroupTooLarge."""
+    if p > PRIME_BOUND:
+        raise GroupTooLarge(f"prime too large: p = {p} > prime bound {PRIME_BOUND}")
 
 
 def _poly_mod(coeffs, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -195,7 +221,7 @@ class PrimeFieldRing(ScalarRing):
     """F_q with q = p^e.  Elements are ints for e = 1, coefficient tuples else."""
 
     def __init__(self, p: int, e: int = 1):
-        _check_field_order(p, e)  # first: the prime test trial-divides p
+        _check_field_order(p, e)  # first: it also bounds the prime test
         if not _is_prime(p):
             raise ScalarError(f"{p} is not prime")
         if e < 1:
@@ -322,6 +348,15 @@ def prime_field(p: int, e: int = 1) -> PrimeFieldRing:
     return _field_cache[(p, e)]
 
 
+def tag_int(tag: str, text: str) -> int:
+    """An integer field of a coefficient tag; ScalarError naming the tag if
+    it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ScalarError(f"malformed coefficient tag {tag!r}") from None
+
+
 def ring_from_tag(tag: str) -> ScalarRing:
     """Parse a coefficient tag: Z | Q | Zp:<p> | Fp:<p>[:<e>]."""
     if tag == "Z":
@@ -329,11 +364,9 @@ def ring_from_tag(tag: str) -> ScalarRing:
     if tag == "Q":
         return QQ
     if tag.startswith("Zp:"):
-        return p_local(int(tag[3:]))
+        return p_local(tag_int(tag, tag[3:]))
     if tag.startswith("Fp:"):
         parts = tag[3:].split(":")
-        if len(parts) == 1:
-            return prime_field(int(parts[0]))
-        if len(parts) == 2:
-            return prime_field(int(parts[0]), int(parts[1]))
+        if len(parts) <= 2:
+            return prime_field(*(tag_int(tag, part) for part in parts))
     raise ScalarError(f"unknown coefficient tag {tag!r}")

@@ -2,16 +2,20 @@
 
 The production enumeration walks conjugacy classes: it joins one
 representative per class with one cyclic subgroup outside it per orbit of
-its normalizer, and conjugates each new class once by all of G, which
-gives its members, normalizer and fusion conjugators.  Depth-first growth
-and a literal subset scan are independent oracles for it in the tests.
+its normalizer, grown from the representative by Dimino's closure.  The
+members of a new class are reached by a breadth-first search over the
+generators of G, which gives each its fusion conjugator; the normalizer of
+the representative is read off the images of its generators.  The double
+cosets HgK of two class representatives are the H-orbits on G/K, with
+H n gKg^-1 the stabilizer of gK.  Depth-first growth and a literal subset
+scan are independent oracles for the walk in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, GroupTooLarge, double_cosets, quotient_group
+from .groups import FiniteGroup, GroupTooLarge, quotient_group
 
 DEFAULT_LATTICE_BOUND = 200
 
@@ -27,63 +31,92 @@ def _walk_classes(G: FiniteGroup):
     it per N_G(R)-orbit (Neubueser's cyclic extension; conjugate cyclic
     subgroups give conjugate joins).  Every nontrivial J is <H, c> for a
     maximal H < J, and conjugating H onto its representative carries J onto
-    a conjugate, so every class is reached.  A join in no known class is
-    conjugated once by all of G; that sweep gives the class members, the
-    representative (least key), its normalizer and, for each member K, the
-    inverse of the least g with g rep g^-1 = K.
+    a conjugate, so every class is reached.  A join J in no known class is
+    conjugated by a breadth-first search over the generators of G, which
+    reaches each member K once, with a c such that c J c^-1 = K; the
+    representative is the member of least key, and its normalizer is read
+    off the images of its generators.
 
-    Returns (representatives, normalizers, subgroups, fusion): classes in
-    (order, key) order, every subgroup in that order, and fusion mapping
-    each subgroup key to (class index, conjugator).
+    Returns (representatives, their generators, normalizers, subgroups,
+    fusion): classes in (order, key) order, every subgroup in that order,
+    and fusion mapping each subgroup to (class index, g) with g K g^-1 the
+    representative of its class.
     """
-    cyclic: dict[tuple[int, ...], int] = {}
+    mul, inv, conj = G._mul, G._inv, G.conj
+    group_gens = G.generator_indices
+    cyclic: dict[frozenset[int], int] = {}  # <g>, listed from powers -> its least generator
     cyclic_of = [0] * G.order  # element -> least generator of its cyclic subgroup
     for g in range(1, G.order):
-        cyclic_of[g] = cyclic.setdefault(subgroup_key(G.closure([g])), g)
+        powers = [g]
+        while powers[-1]:
+            powers.append(mul[powers[-1]][g])
+        cyclic_of[g] = cyclic.setdefault(frozenset(powers), g)
     reps: list[frozenset[int]] = []
     rep_gens: list[list[int]] = []
-    subgroups: list[frozenset[int]] = []
     normalizers: list[frozenset[int]] = []
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    found: dict[frozenset[int], tuple[int, int]] = {}
 
     def add_class(J, gens):
-        key_by_g = [subgroup_key(G.conjugate_subgroup(g, J)) for g in range(G.order)]
-        rep_key = min(key_by_g)
-        g0 = key_by_g.index(rep_key)  # g0 J g0^-1 = rep
-        normalizer = []
-        for g in range(G.order):
-            kk = key_by_g[G.mul(g, g0)]  # g rep g^-1
-            if kk == rep_key:
-                normalizer.append(g)
-            if kk not in found:
-                found[kk] = (len(reps), G.inv(g))
-                subgroups.append(frozenset(kk))
-        reps.append(frozenset(rep_key))
-        rep_gens.append([G.conj(g0, x) for x in gens])
-        normalizers.append(frozenset(normalizer))
+        conjugator = {J: 0}  # member K -> c with c J c^-1 = K
+        members = [J]
+        for K in members:
+            c = conjugator[K]
+            for s in group_gens:
+                L = G.conjugate_subgroup(s, K)
+                if L not in conjugator:
+                    conjugator[L] = mul[s][c]
+                    members.append(L)
+        rep = min(members, key=subgroup_key)
+        c0 = conjugator[rep]
+        for K in members:
+            found[K] = (len(reps), mul[c0][inv[conjugator[K]]])
+        gens = [conj(c0, x) for x in gens]
+        normalizer = frozenset(
+            g for g, row in enumerate(mul) if all(mul[row[x]][inv[g]] in rep for x in gens)
+        )
+        reps.append(rep)
+        rep_gens.append(gens)
+        normalizers.append(normalizer)
 
     add_class(frozenset({0}), [])
     i = 0
     while i < len(reps):
         joined: set[int] = set()
+        normalizer_gens = G.small_generating_set(normalizers[i])
         for cg in cyclic.values():
             if cg in reps[i] or cg in joined:
                 continue
-            joined.update(cyclic_of[G.conj(n, cg)] for n in normalizers[i])
-            J = G.closure(rep_gens[i] + [cg])
-            if subgroup_key(J) not in found:
-                add_class(J, rep_gens[i] + [cg])
+            orbit = [cg]
+            joined.add(cg)
+            for c in orbit:
+                for n in normalizer_gens:
+                    d = cyclic_of[conj(n, c)]
+                    if d not in joined:
+                        joined.add(d)
+                        orbit.append(d)
+            gens = rep_gens[i] + [cg]
+            elements, members = list(reps[i]), set(reps[i])
+            G._extend(elements, members, gens)  # J = <R, cg>, grown from R
+            J = frozenset(elements)
+            if J not in found:
+                add_class(J, gens)
         i += 1
     order = sorted(range(len(reps)), key=lambda c: (len(reps[c]), subgroup_key(reps[c])))
     renumber = {old: new for new, old in enumerate(order)}
-    fusion = {k: (renumber[i], g) for k, (i, g) in found.items()}
-    subgroups.sort(key=lambda s: (len(s), subgroup_key(s)))
-    return [reps[i] for i in order], [normalizers[i] for i in order], subgroups, fusion
+    fusion = {K: (renumber[i], g) for K, (i, g) in found.items()}
+    subgroups = sorted(found, key=lambda s: (len(s), subgroup_key(s)))
+    return (
+        [reps[i] for i in order],
+        [rep_gens[i] for i in order],
+        [normalizers[i] for i in order],
+        subgroups,
+        fusion,
+    )
 
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups, ordered by (order, key), from the class walk."""
-    return _walk_classes(G)[2]
+    return _walk_classes(G)[3]
 
 
 def all_subgroups_dfs(G: FiniteGroup) -> list[frozenset[int]]:
@@ -290,7 +323,7 @@ class SubgroupClassTable:
                 f"lattice too large: order {G.order} exceeds bound {bound}"
             )
         self.group = G
-        reps, normalizers, self.all_subgroups, self._fusion = _walk_classes(G)
+        reps, gens, normalizers, self.all_subgroups, self._fusion = _walk_classes(G)
         hints: dict[str, int] = {}
         self.classes: list[SubgroupClass] = []
         for idx, rep in enumerate(reps):
@@ -304,7 +337,7 @@ class SubgroupClassTable:
                     order=len(rep),
                     name=f"{hint}#{hints[hint]}",
                     class_size=G.order // len(normalizers[idx]),
-                    centralizer=G.centralizer(rep),
+                    centralizer=G.centralizer(gens[idx]),
                     normalizer=normalizers[idx],
                 )
             )
@@ -321,7 +354,7 @@ class SubgroupClassTable:
     def fusion(self, subgroup) -> tuple[int, int]:
         """(class index, g) with g . subgroup . g^-1 = class representative."""
         try:
-            return self._fusion[subgroup_key(subgroup)]
+            return self._fusion[frozenset(subgroup)]
         except KeyError:
             raise ValueError("not a subgroup of this group") from None
 
@@ -351,18 +384,35 @@ class SubgroupClassTable:
 
     def double_coset_meets(self, h: int, k: int) -> tuple[tuple[int, int, int], ...]:
         """One (class, conjugator, g) per double coset HgK, H and K the
-        representatives of classes h and k: (class, conjugator) is
-        fusion(H n gKg^-1).  Write-once memo, one entry per class pair; the
-        Burnside and crossed basis products read their constants off it.
+        representatives of classes h and k: g is the least element of HgK
+        and (class, conjugator) is fusion(H n gKg^-1).  Write-once memo, one
+        entry per class pair; the Burnside and crossed basis products read
+        their constants off it.
+
+        The double cosets are the H-orbits on the left cosets G/K, and the
+        least coset representative of an orbit is the least element of its
+        double coset.  H n gKg^-1 is the stabilizer of gK in H.
         """
         cache = self._caches.setdefault("meets", {})
         if (h, k) not in cache:
-            G = self.group
-            H, K = self.classes[h].representative, self.classes[k].representative
-            cache[(h, k)] = tuple(
-                (*self.fusion(H & G.conjugate_subgroup(g, K)), g)
-                for g in double_cosets(G, H, K)[0]
-            )
+            mul = self.group._mul
+            cosets = self._caches.setdefault("cosets", {})  # class k -> coset_lookup
+            if k not in cosets:
+                cosets[k] = self.group.coset_lookup(self.classes[k].representative)
+            reps, where = cosets[k]
+            H = sorted(self.classes[h].representative)
+            rows = [mul[x] for x in H]
+            seen = [False] * len(reps)
+            meets = []
+            for c, g in enumerate(reps):
+                if seen[c]:
+                    continue
+                orbit = [where[row[g]] for row in rows]  # hgK for h in H
+                for d in orbit:
+                    seen[d] = True
+                stabilizer = frozenset([x for x, d in zip(H, orbit) if d == c])
+                meets.append((*self.fusion(stabilizer), g))
+            cache[(h, k)] = tuple(meets)
         return cache[(h, k)]
 
     def quotient(self, N, J) -> FiniteGroup:

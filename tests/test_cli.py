@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import motive_ring
-from motive_ring.cli import run
+from motive_ring import cli
+from motive_ring.cli import SUBCOMMANDS, run
 from motive_ring.crossed import CrossedBurnsideRing
+from motive_ring.scalars import PRIME_BOUND
 
 
 def invoke(argv):
@@ -238,7 +240,7 @@ def test_blocks_rejects_a_prime_that_differs_from_the_coefficients():
 def test_p_local_coefficients_need_a_prime(command, tag):
     code, doc, _ = invoke([command, "--group", "sym:3", "--coeff", tag])
     assert code == 2 and doc["exit"] == 2
-    want = "invalid literal" if tag == "Zp:x" else f"{tag[3:]} is not prime"
+    want = "malformed coefficient tag 'Zp:x'" if tag == "Zp:x" else f"{tag[3:]} is not prime"
     assert want in doc["error"]
 
 
@@ -443,6 +445,43 @@ def test_blocks_stdout_is_pinned(args, code, sha256):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
 
 
+# the lattice-printing commands the goldens miss, on the ladder, D16 and a
+# group of order 168: (subcommand, group, exit code, stdout sha256)
+PINNED_LATTICE = [
+    ("subgroups", "sym:3", 0, "09acdc55b7f6ac18bad0b928468778b8b71741c4256bba685ee5717a2cc09acb"),
+    ("subgroups", "dihedral:4", 0, "9d4780197d210f18bc0300babbfa888a11cc1179d2261b937e4f696967ee6817"),
+    ("subgroups", "alt:4", 0, "45bc9a67959f40061b1f8b990e117c3509922c454faa783c24e343735d2818dc"),
+    ("subgroups", "sym:4", 0, "d6983a7ea9fa63bfe7ab4dd1140e78eb66c630fc9461df96a5eaa5fea06bf3b7"),
+    ("subgroups", "alt:5", 0, "3b32e223a0f5e93fc88f6610bc4fabf1d609e4d0a744b6c8098c947a5e7952d1"),
+    ("subgroups", "sym:5", 0, "161b0697c4adb55d1f58bd1121781d563f3e602a009eb6e871b91662de51ed47"),
+    ("subgroups", "dihedral:8", 0, "1a3084b6893ab94b1bf554bae2f894eaa96db18cd0e5fcd59ea5f538baf8388f"),
+    ("subgroups", "gens:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", 0, "c40a02c7e92bbc010906c3232009605a27d27b40066b62b5fb3aa9ac98a1d2be"),
+    ("marks", "sym:3", 0, "bf7661f0bf083aa1b0d679d3e1b96581735b5c9f1e064fd55d2a84526fdd4215"),
+    ("marks", "dihedral:4", 0, "12717639e0d15a8716dfdf5c50c1feb825ecc1f92e85a5955f91b3bcbb65dc3e"),
+    ("marks", "alt:4", 0, "d8c19fd205744a2eef0970ebda4c21f9540128dd3d4afd22e4fb73e3f084921d"),
+    ("marks", "sym:4", 0, "af5c3d052fab7b4bf2c37f8ebf894f8ff26518bbb52271b77580f08b4549778d"),
+    ("marks", "alt:5", 0, "29bd8b1d04507f3ad65f4725a21281d162f544c3c0eb5b9c7a12c09c1a80e4b4"),
+    ("marks", "sym:5", 0, "89495109106e36746a74331bdc849a8454f95248572c2876ed816949e5451f97"),
+    ("marks", "dihedral:8", 0, "7b43c78a46c714250612b5ebc071a97637d040f1b2a2433191a2844616545e04"),
+    ("marks", "gens:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", 0, "940cebf3b3c08806a92266b50bcb5ba24f6d9f9ec95857ae4f28e753b082c7f8"),
+    ("cbr-basis", "sym:3", 0, "aa0ff1212ba4b2adfafbb83740432385f77cb65b9b8a04e9282a9de27e539d6a"),
+    ("cbr-basis", "dihedral:4", 0, "e3a9ca35e7a2aa8fbdf5427061ad11f0b24b15af94703628d89863f1efc899d1"),
+    ("cbr-basis", "alt:4", 0, "6e19218a33e882ea3b14c3d907d454b019df0be52e3552347987ad62a082914d"),
+    ("cbr-basis", "sym:4", 0, "e2768b752878dd75c9125f4b1f4e46069af645d06323c42abd818cfb90c0eed8"),
+    ("cbr-basis", "alt:5", 0, "edb56bbb11dd6e0049b19d6e136ea4b7d98663a7d4262ba040fa0564db24186d"),
+    ("cbr-basis", "sym:5", 0, "c0aeddba65fa38b57c3dd4a65a7e740069b9c83f0132257e4539ce95b5b18b6d"),
+    ("cbr-basis", "dihedral:8", 0, "39b0ef55fb996dae63625f689b89ea3bdfc2e307f79c021e41e92361ba183cfc"),
+    ("cbr-basis", "gens:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", 0, "ce3a99354ca3a9637f55de0d9a49ba4d02596146bf62e2cdac445464327ab12b"),
+]
+
+
+@pytest.mark.parametrize("command,group,code,sha256", PINNED_LATTICE, ids=[f"{c} {g}" for c, g, _, _ in PINNED_LATTICE])
+def test_lattice_stdout_is_pinned(command, group, code, sha256):
+    buf = io.StringIO()
+    assert run([command, "--group", group], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+
 # commands of the comparison maps (rho, zeta, iota, pi) the goldens miss:
 # (the argv, exit code, stdout sha256).  The mackey-check runs exit 1 with
 # only zeta-image-spans-mackey-center failing (criterion 7).
@@ -511,3 +550,110 @@ def test_survivor_check_keeps_its_detail_when_it_passes():
     assert doc["checks"] == [
         {"name": "survivor-is-trivial-residual", "pass": True, "detail": "survivors: ['1#1']"}
     ]
+
+
+# argparse output: (the argv, exit code, sha256 of stdout, sha256 of stderr),
+# help and usage errors at an 80-column width
+EMPTY = hashlib.sha256(b"").hexdigest()
+PINNED_USAGE = [
+    ("--help", 0, "a86fd9523bc48401c6bb9c958e2999c901402f05b85cf0ba164e33d9ec549d43", EMPTY),
+    ("subgroups --help", 0, "e66f16561aa0df83e316ad036f134b729d0f165c44a9b75dc70c6ec9ffcc04d3", EMPTY),
+    ("marks --help", 0, "4cef7b07b451ba68e766d1f55ea1e5cef8886c4527888ebd90e42298b43dc91d", EMPTY),
+    ("burnside-idempotents --help", 0, "7c5f62188e2359c67bccaa5177062f629f3544657bac2ea1bfd8d4690f4256b4", EMPTY),
+    ("cbr-basis --help", 0, "8cae82673a7aa374d7d5caa8a22c96f4a6d6f1c06db24e70c7750f1d8f25c3c5", EMPTY),
+    ("cbr-multiply --help", 0, "14b033299d0cbd302f1d49856195d8a1ae749b7aa490794fec932a2c2269e985", EMPTY),
+    ("cbr-idempotents --help", 0, "591faf4b14764b6c861a47b02b06d4ee653f929a54a59e9deb4ca3119e2f2418", EMPTY),
+    ("rho --help", 0, "72a415270e8648afa4fed9ba525f497e4dba6f09734cfb56b019aea28645e9a0", EMPTY),
+    ("motivic-report --help", 0, "f1914803a9865262cda303ec05528dbda16902e3e0f24641f98f490c96b3ad7f", EMPTY),
+    ("p-local-report --help", 0, "ff2a75f956ae0891d91573c70842c49cfaf950b0b440072083d1ede1151a78c9", EMPTY),
+    ("blocks --help", 0, "9fee88304cf15557d326679e0485d11e79e6c1833ffc70b349b5298639454e87", EMPTY),
+    ("mackey-check --help", 0, "73c6df06b56c653993370e79763532bdff77ef5e479aa6497143215545113f75", EMPTY),
+    ("verify-all --help", 0, "9fc9c97930a59b82db3627e2bcabbdd0c59a1596d63666b0b63baa85c397f5d2", EMPTY),
+    ("cbr-basis", 2, EMPTY, "324a22580b47570e05c0bfc41f5cd80bb364ff4b05cff6597a07f402a7a7b42a"),
+    ("frobnicate --group cyclic:2", 2, EMPTY, "b116929572c376162b2b1f7532504a4b0e3bebf2e3dcdcc2d8ae735355d5cb3e"),
+    ("", 2, EMPTY, "75ecc05f09a33eefa1fb304dfd4f85b304daa3ccbc3f7b1b20eec50abad137e7"),
+    # an unrecognized argument prints the top-level usage, every subcommand in it
+    ("cbr-basis --group sym:3 extra", 2, EMPTY, "e80a08001d80d4119693a82b0be51e8787fb91fefa6abb764cc80d682da250f9"),
+    ("blocks --group sym:3 --prime x", 2, EMPTY, "28178ff1a0d738666c431bffcedb9a7ce7ac9af78031a50cca76311ce16751c1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_sha256,err_sha256", PINNED_USAGE, ids=[a or "(none)" for a, *_ in PINNED_USAGE])
+def test_help_and_usage_errors_are_pinned(argv, code, out_sha256, err_sha256, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv.split(), stream=io.StringIO()) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha256
+
+
+def test_a_known_subcommand_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names=SUBCOMMANDS: built.append(list(names)) or real(names))
+    invoke(["cbr-basis", "--group", "cyclic:2"])
+    invoke(["frobnicate", "--group", "cyclic:2"])
+    invoke([])
+    assert built == [["cbr-basis"], SUBCOMMANDS, SUBCOMMANDS]
+
+
+# -- p-local primes past the primality bound ----------------------------------
+
+BIG_PRIME = "1000000000000000000000007"  # 10^24 + 7, prime, inside the bound
+OVER_BOUND = str(PRIME_BOUND + 2)
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, killed after 10 s."""
+    src = Path(motive_ring.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "motive_ring.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=10,
+    )
+
+
+def test_a_large_p_local_prime_inside_the_bound_runs():
+    out = run_cli("cbr-idempotents", "--group", "sym:3", "--coeff", f"Zp:{BIG_PRIME}")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["coeff"] == f"Zp:{BIG_PRIME}"
+    out = run_cli("p-local-report", "--group", "sym:3", "--prime", BIG_PRIME)
+    # as for p = 2, only the quotient-side rank comparison fails (criterion 5)
+    assert out.returncode == 1
+    fails = [c["name"] for c in json.loads(out.stdout)["checks"] if not c["pass"]]
+    assert fails == ["quotient-rank-match[J=C2#1]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cbr-idempotents", "--group", "sym:5", "--coeff", f"Zp:{OVER_BOUND}"],
+        ["motivic-report", "--group", "sym:5", "--coeff", f"Zp:{OVER_BOUND}"],
+        ["burnside-idempotents", "--group", "sym:5", "--coeff", f"Zp:{OVER_BOUND}"],
+        ["rho", "--group", "sym:5", "--coeff", f"Zp:{OVER_BOUND}"],
+        ["mackey-check", "--group", "sym:3", "--coeff", f"Zp:{OVER_BOUND}"],
+        ["p-local-report", "--group", "sym:5", "--prime", OVER_BOUND],
+    ],
+)
+def test_a_prime_past_the_bound_exits_3_before_the_lattice(argv, monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice built")
+
+    monkeypatch.setattr(cli, "SubgroupClassTable", no_lattice)
+    code, doc, _ = invoke(argv)
+    assert code == 3 and doc["exit"] == 3
+    assert doc["error"] == f"prime too large: p = {OVER_BOUND} > prime bound {PRIME_BOUND}"
+
+
+def test_a_prime_past_the_bound_exits_3_at_once_in_a_fresh_process():
+    out = run_cli("cbr-idempotents", "--group", "sym:3", "--coeff", "Zp:1" + "0" * 30 + "7")
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["error"].startswith("prime too large: p = 1000")
+    out = run_cli("p-local-report", "--group", "sym:3", "--prime", "1" + "0" * 30 + "7")
+    assert out.returncode == 3
+
+
+def test_commands_that_ignore_the_coefficients_still_ignore_them():
+    code, _, _ = invoke(["subgroups", "--group", "sym:3", "--coeff", f"Zp:{OVER_BOUND}"])
+    assert code == 0

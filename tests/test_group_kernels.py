@@ -1,0 +1,117 @@
+"""The group-layer kernels against their reference versions.
+
+Dimino closure, the class walk over generator orbits, marks read off the
+lattice and double-coset meets as orbits on G/K, each compared with the
+earlier algorithm kept in reference_groups on the ladder of groups and on
+random permutation groups of order at most 24.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from reference_groups import (
+    closure_bfs,
+    key,
+    marks_by_fixed_cosets,
+    meets_by_sweep,
+    small_generating_set_bfs,
+    walk_classes_by_sweep,
+)
+from test_subgroups import gens_specs, small_group
+
+from motive_ring.burnside import BurnsideRing
+from motive_ring.groups import construct_group
+from motive_ring.subgroups import SubgroupClassTable
+
+LADDER = ["sym:3", "dihedral:4", "alt:4", "sym:4", "alt:5", "sym:5"]
+_groups: dict = {}
+
+
+def ladder_group(spec):
+    if spec not in _groups:
+        _groups[spec] = construct_group(spec)
+    return _groups[spec]
+
+
+def assert_closures_agree(G, lists):
+    for gens in lists:
+        assert G.closure(gens) == closure_bfs(G, gens), gens
+
+
+def assert_lattice_agrees(G):
+    reps, normalizers, subgroups, fusion = walk_classes_by_sweep(G)
+    table = SubgroupClassTable(G)
+    assert [c.representative for c in table.classes] == reps
+    assert [c.normalizer for c in table.classes] == normalizers
+    assert table.all_subgroups == subgroups
+    for K in subgroups:
+        idx, conj = table.fusion(K)
+        assert idx == fusion[key(K)][0]
+        assert G.conjugate_subgroup(conj, K) == reps[idx]
+    for cls in table.classes:
+        assert cls.centralizer == frozenset(
+            g for g in range(G.order) if all(G.mul(g, h) == G.mul(h, g) for h in cls.representative)
+        )
+    return table
+
+
+def assert_marks_agree(table):
+    G = table.group
+    reps = [c.representative for c in table.classes]
+    assert BurnsideRing(table).table_of_marks().marks == marks_by_fixed_cosets(G, reps)
+
+
+def assert_meets_agree(table):
+    G = table.group
+    for h in range(len(table)):
+        H = table.classes[h].representative
+        for k in range(len(table)):
+            K = table.classes[k].representative
+            meets = table.double_coset_meets(h, k)
+            assert tuple((idx, g) for idx, _, g in meets) == meets_by_sweep(table, h, k)
+            for idx, conj, g in meets:
+                meet = H & G.conjugate_subgroup(g, K)
+                assert G.conjugate_subgroup(conj, meet) == table.classes[idx].representative
+
+
+@pytest.mark.parametrize("spec", LADDER)
+def test_closure_matches_breadth_first_search_on_the_ladder(spec):
+    G = ladder_group(spec)
+    gens = G.generator_indices
+    lists = [[], [0], *([g] for g in range(G.order))]
+    lists += [[a, b] for a in range(0, G.order, 7) for b in range(1, G.order, 11)]
+    lists += [gens, gens[::-1], [0, *gens, *gens]]
+    assert_closures_agree(G, lists)
+    assert G.closure(gens) == frozenset(range(G.order))
+
+
+@pytest.mark.parametrize("spec", LADDER)
+def test_small_generating_set_matches_the_greedy_reference(spec):
+    G = ladder_group(spec)
+    for H in SubgroupClassTable(G).all_subgroups:
+        assert G.small_generating_set(H) == small_generating_set_bfs(G, H)
+    assert G.small_generating_set(range(G.order)) == small_generating_set_bfs(G, range(G.order))
+
+
+@pytest.mark.parametrize("spec", LADDER)
+def test_lattice_marks_and_meets_match_the_references_on_the_ladder(spec):
+    table = assert_lattice_agrees(ladder_group(spec))
+    assert_marks_agree(table)
+    assert_meets_agree(table)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs(), st.lists(st.lists(st.integers(0, 23), max_size=4), min_size=1, max_size=6))
+def test_closure_matches_breadth_first_search_on_random_groups(spec, lists):
+    G = small_group(spec, max_order=24)
+    assert_closures_agree(G, [[g % G.order for g in gens] for gens in lists])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_lattice_marks_and_meets_match_the_references_on_random_groups(spec):
+    table = assert_lattice_agrees(small_group(spec, max_order=24))
+    assert_marks_agree(table)
+    assert_meets_agree(table)

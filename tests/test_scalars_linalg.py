@@ -11,10 +11,12 @@ from motive_ring.groups import GroupTooLarge
 from motive_ring.linalg import integer_kernel, integer_rank, solve_upper_triangular
 from motive_ring.scalars import (
     MAX_FIELD_ORDER,
+    PRIME_BOUND,
     QQ,
     ZZ,
     PrimeFieldRing,
     ScalarError,
+    _is_prime,
     p_local,
     prime_field,
     ring_from_tag,
@@ -43,6 +45,41 @@ def test_a_field_is_bounded_before_it_is_built():
         ("Fp:4", "4 is not prime"),
         ("Fp:2:0", "field exponent must be >= 1"),
         ("Fp:1:9", "1 is not prime"),
+    ]:
+        with pytest.raises(ScalarError, match=error):
+            ring_from_tag(tag)
+
+
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == [
+        n for n in range(-3, 20000) if is_prime_by_trial_division(n)
+    ]
+    for n in range(10**9, 10**9 + 200):
+        assert _is_prime(n) == is_prime_by_trial_division(n)
+
+
+def test_miller_rabin_at_the_strong_pseudoprimes():
+    # the least odd composites passing the bases 2..37 and 2..41 (OEIS A014233)
+    assert not _is_prime(318665857834031151167461)
+    assert PRIME_BOUND + 1 == 3317044064679887385961981
+    assert not _is_prime(3215031751) and not _is_prime(561)
+    assert _is_prime(2**61 - 1) and _is_prime(10**24 + 7)
+
+
+def test_a_p_local_prime_is_bounded_before_it_is_tested():
+    assert p_local(10**24 + 7).tag == "Zp:1000000000000000000000007"
+    with pytest.raises(GroupTooLarge, match=rf"^prime too large: p = {PRIME_BOUND + 1} > prime bound {PRIME_BOUND}$"):
+        ring_from_tag(f"Zp:{PRIME_BOUND + 1}")
+    for tag, error in [
+        ("Zp:x", "malformed coefficient tag 'Zp:x'"),
+        ("Fp:3:y", "malformed coefficient tag 'Fp:3:y'"),
+        ("Zp:0", "0 is not prime"),
+        ("Zp:-7", "-7 is not prime"),
+        ("Zp:91", "91 is not prime"),
     ]:
         with pytest.raises(ScalarError, match=error):
             ring_from_tag(tag)
