@@ -91,7 +91,7 @@ class Algebra:
     ascending and every c a nonzero int.  A commutative algebra caches
     each unordered pair once and calls the hook with i <= j.  An empty
     product is not stored: the commutative algebras never have one, and
-    the Mackey hook answers it from the legs of the spans without work.
+    the Mackey hook answers it from its leg arrays with one comparison.
     """
 
     commutative = False

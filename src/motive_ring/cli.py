@@ -17,7 +17,9 @@ from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, NotNormal, construct_group, default_order_bound, parse_cycles
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
-from .scalars import QQ, PrimeFieldRing, ScalarError, check_prime_bound, prime_field, ring_from_tag, tag_int
+from .scalars import (
+    QQ, PrimeFieldRing, ScalarError, check_prime_bound, parse_int, prime_field, ring_from_tag, tag_int
+)
 from .subgroups import DEFAULT_LATTICE_BOUND, SubgroupClassTable
 from . import verify
 
@@ -45,6 +47,15 @@ class UsageError(ValueError):
     pass
 
 
+def _prime_option(text: str) -> int | str:
+    """--prime, read by parse_int: a numeral too long for int() is refused
+    later by the prime or field bound; argparse's own message otherwise."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
     """The parser, with a subparser for each of names.  When only some are
     built, the usage line still lists every subcommand, so their usage
@@ -59,7 +70,7 @@ def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--group", required=True, help="sym:N | alt:N | cyclic:N | dihedral:N | gens:\"<cycles>;...\"")
         p.add_argument("--coeff", default=None, help="Z | Q | Zp:<p> | Fp:<p>[:<e>]")
-        p.add_argument("--prime", type=int, default=None)
+        p.add_argument("--prime", type=_prime_option, default=None)
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tsv", action="store_true")

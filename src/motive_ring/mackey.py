@@ -6,8 +6,11 @@ transitive set G/S together with an equivariant map to Omega x Omega,
 stored as a conjugation-canonical triple (S, x, y).  Composition is the
 fibered product over the middle Omega, computed by the Mackey double-coset
 formula: its G-orbits are the S-orbits of one fiber slice, each read off
-through an index of every G-conjugate of every basis triple.  Algebra.product
-caches the products sparsely as ((k, c), ...).  The Hecke algebra is the
+through an index of every G-conjugate of every basis triple.  The legs of
+every span (the coset spaces of x and y) are arrays built with the basis,
+so a product whose legs do not meet is empty at once, and each slice's
+orbits are found once and kept.  Algebra.product caches the nonempty
+products sparsely as ((k, c), ...).  The Hecke algebra is the
 endomorphism algebra of the permutation module on Omega; spans project onto
 it by counting fibers, and the projection direction is fixed so the count is
 an algebra map onto matrix products.  Operators on Omega are sparse dicts
@@ -101,6 +104,11 @@ class MackeyAlgebra(Algebra):
         self._index: dict[tuple[int, int, int], int] = {
             t: i for i, orbit in enumerate(spans) for t in orbit
         }
+        # the legs: the coset spaces of the source point x and the target point y
+        self._source = [self.points[x][0] for _, x, _ in canonical]
+        self._target = [self.points[y][0] for _, _, y in canonical]
+        # the S_i-orbits of each fiber slice, as (w, position of S_i n wS_jw^-1)
+        self._slices: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
         # the integer rows of the comparison maps, built once each on first use
         self._proj: dict[int, dict[tuple[int, int], int]] = {}  # pi, per span
         self._zeta: dict[int, dict[int, int]] = {}  # zeta, per crossed pair
@@ -162,21 +170,41 @@ class MackeyAlgebra(Algebra):
         Every G-orbit of it meets the slice v = e, and two slice points are
         in one G-orbit exactly when they are in one S_i-orbit (the Mackey
         double-coset formula).  The orbit of (eS_i, wS_j) is the span
-        (S_i n wS_jw^-1, w x_j, y_i).
+        (S_i n wS_jw^-1, w x_j, y_i).  The slice and its S_i-orbits depend
+        only on (S_i, S_j, y_j, x_i), so each is found once (_slices).
         """
-        bi, bj = self.basis[i], self.basis[j]
-        if self.component(bi.x) != self.component(bj.y):
+        if self._source[i] != self._target[j]:
             return ()  # the glued legs lie in different coset spaces: empty fiber
-        act, points = self.act, self.points
+        bi, bj = self.basis[i], self.basis[j]
+        act = self.act
         si, sj = self._position[bi.stabilizer], self._position[bj.stabilizer]
-        # the slice: points wS_j of G/S_j with w y_j = x_i, in S_i-orbits
-        slice_ = [p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x]
+        key = (si, sj, bj.y, bi.x)
+        if key not in self._slices:
+            # the slice: points wS_j of G/S_j with w y_j = x_i, in S_i-orbits
+            points, meet, conj = self.points, self._meet[si], self._conj
+            slice_ = [p for p in self._cosets[sj] if act[points[p][1]][bj.y] == bi.x]
+            reps = [points[orbit[0]][1] for orbit in orbits(slice_, self._gens[si], lambda h, q: act[h][q])]
+            self._slices[key] = [(w, meet[conj[w][sj]]) for w in reps]
         counts: dict[int, int] = {}
-        for orbit in orbits(slice_, self._gens[si], lambda h, q: act[h][q]):
-            w = points[orbit[0]][1]
-            k = self._index[(self._meet[si][self._conj[w][sj]], act[w][bj.x], bi.y)]
+        for w, m in self._slices[key]:
+            k = self._index[(m, act[w][bj.x], bi.y)]
             counts[k] = counts.get(k, 0) + 1
         return tuple(sorted(counts.items()))
+
+    def sparse_product(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """The product x y of integer combinations of spans, each given and
+        returned sparse as {span: nonzero int}.  Only the pairs i j whose
+        legs meet (the source of i is the target of j) are multiplied;
+        every other basis product is empty."""
+        by_target: dict[int, list[tuple[int, int]]] = {}
+        for j, b in y.items():
+            by_target.setdefault(self._target[j], []).append((j, b))
+        out: dict[int, int] = {}
+        for i, a in x.items():
+            for j, b in by_target.get(self._source[i], ()):
+                for k, c in self.product(i, j):
+                    out[k] = out.get(k, 0) + a * b * c
+        return {k: v for k, v in out.items() if v}
 
     # -- center ------------------------------------------------------------------------
 
@@ -234,13 +262,13 @@ class MackeyAlgebra(Algebra):
         elements over F_q, each of length n.
         """
         diagonal: dict[int, list[int]] = {}  # coset space -> its diagonal spans
-        for b in self.basis:
-            if self.component(b.x) == self.component(b.y):
-                diagonal.setdefault(self.component(b.x), []).append(b.index)
+        for i, (source, target) in enumerate(zip(self._source, self._target)):
+            if source == target:
+                diagonal.setdefault(source, []).append(i)
         rows: dict[tuple[int, int], dict[int, int]] = {}
         for a in self.generator_spans():
             # a z and z a vanish on the diagonal blocks that a does not touch
-            source, target = self.component(self.basis[a].x), self.component(self.basis[a].y)
+            source, target = self._source[a], self._target[a]
             touched = diagonal[source] + (diagonal[target] if target != source else [])
             for i in touched:
                 for sign, product in ((1, self.product(i, a)), (-1, self.product(a, i))):
@@ -261,8 +289,7 @@ class MackeyAlgebra(Algebra):
         on both sides.
         """
         s = scalar
-        source = [self.component(b.x) for b in self.basis]
-        target = [self.component(b.y) for b in self.basis]
+        source, target = self._source, self._target
         by_source: dict[int, list] = {}  # support spans i by source: i j may be nonzero
         by_target: dict[int, list] = {}  # support spans i by target: j i may be nonzero
         for i, a in x.items():

@@ -7,6 +7,7 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -155,11 +156,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def check_prime_bound(p: int) -> None:
+def parse_int(text: str) -> int | str:
+    """int(text), except for a decimal numeral with more significant digits
+    than int() converts (sys.get_int_max_str_digits(), 4,300 by default):
+    that one is returned unconverted, as its digits.  Its value is far over
+    PRIME_BOUND and MAX_FIELD_ORDER, and check_prime_bound and
+    _check_field_order refuse it by its length.  ValueError if the text is
+    no integer."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().removeprefix("+")
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        digits = digits.lstrip("0") or "0"
+        return digits if len(digits) > sys.get_int_max_str_digits() else int(digits)
+
+
+def _shown(n: int | str) -> str:
+    """n for a bound message; an unconverted numeral (parse_int) by its length."""
+    return f"<{len(n)} digits>" if isinstance(n, str) else str(n)
+
+
+def check_prime_bound(p: int | str) -> None:
     """Refuse p above PRIME_BOUND, whose primality is not decided, with
     GroupTooLarge."""
-    if p > PRIME_BOUND:
-        raise GroupTooLarge(f"prime too large: p = {p} > prime bound {PRIME_BOUND}")
+    if isinstance(p, str) or p > PRIME_BOUND:
+        raise GroupTooLarge(f"prime too large: p = {_shown(p)} > prime bound {PRIME_BOUND}")
 
 
 def _poly_mod(coeffs, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -201,13 +224,16 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {e} over F_{p}")
 
 
-def _check_field_order(p: int, e: int) -> None:
+def _check_field_order(p: int | str, e: int | str) -> None:
     """Refuse F_q, q = p^e, above MAX_FIELD_ORDER with GroupTooLarge.
 
     Nothing large is formed: p^e has at most e * bits(p) bits, and only
     when that is small is it computed and printed.  Exponents below 1 and
     p below 2 name no field and are left to the checks of PrimeFieldRing.
+    A p or e left unconverted by parse_int is too large at once.
     """
+    if isinstance(p, str) or isinstance(e, str) and p >= 2:
+        raise GroupTooLarge(f"field too large: q = {_shown(p)}^{_shown(e)} > field bound {MAX_FIELD_ORDER}")
     if p < 2 or e < 1:
         return
     if e * p.bit_length() > 4096:  # p^e >= 2^(e (bits(p) - 1)) > 2^2048
@@ -348,11 +374,11 @@ def prime_field(p: int, e: int = 1) -> PrimeFieldRing:
     return _field_cache[(p, e)]
 
 
-def tag_int(tag: str, text: str) -> int:
-    """An integer field of a coefficient tag; ScalarError naming the tag if
-    it is not one."""
+def tag_int(tag: str, text: str) -> int | str:
+    """An integer field of a coefficient tag, read by parse_int; ScalarError
+    naming the tag if it is not one."""
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise ScalarError(f"malformed coefficient tag {tag!r}") from None
 

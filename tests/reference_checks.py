@@ -8,7 +8,9 @@ each scalar ring with Algebra.multiply on dense Element tuples, with the
 same samples drawn from rng in the same order, the same check names and
 the same failure details.  It is called after verify.span_checks, which
 draws first.  crossed_axiom_failures is the same kind of reference for
-the unit and associativity of verify.crossed_checks.
+the unit and associativity of verify.crossed_checks, and associative the
+per-triple reference for the one-pass associativity of both algebras
+(verify._nonassociative).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from motive_ring.center import CenterAlgebra
 from motive_ring.linalg import integer_rank, sparse_mat_mul
 from motive_ring.mackey import HeckeAlgebra, center_to_hecke, crossed_to_mackey_center
 from motive_ring.scalars import ZZ
-from motive_ring.verify import Check, _check, _flat, _pairs, hecke_center_dimension
+from motive_ring.verify import Check, _check, _combine, _flat, _pairs, hecke_center_dimension
 
 
 def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
@@ -118,3 +120,10 @@ def crossed_axiom_failures(xring, triples):
         bi, bj, bk = (xring.basis_element(t) for t in (i, j, k))
         if ((bi * bj) * bk).coeffs != (bi * (bj * bk)).coeffs:
             yield f"associativity fails on ({i},{j},{k})"
+
+
+def associative(algebra, i: int, j: int, k: int) -> bool:
+    """(b_i b_j) b_k = b_i (b_j b_k) for one triple, through the sparse
+    products."""
+    left = _combine(algebra.product(i, j), lambda m: algebra.product(m, k))
+    return left == _combine(algebra.product(j, k), lambda m: algebra.product(i, m))

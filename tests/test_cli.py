@@ -523,6 +523,54 @@ def test_comparison_map_stdout_is_pinned(argv, code, sha256):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
 
 
+# mackey-check and verify-all at two seeds on groups the goldens miss:
+# (command, group, seed, exit code, sha256 of stdout)
+Q8 = "gens:(1 3 2 4)(5 7 6 8);(1 5 2 6)(3 8 4 7)"
+PINNED_MACKEY = [
+    ("mackey-check", "cyclic:2", 0, 0, "fd6805ac9fc6ed711acf1be8cf3323ed1bf875cd0f0bfd757d3be8072ceb20cf"),
+    ("mackey-check", "cyclic:2", 7, 0, "fd6805ac9fc6ed711acf1be8cf3323ed1bf875cd0f0bfd757d3be8072ceb20cf"),
+    ("mackey-check", "cyclic:3", 0, 0, "9c422d16d5c4d2f01bfd8dd621dd1c17a7b085efebfa722421bd44c62bd0c721"),
+    ("mackey-check", "cyclic:3", 7, 0, "9c422d16d5c4d2f01bfd8dd621dd1c17a7b085efebfa722421bd44c62bd0c721"),
+    ("mackey-check", "cyclic:6", 0, 0, "9a22ad76d62df82a78feb5e9adc7a03007cfa44b081f8210eb7899e41a7eb121"),
+    ("mackey-check", "cyclic:6", 7, 0, "9a22ad76d62df82a78feb5e9adc7a03007cfa44b081f8210eb7899e41a7eb121"),
+    ("mackey-check", "dihedral:4", 0, 1, "321ee23a71644ff127d24c46c0f514da160e47fd23aecaed4df8648f39ab8b59"),
+    ("mackey-check", "dihedral:4", 7, 1, "321ee23a71644ff127d24c46c0f514da160e47fd23aecaed4df8648f39ab8b59"),
+    ("mackey-check", Q8, 0, 1, "aa03dcb357eaa46234e7cbc3d060c932bb75db2bac92e880b8a1976a17889909"),
+    ("mackey-check", Q8, 7, 1, "aa03dcb357eaa46234e7cbc3d060c932bb75db2bac92e880b8a1976a17889909"),
+    ("mackey-check", "alt:4", 0, 1, "768f1b34846fc2a64a18c92e76d4945cc1c890991f3588b54ff2a0101d283075"),
+    ("mackey-check", "alt:4", 7, 1, "768f1b34846fc2a64a18c92e76d4945cc1c890991f3588b54ff2a0101d283075"),
+    ("mackey-check", "dihedral:5", 0, 1, "1567508ebd63cc82893970c95a3a885dc437f84cb9145ed0267195d0663f21cf"),
+    ("mackey-check", "dihedral:5", 7, 1, "1567508ebd63cc82893970c95a3a885dc437f84cb9145ed0267195d0663f21cf"),
+    ("mackey-check", "dihedral:6", 0, 1, "361897a2ec1ec4ae027011491f685908f32b27843c32c50359202a9c27463d7d"),
+    ("mackey-check", "dihedral:6", 7, 1, "361897a2ec1ec4ae027011491f685908f32b27843c32c50359202a9c27463d7d"),
+    ("verify-all", "cyclic:2", 0, 0, "ef19d0180c90a531425d37777686ff45fdacf7642dbcd4ffc26bcd304f158bef"),
+    ("verify-all", "cyclic:2", 7, 0, "ef19d0180c90a531425d37777686ff45fdacf7642dbcd4ffc26bcd304f158bef"),
+    ("verify-all", "cyclic:3", 0, 0, "df5ae29f797ee26276d8b92c936afab7ac265f206a67846e530d82851c601dee"),
+    ("verify-all", "cyclic:3", 7, 0, "df5ae29f797ee26276d8b92c936afab7ac265f206a67846e530d82851c601dee"),
+    ("verify-all", "cyclic:6", 0, 0, "f702e814e1dccb49d85cc64a622c890a46cee5d5df6de9972900c251fd3ac835"),
+    ("verify-all", "cyclic:6", 7, 0, "f702e814e1dccb49d85cc64a622c890a46cee5d5df6de9972900c251fd3ac835"),
+    ("verify-all", "dihedral:4", 0, 0, "98276b8fc5a5461a2901ca5a0bf37314b157db240827906ef7570ffcf3edce9e"),
+    ("verify-all", "dihedral:4", 7, 0, "98276b8fc5a5461a2901ca5a0bf37314b157db240827906ef7570ffcf3edce9e"),
+    ("verify-all", Q8, 0, 0, "191f2c695bd0406a72170650ee7f0646226db807bb9308e0b13233cabca18168"),
+    ("verify-all", Q8, 7, 0, "191f2c695bd0406a72170650ee7f0646226db807bb9308e0b13233cabca18168"),
+    ("verify-all", "alt:4", 0, 0, "cdfd93e0742f29303e42d570b3ae7e5af694a455c7abf23f1d8456dd5080d429"),
+    ("verify-all", "alt:4", 7, 0, "cdfd93e0742f29303e42d570b3ae7e5af694a455c7abf23f1d8456dd5080d429"),
+    ("verify-all", "dihedral:5", 0, 0, "06be3b84404ed65fd638e3f77930313e576d2b08f8f6f8be08151e1329b8bb03"),
+    ("verify-all", "dihedral:5", 7, 0, "06be3b84404ed65fd638e3f77930313e576d2b08f8f6f8be08151e1329b8bb03"),
+    ("verify-all", "dihedral:6", 0, 0, "35b643f6582608abcbb70919393d39df1505d937981800dbbd3148dd9cb901c4"),
+    ("verify-all", "dihedral:6", 7, 0, "35b643f6582608abcbb70919393d39df1505d937981800dbbd3148dd9cb901c4"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,group,seed,code,sha256", PINNED_MACKEY, ids=[f"{c} {g} {s}" for c, g, s, _, _ in PINNED_MACKEY]
+)
+def test_mackey_stdout_is_pinned(command, group, seed, code, sha256):
+    buf = io.StringIO()
+    assert run([command, "--group", group, "--seed", str(seed)], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+
 def test_a_failing_check_reports_its_last_failure(monkeypatch):
     # S3 is inside the exhaustive pair order, so pairs run in order (i, j)
     wrong = {(1, 2), (3, 1)}
@@ -652,6 +700,50 @@ def test_a_prime_past_the_bound_exits_3_at_once_in_a_fresh_process():
     assert json.loads(out.stdout)["error"].startswith("prime too large: p = 1000")
     out = run_cli("p-local-report", "--group", "sym:3", "--prime", "1" + "0" * 30 + "7")
     assert out.returncode == 3
+
+
+# 4,400 digits: more than int() converts (4,300), so the numeral is refused
+# by its length alone
+LONG = "1" * 4400
+BEYOND_INT = "<4400 digits>"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["cbr-idempotents", "--coeff", f"Zp:{LONG}"], f"prime too large: p = {BEYOND_INT} > prime bound {PRIME_BOUND}"),
+        (["p-local-report", "--prime", LONG], f"prime too large: p = {BEYOND_INT} > prime bound {PRIME_BOUND}"),
+        (["blocks", "--coeff", f"Fp:{LONG}"], f"field too large: q = {BEYOND_INT}^1 > field bound 65536"),
+        (["blocks", "--coeff", f"Fp:2:{LONG}"], f"field too large: q = 2^{BEYOND_INT} > field bound 65536"),
+        (["blocks", "--prime", LONG], f"field too large: q = {BEYOND_INT}^1 > field bound 65536"),
+    ],
+    ids=["Zp", "prime", "Fp", "Fp-exponent", "blocks-prime"],
+)
+def test_a_numeral_past_the_int_digit_limit_exits_3_in_a_fresh_process(argv, error):
+    out = run_cli(argv[0], "--group", "sym:3", *argv[1:])
+    assert out.returncode == 3
+    assert json.loads(out.stdout) == {"error": error, "exit": 3}
+
+
+def test_a_numeral_past_the_int_digit_limit_exits_3_before_the_lattice(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice built")
+
+    monkeypatch.setattr(cli, "SubgroupClassTable", no_lattice)
+    for argv in (["cbr-idempotents", "--coeff", f"Zp:{LONG}"], ["p-local-report", "--prime", LONG]):
+        code, doc, _ = invoke([argv[0], "--group", "sym:5", *argv[1:]])
+        assert code == 3 and doc["error"].startswith(f"prime too large: p = {BEYOND_INT} >")
+
+
+def test_a_numeral_within_the_int_digit_limit_keeps_its_message():
+    p = "1" * 4300
+    code, doc, _ = invoke(["cbr-idempotents", "--group", "sym:3", "--coeff", f"Zp:{p}"])
+    assert code == 3 and doc["error"] == f"prime too large: p = {p} > prime bound {PRIME_BOUND}"
+    code, doc, _ = invoke(["blocks", "--group", "sym:3", "--coeff", f"Fp:{p}"])
+    assert code == 3 and doc["error"] == f"field too large: q = {p}^1 > field bound 65536"
+    # leading zeros do not count: this is p = 3
+    code, doc, _ = invoke(["cbr-idempotents", "--group", "sym:3", "--coeff", "Zp:" + "0" * 4400 + "3"])
+    assert code == 0 and doc["idempotents"] == invoke(["cbr-idempotents", "--group", "sym:3", "--coeff", "Zp:3"])[1]["idempotents"]
 
 
 def test_commands_that_ignore_the_coefficients_still_ignore_them():

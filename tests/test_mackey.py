@@ -198,22 +198,54 @@ def test_composition_matches_fibered_product_oracle(name, ws):
             assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
 
 
-@pytest.mark.parametrize("name", ["D8", "A4"])
-def test_composition_matches_fibered_product_oracle_sampled(name, ws):
-    mk = ws.mackey(name)
+def assert_sampled_products_match_oracle(mk, count):
     rng = random.Random(7)
-    for _ in range(2000):
+    for _ in range(count):
         i, j = rng.randrange(mk.n), rng.randrange(mk.n)
         assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
+
+
+@pytest.mark.parametrize("name", ["D8", "A4"])
+def test_composition_matches_fibered_product_oracle_sampled(name, ws):
+    assert_sampled_products_match_oracle(ws.mackey(name), 2000)
+
+
+def test_composition_matches_fibered_product_oracle_sampled_on_s4(ws):
+    # most of the 4,252^2 pairs have legs in different coset spaces, so j
+    # is drawn among the spans whose target lies in the space of i's source
+    mk = ws.mackey("S4")
+    by_target = {}
+    for b in mk.basis:
+        by_target.setdefault(mk.component(b.y), []).append(b.index)
+    rng = random.Random(7)
+    nonempty = 0
+    for _ in range(300):
+        i = rng.randrange(mk.n)
+        j = rng.choice(by_target[mk.component(mk.basis[i].x)])
+        product = mk._basis_product(i, j)
+        assert product == fibered_product_oracle(mk, i, j)
+        nonempty += bool(product)
+    assert nonempty == 300
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(gens_specs(), st.randoms(use_true_random=False))
 def test_composition_matches_fibered_product_oracle_on_random_groups(spec, rng):
-    mk = MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=12)))
+    mk = MackeyAlgebra(SubgroupClassTable(small_group(spec, max_order=24)))
     for _ in range(40):
         i, j = rng.randrange(mk.n), rng.randrange(mk.n)
         assert mk._basis_product(i, j) == fibered_product_oracle(mk, i, j)
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", "D8"])
+def test_the_slice_memo_does_not_depend_on_the_order_of_requests(name, ws):
+    # two fresh algebras fill their slice memos in opposite orders
+    pairs = [(i, j) for i in range(ws.mackey(name).n) for j in range(ws.mackey(name).n)]
+    forward, backward = MackeyAlgebra(ws.table(name)), MackeyAlgebra(ws.table(name))
+    ahead = [forward._basis_product(i, j) for i, j in pairs]
+    behind = [backward._basis_product(i, j) for i, j in reversed(pairs)]
+    assert ahead == behind[::-1]
+    assert forward._slices == backward._slices
 
 
 def associator_sides(mk, i, j, k):

@@ -1,6 +1,7 @@
 """The Mackey comparison-map checks decided once over Z against their
-per-scalar evaluation on dense elements (reference_checks), and the sparse
-unit and associativity checks of the crossed ring against dense products."""
+per-scalar evaluation on dense elements (reference_checks), the sparse
+unit and associativity checks of the crossed ring against dense products,
+and the one-pass associativity against the per-triple reference."""
 
 from __future__ import annotations
 
@@ -118,8 +119,61 @@ def test_sparse_crossed_axioms_match_dense_products(name, shifted, ws):
     if shifted is not None:
         triples += [(shifted, shifted, k) for k in range(n)]
     sparse = [f"unit fails on {xr.labels[i]}" for i in range(n) if not verify._unit_fixes(xr, units, i)]
-    sparse += [
-        f"associativity fails on ({i},{j},{k})" for i, j, k in triples if not verify._associative(xr, i, j, k)
-    ]
+    sparse += [f"associativity fails on ({i},{j},{k})" for i, j, k in verify._nonassociative(xr, triples)]
     assert sparse == list(ref.crossed_axiom_failures(xr, triples))
     assert bool(sparse) == (shifted is not None)
+
+
+# -- the one-pass associativity against the per-triple reference ----------------
+
+
+def reference_failures(algebra, triples):
+    return [t for t in triples if not ref.associative(algebra, *t)]
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("mackey", n) for n in ("C2", "C3", "C4", "V4", "S3")] + [("crossed", "S3"), ("crossed", "D8")],
+)
+def test_one_pass_associativity_matches_the_reference_on_every_triple(kind, name, ws):
+    algebra = getattr(ws, kind)(name)
+    triples = verify._triples(algebra.n, True, Random(0))
+    assert list(verify._nonassociative(algebra, triples)) == reference_failures(algebra, triples) == []
+
+
+@pytest.mark.parametrize("kind", ["mackey", "crossed"])
+@pytest.mark.parametrize("name", ["D8", "A4"])
+def test_one_pass_associativity_matches_the_reference_on_drawn_triples(kind, name, ws):
+    algebra = getattr(ws, kind)(name)
+    for seed in range(5):
+        triples = verify._triples(algebra.n, False, Random(seed))
+        assert list(verify._nonassociative(algebra, triples)) == reference_failures(algebra, triples) == []
+
+
+def shift_cached_product(algebra, i, j, by):
+    """Shift the first coefficient of the cached product i j by ``by``."""
+    (k, c), *rest = algebra.product(i, j)
+    algebra._products[i, j] = ((k, c + by), *rest)
+
+
+@pytest.mark.parametrize("by", [1, -1])
+@pytest.mark.parametrize("name", ["C4", "S3"])
+def test_one_pass_associativity_finds_the_reference_failures_of_a_shifted_product(name, by, ws):
+    mk = MackeyAlgebra(ws.table(name))
+    # the first seed whose span-associativity draws hold a triple (i, j, k)
+    # with i j starting with coefficient 1 (a shift by -1 leaves a zero) on
+    # a span m with m k nonempty, so that shifting i j moves (i j) k
+    for seed in range(100):
+        triples = verify._triples(mk.n, mk.n <= 30, Random(seed))
+        shifted = [
+            (i, j) for i, j, k in triples
+            if (ij := mk.product(i, j)) and ij[0][1] == 1 and mk.product(ij[0][0], k)
+        ]
+        if shifted:
+            break
+    i, j = shifted[0]
+    shift_cached_product(mk, i, j, by)
+    want = reference_failures(mk, triples)
+    assert want and list(verify._nonassociative(mk, triples)) == want
+    check = next(c for c in verify.span_checks(mk, Random(seed)) if c.name == "span-associativity")
+    assert not check.passed and check.detail == "associativity fails on spans ({},{},{})".format(*want[-1])

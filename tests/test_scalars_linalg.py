@@ -18,6 +18,7 @@ from motive_ring.scalars import (
     ScalarError,
     _is_prime,
     p_local,
+    parse_int,
     prime_field,
     ring_from_tag,
 )
@@ -83,6 +84,23 @@ def test_a_p_local_prime_is_bounded_before_it_is_tested():
     ]:
         with pytest.raises(ScalarError, match=error):
             ring_from_tag(tag)
+
+
+def test_parse_int_leaves_a_numeral_past_the_int_digit_limit_unconverted():
+    assert parse_int("12") == 12 and parse_int(" -5 ") == -5 and parse_int("1_000") == 1000
+    assert parse_int("1" * 4300) == int("1" * 4300)
+    assert parse_int("1" * 4301) == "1" * 4301
+    assert parse_int(" +" + "0" * 5000 + "17 ") == 17  # leading zeros are not significant
+    assert parse_int("0" * 5000) == 0
+    for text in ["x", "", "-" + "1" * 4301, "1_" * 4400 + "1", "١" * 4301]:
+        with pytest.raises(ValueError):
+            parse_int(text)
+    with pytest.raises(GroupTooLarge, match=r"^prime too large: p = <4301 digits> > prime bound"):
+        ring_from_tag("Zp:" + "7" * 4301)
+    with pytest.raises(GroupTooLarge, match=r"^field too large: q = 3\^<4301 digits> > field bound 65536$"):
+        ring_from_tag("Fp:3:" + "7" * 4301)
+    with pytest.raises(ScalarError, match="^1 is not prime$"):  # p = 1 names no field, whatever e is
+        ring_from_tag("Fp:1:" + "7" * 4301)
 
 
 def test_integer_ring_rejects_fractions():
