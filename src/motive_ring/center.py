@@ -128,6 +128,9 @@ def counted_structure_constants(G: FiniteGroup) -> dict[tuple[int, int, int], in
     return counts
 
 
+SCAN_SIZE = 5000  # the callers check blocks against block_scan_oracle up to q^dim = this
+
+
 def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     """Exhaustive oracle for tiny centers: scan all q^dim elements for
     idempotents and keep the minimal nonzero ones (e <= f iff ef = e).

@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error,
 3 a safety bound was exceeded.  Output is byte-deterministic for fixed
 inputs; --tsv flattens the JSON document into tab-separated lines.
+
+Inputs are refused in one order, before the work each guards: the group
+(spec, degree, order), then --coeff and --prime, then the lattice is built,
+then a subcommand's own bounds (the span bound, the splitting field).
 """
 
 from __future__ import annotations
@@ -13,14 +17,15 @@ import sys
 from random import Random
 
 from .burnside import BurnsideRing
-from .center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span
-from .crossed import CrossedBurnsideRing
-from .groups import GroupTooLarge, NotNormal, construct_group, default_order_bound, parse_cycles
+from .center import SCAN_SIZE, CenterAlgebra, block_scan_oracle, blocks_in_rho_span
+from .crossed import SCAN_CLASSES, CrossedBurnsideRing
+from .groups import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND, GroupTooLarge, NotNormal, construct_group, parse_cycles
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
 from .scalars import (
-    QQ, PrimeFieldRing, ScalarError, check_prime_bound, parse_int, prime_field, ring_from_tag, tag_int
+    QQ, ZZ, IntegerRing, PLocalRing, PrimeFieldRing, RationalRing, ScalarError, p_local, parse_int,
+    prime_field, ring_from_tag,
 )
-from .subgroups import DEFAULT_LATTICE_BOUND, SubgroupClassTable
+from .subgroups import SubgroupClassTable
 from . import verify
 
 SUBCOMMANDS = [
@@ -39,8 +44,20 @@ SUBCOMMANDS = [
 ]
 
 
-# subcommands that never read --coeff
-IGNORE_COEFF = {"subgroups", "marks", "cbr-basis", "p-local-report", "verify-all"}
+_IDEMPOTENTS = "unsupported coefficients {tag!r} for these idempotents"
+_DRESS = (IntegerRing, PLocalRing)
+
+# the subcommands that read --coeff: (the tag without one, None for none;
+# the ring types accepted, None for every ring; the refusal of any other)
+COEFFICIENTS = {
+    "burnside-idempotents": ("Q", (RationalRing, *_DRESS), _IDEMPOTENTS),
+    "cbr-multiply": ("Z", None, None),
+    "cbr-idempotents": ("Z", _DRESS, _IDEMPOTENTS),
+    "rho": ("Z", None, None),
+    "motivic-report": ("Z", _DRESS, "unsupported coefficients {tag!r}: the summand decomposition is computed over Z or Zp:<p>"),
+    "blocks": (None, (PrimeFieldRing,), "blocks need prime-field coefficients Fp:<p>[:<e>]"),
+    "mackey-check": (None, None, None),
+}
 
 
 class UsageError(ValueError):
@@ -128,14 +145,29 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
     return xring.element(coeffs, scalar)
 
 
-def _dress_mode(tag: str):
-    """The Dress idempotent mode of a coefficient tag: "solvable" for Z,
-    the prime p for Zp:<p> (not yet checked prime), None for other tags."""
-    if tag == "Z":
-        return "solvable"
-    if tag.startswith("Zp:"):
-        return tag_int(tag, tag[3:])
-    return None
+def coefficient_ring(args):
+    """The coefficient ring of args.command, parsed and bounded (None if it
+    reads none), with --prime bounded too; the refusals of both flags."""
+    name, p, ring = args.command, args.prime, None
+    if name in COEFFICIENTS:
+        default, accepted, refusal = COEFFICIENTS[name]
+        tag = args.coeff or default
+        if tag is not None:
+            ring = ring_from_tag(tag)
+            if accepted is not None and not isinstance(ring, accepted):
+                raise UsageError(refusal.format(tag=tag))
+    if name == "blocks":
+        if ring is None:
+            if p is None:
+                raise UsageError("blocks requires --prime or --coeff Fp:<p>[:<e>]")
+            prime_field(p)
+        elif p is not None and p != ring.p:
+            raise UsageError(f"--prime {p} and --coeff {args.coeff} name different primes")
+    elif name == "p-local-report":
+        if p is None:
+            raise UsageError("p-local-report requires --prime")
+        p_local(p)
+    return ring
 
 
 def run(argv, stream=None) -> int:
@@ -163,17 +195,12 @@ def run(argv, stream=None) -> int:
 
 
 def dispatch(args) -> tuple[dict, bool]:
-    lattice_bound = args.bound if args.bound is not None else DEFAULT_LATTICE_BOUND
     span_bound = args.bound if args.bound is not None else DEFAULT_SPAN_BOUND
-    order_bound = args.bound if args.bound is not None else default_order_bound()
-    degree_bound = max(16, args.bound or 0)
+    order_bound = args.bound if args.bound is not None else DEFAULT_ORDER_BOUND
+    degree_bound = max(DEFAULT_DEGREE_BOUND, args.bound or 0)
     G = construct_group(args.group, degree_bound=degree_bound, order_bound=order_bound)
-    # a p-local prime past the bound of the primality test is refused before the lattice
-    if args.command == "p-local-report" and args.prime is not None:
-        check_prime_bound(args.prime)
-    elif args.command not in IGNORE_COEFF and (args.coeff or "").startswith("Zp:"):
-        check_prime_bound(tag_int(args.coeff, args.coeff[3:]))
-    table = SubgroupClassTable(G, bound=lattice_bound)
+    scalar = coefficient_ring(args)
+    table = SubgroupClassTable(G)
     rng = Random(args.seed)
     doc: dict = {"command": args.command, "group": args.group}
     checks: list[verify.Check] = []
@@ -204,23 +231,19 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "burnside-idempotents":
         ring = BurnsideRing(table)
-        tag = args.coeff or "Q"
-        doc["coeff"] = tag
-        mode = _dress_mode(tag)
-        if tag == "Q":
+        doc["coeff"] = args.coeff or scalar.tag
+        if scalar is QQ:
             idem = ring.rational_idempotents()
             doc["idempotents"] = [
                 {"class": table.classes[i].name, "element": e.to_json()}
                 for i, e in enumerate(idem)
             ]
-        elif mode is not None:
-            family = ring.dress_idempotents(mode)
+        else:
+            family = ring.dress_idempotents("solvable" if scalar is ZZ else scalar.p)
             doc["idempotents"] = [
                 {"residual": table.classes[j].name, "element": e.to_json()}
                 for j, e in family
             ]
-        else:
-            raise UsageError(f"unsupported coefficients {tag!r} for these idempotents")
         checks.extend(verify.burnside_checks(ring, rng))
 
     elif name == "cbr-basis":
@@ -230,7 +253,6 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "cbr-multiply":
         xring = CrossedBurnsideRing(table)
-        scalar = ring_from_tag(args.coeff or "Z")
         x = _parse_element(xring, args.x, scalar)
         y = _parse_element(xring, args.y, scalar)
         product = xring.multiply(x, y)
@@ -246,12 +268,8 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "cbr-idempotents":
         xring = CrossedBurnsideRing(table)
-        tag = args.coeff or "Z"
-        doc["coeff"] = tag
-        mode = _dress_mode(tag)
-        if mode is None:
-            raise UsageError(f"unsupported coefficients {tag!r} for these idempotents")
-        family = xring.dress_idempotents(mode)
+        doc["coeff"] = args.coeff or scalar.tag
+        family = xring.dress_idempotents("solvable" if scalar is ZZ else scalar.p)
         doc["idempotents"] = [
             {"residual": table.classes[j].name, "element": e.to_json()}
             for j, e in family
@@ -260,7 +278,7 @@ def dispatch(args) -> tuple[dict, bool]:
         checks.append(verify.Check("idempotent", ok_idem))
         checks.append(verify.Check("orthogonal", ok_orth))
         checks.append(verify.Check("sum-is-one", ok_sum))
-        if tag == "Z" and len(table) <= 14:
+        if scalar is ZZ and len(table) <= SCAN_CLASSES:
             oracle = xring.idempotent_oracle()
             match = sorted(e.coeffs for _, e in family) == sorted(
                 e.coeffs for e in oracle
@@ -269,7 +287,6 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "rho":
         xring = CrossedBurnsideRing(table)
-        scalar = ring_from_tag(args.coeff or "Z")
         Z = CenterAlgebra(G)
         doc["coeff"] = scalar.tag
         doc["images"] = {
@@ -280,14 +297,8 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "motivic-report":
         xring = CrossedBurnsideRing(table)
-        tag = args.coeff or "Z"
-        doc["coeff"] = tag
-        mode = _dress_mode(tag)
-        if mode is None:
-            raise UsageError(
-                f"unsupported coefficients {tag!r}: the summand decomposition is computed over Z or Zp:<p>"
-            )
-        family = xring.dress_idempotents(mode)
+        doc["coeff"] = args.coeff or scalar.tag
+        family = xring.dress_idempotents("solvable" if scalar is ZZ else scalar.p)
         Z = CenterAlgebra(G)
         rows = [dict(enumerate(row)) for row in xring.center_image_rows()]
         summands = []
@@ -317,8 +328,6 @@ def dispatch(args) -> tuple[dict, bool]:
         )
 
     elif name == "p-local-report":
-        if args.prime is None:
-            raise UsageError("p-local-report requires --prime")
         xring = CrossedBurnsideRing(table)
         plc, report = verify.p_local_checks(xring, args.prime)
         checks.extend(plc)
@@ -331,18 +340,7 @@ def dispatch(args) -> tuple[dict, bool]:
         doc["report"] = report
 
     elif name == "blocks":
-        p = args.prime
-        exponent = None
-        if args.coeff:
-            ring = ring_from_tag(args.coeff)
-            if not isinstance(ring, PrimeFieldRing):
-                raise UsageError("blocks need prime-field coefficients Fp:<p>[:<e>]")
-            if p is not None and p != ring.p:
-                raise UsageError(f"--prime {p} and --coeff {args.coeff} name different primes")
-            p = ring.p
-            exponent = ring.e
-        if p is None:
-            raise UsageError("blocks requires --prime or --coeff Fp:<p>[:<e>]")
+        p, exponent = (scalar.p, scalar.e) if scalar else (args.prime, None)
         Z = CenterAlgebra(G)
         field, blocks = Z.primitive_idempotents(p, exponent)
         doc["field"] = field.tag
@@ -351,7 +349,7 @@ def dispatch(args) -> tuple[dict, bool]:
         ok_idem, ok_orth, ok_sum = Z.idempotent_family(blocks)
         checks.append(verify.Check("idempotent-orthogonal", ok_idem and ok_orth))
         checks.append(verify.Check("sum-is-one", ok_sum))
-        if field.q**Z.n <= 5000:
+        if field.q**Z.n <= SCAN_SIZE:
             scan = block_scan_oracle(Z, field)
             checks.append(
                 verify.Check(
@@ -368,11 +366,9 @@ def dispatch(args) -> tuple[dict, bool]:
         )
 
     elif name == "mackey-check":
-        mk = MackeyAlgebra(table, bound=span_bound)  # span bound, before any ring work
+        mk = MackeyAlgebra(table, bound=span_bound)  # the span bound, before the crossed ring
         xring = CrossedBurnsideRing(table)
-        scalars = (
-            [ring_from_tag(args.coeff)] if args.coeff else [QQ, prime_field(2)]
-        )
+        scalars = [scalar] if scalar else [QQ, prime_field(2)]
         checks.extend(verify.mackey_checks(mk, xring, scalars, rng))
         for scalar in scalars:
             checks.append(verify.zeta_surjectivity_check(mk, xring, scalar))

@@ -24,6 +24,8 @@ from .groups import fixed_cosets, orbits
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
 
+SCAN_CLASSES = 14  # idempotent_oracle scans 2^n ghost vectors, n classes up to this
+
 
 @dataclass(frozen=True)
 class CrossedPairClass:
@@ -259,10 +261,10 @@ class CrossedBurnsideRing(Algebra):
 
         The scan takes 2^n steps for n subgroup classes, so it raises
         ``ValueError("class-count bound exceeded ...")`` before any scan
-        when ``self.table.classes`` holds more than 14 classes.
+        when ``self.table.classes`` holds more than SCAN_CLASSES classes.
         """
         nclasses = len(self.table.classes)
-        if nclasses > 14:
+        if nclasses > SCAN_CLASSES:
             raise ValueError("class-count bound exceeded for the idempotent scan")
         # pullbacks of the unit ghost vectors as integer columns over one
         # common denominator; a 0/1 ghost vector pulls back to a column sum
@@ -325,7 +327,7 @@ class CrossedBurnsideRing(Algebra):
                 order_w, rank_w = self.group.order, rank_g
             else:
                 W = self.table.quotient(cls.normalizer, cls.representative)
-                wring = CrossedBurnsideRing(SubgroupClassTable(W, bound=max(W.order, 1)))
+                wring = CrossedBurnsideRing(SubgroupClassTable(W))
                 # the trivial class is first in the quotient's ordering
                 f1 = dict(wring.dress_idempotents(p))[0]
                 order_w = W.order

@@ -7,7 +7,6 @@ table, so the routines downstream never touch image tuples directly.
 
 from __future__ import annotations
 
-import os
 import re
 
 
@@ -21,13 +20,6 @@ class GroupTooLarge(ValueError):
 
 class NotNormal(ValueError):
     """A quotient N/J requested with J not normal in N."""
-
-
-def default_order_bound() -> int:
-    env = os.environ.get("MOTIVE_RING_MAX_ORDER")
-    if env:
-        return int(env)
-    return DEFAULT_ORDER_BOUND
 
 
 class Permutation:
@@ -102,8 +94,9 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation like ``(1 2)(3 4)`` (commas also allowed)."""
+def _cycles(text: str) -> list[list[int]]:
+    """The 0-based cycles of 1-based cycle notation like ``(1 2)(3 4)``
+    (commas also allowed), checked to be disjoint."""
     text = text.strip()
     if not text:
         raise ValueError("empty cycle string")
@@ -111,7 +104,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     if stripped.strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
     cycles = []
-    maxpt = 0
     for body in _CYCLE_RE.findall(text):
         pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
         if not pts:
@@ -125,19 +117,30 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle {body!r}")
         cycles.append([p - 1 for p in pts])
-        maxpt = max(maxpt, max(pts))
-    deg = degree if degree is not None else maxpt
-    deg = max(deg, maxpt, 1)
-    images = list(range(deg))
-    moved = set()
+    moved = [p for cyc in cycles for p in cyc]
+    if len(set(moved)) != len(moved):
+        raise ValueError("cycles are not disjoint")
+    return cycles
+
+
+def _degree(cycles) -> int:
+    """The least degree, at least 1, that holds every point of cycles."""
+    return max([1] + [p + 1 for cyc in cycles for p in cyc])
+
+
+def _from_cycles(cycles, degree: int) -> Permutation:
+    """The permutation of degree points with the given disjoint cycles."""
+    images = list(range(degree))
     for cyc in cycles:
-        for p in cyc:
-            if p in moved:
-                raise ValueError("cycles are not disjoint")
-            moved.add(p)
         for i, p in enumerate(cyc):
             images[p] = cyc[(i + 1) % len(cyc)]
     return Permutation(images)
+
+
+def parse_cycles(text: str, degree: int | None = None) -> Permutation:
+    """Parse 1-based cycle notation like ``(1 2)(3 4)`` (commas also allowed)."""
+    cycles = _cycles(text)
+    return _from_cycles(cycles, max(degree or 0, _degree(cycles)))
 
 
 def orbits(points, gens, act) -> list[list]:
@@ -166,9 +169,10 @@ def orbits(points, gens, act) -> list[list]:
 
 
 class FiniteGroup:
-    """Permutation group; elements and Cayley table are built on first use."""
+    """Permutation group with its elements and Cayley table, built at
+    construction; an order over order_bound raises GroupTooLarge."""
 
-    def __init__(self, degree: int, generators, *, order_bound: int | None = None, name: str = ""):
+    def __init__(self, degree: int, generators, *, order_bound: int = DEFAULT_ORDER_BOUND, name: str = ""):
         self.degree = degree
         gens = []
         for g in generators:
@@ -180,31 +184,23 @@ class FiniteGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self.name = name
-        self._order_bound = order_bound
-        # _elements, _index, _mul and _inv are set together by _materialize
         self._orders: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._materialize(order_bound)
 
     # -- materialization -------------------------------------------------
 
-    def __getattr__(self, name):
-        # only reached while an attribute is unset: the first use of the
-        # elements or the Cayley table builds both
-        if name not in ("_elements", "_index", "_mul", "_inv"):
-            raise AttributeError(name)
-        self._materialize()
-        return self.__dict__[name]
-
-    def _materialize(self):
+    def _materialize(self, bound: int):
         """Elements by breadth-first search, then the Cayley table.
 
         Every element c other than the identity is reached as c = a * g for
         an earlier element a and a generator g, so its column of the table
         is i * c = (i * a) * g: one lookup per entry in a's column and g's.
         Only the generator columns compose tuples, which keeps the cost at
-        |G| * #gens * degree + |G|^2 rather than |G|^2 * degree.
+        |G| * #gens * degree + |G|^2 rather than |G|^2 * degree.  The search
+        stops as soon as it holds more than bound elements, the identity
+        included.
         """
-        bound = self._order_bound if self._order_bound is not None else default_order_bound()
         identity = tuple(range(self.degree))
         gen_images = [g.images for g in self.generators]
         parent = {identity: None}  # c -> (a, position of g) with c = a * g
@@ -212,15 +208,13 @@ class FiniteGroup:
         while frontier:
             new = []
             for a in frontier:
+                if len(parent) > bound:
+                    raise GroupTooLarge(f"group too large: order exceeds bound {bound}")
                 for k, g in enumerate(gen_images):
                     c = tuple(g[i] for i in a)
                     if c not in parent:
                         parent[c] = (a, k)
                         new.append(c)
-                        if len(parent) > bound:
-                            raise GroupTooLarge(
-                                f"group too large: order exceeds bound {bound}"
-                            )
             frontier = new
         ordered = tuple(sorted(parent))
         index = {t: i for i, t in enumerate(ordered)}
@@ -519,7 +513,7 @@ def construct_group(
     spec: str,
     *,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
-    order_bound: int | None = None,
+    order_bound: int = DEFAULT_ORDER_BOUND,
 ) -> FiniteGroup:
     """Build a group from a specification string.
 
@@ -556,15 +550,12 @@ def construct_group(
         parts = [p.strip() for p in _split_generators(arg) if p.strip()]
         if not parts:
             raise ValueError("empty generator list")
-        raw = [parse_cycles(p) for p in parts]
-        degree = max(p.degree for p in raw)
-        if degree > degree_bound:
+        cycles = [_cycles(p) for p in parts]
+        degree = max(_degree(c) for c in cycles)
+        if degree > degree_bound:  # before any permutation is built
             raise GroupTooLarge(
                 f"group too large: degree {degree} exceeds bound {degree_bound}"
             )
-        gens = []
-        for p in raw:
-            images = list(p.images) + list(range(p.degree, degree))
-            gens.append(Permutation(images))
+        gens = [_from_cycles(c, degree) for c in cycles]
         return FiniteGroup(degree, gens, order_bound=order_bound, name=spec)
     raise ValueError(f"unknown group family {kind!r}")

@@ -307,15 +307,6 @@ class MackeyAlgebra(Algebra):
             out.update(((j, k), v) for k, v in diff.items() if not s.is_zero(v))
         return out
 
-    def is_central(self, x: Element) -> bool:
-        """True if x commutes with every basis span.
-
-        This is the oracle for center membership: it tests the whole basis
-        (commutator), not the generator_spans that center_basis relies on.
-        """
-        s = x.scalar
-        return not self.commutator({i: a for i, a in enumerate(x.coeffs) if not s.is_zero(a)}, s)
-
     # -- the comparison maps as integer rows ----------------------------------------------
 
     def project_matrix(self, i: int) -> dict[tuple[int, int], int]:

@@ -7,17 +7,15 @@ members of a new class are reached by a breadth-first search over the
 generators of G, which gives each its fusion conjugator; the normalizer of
 the representative is read off the images of its generators.  The double
 cosets HgK of two class representatives are the H-orbits on G/K, with
-H n gKg^-1 the stabilizer of gK.  Depth-first growth and a literal subset
-scan are independent oracles for the walk in the tests.
+H n gKg^-1 the stabilizer of gK.  The lattice has no bound of its own: the
+order bound of the group is checked when the group is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, GroupTooLarge, quotient_group
-
-DEFAULT_LATTICE_BOUND = 200
+from .groups import FiniteGroup, quotient_group
 
 
 def subgroup_key(subgroup) -> tuple[int, ...]:
@@ -119,45 +117,6 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     return _walk_classes(G)[3]
 
 
-def all_subgroups_dfs(G: FiniteGroup) -> list[frozenset[int]]:
-    """Exhaustive oracle: depth-first closure growth, one generator at a time."""
-    trivial = frozenset({0})
-    seen = {subgroup_key(trivial): trivial}
-    stack = [(trivial, [])]
-    while stack:
-        H, gens = stack.pop()
-        for g in range(1, G.order):
-            if g in H:
-                continue
-            J = G.closure(gens + [g])
-            jk = subgroup_key(J)
-            if jk not in seen:
-                seen[jk] = J
-                stack.append((J, gens + [g]))
-    return sorted(seen.values(), key=lambda s: (len(s), subgroup_key(s)))
-
-
-def all_subgroups_subsets(G: FiniteGroup) -> list[frozenset[int]]:
-    """Literal subset scan (|G| <= 20): every subset closed under the table."""
-    n = G.order
-    if n > 20:
-        raise ValueError("subset scan only supported for tiny groups")
-    others = list(range(1, n))
-    out = []
-    for mask in range(1 << len(others)):
-        subset = {0}
-        m = mask
-        for x in others:
-            if m & 1:
-                subset.add(x)
-            m >>= 1
-        if n % len(subset) != 0:
-            continue
-        if all(G.mul(a, b) in subset for a in subset for b in subset):
-            out.append(frozenset(subset))
-    return sorted(out, key=lambda s: (len(s), subgroup_key(s)))
-
-
 # -- residual subgroups ----------------------------------------------------
 
 
@@ -209,29 +168,6 @@ def residual(G: FiniteGroup, H, mode) -> frozenset[int]:
     if isinstance(mode, int) and mode >= 2:
         return p_residual(G, H, mode)
     raise ValueError(f"unknown residual mode {mode!r}")
-
-
-def p_residual_oracle(G: FiniteGroup, H, p: int, subgroups_of_G) -> frozenset[int]:
-    """Exhaustive check: minimal normal N of H with H/N a p-group."""
-    Hset = frozenset(H)
-    hits = []
-    for N in subgroups_of_G:
-        if not N <= Hset:
-            continue
-        index = len(Hset) // len(N)
-        if not _is_p_power(index, p):
-            continue
-        if all(G.conjugate_subgroup(h, N) == N for h in Hset):
-            hits.append(N)
-    best = min(hits, key=len)
-    assert all(best <= N for N in hits), "minimal normal with p-quotient not unique"
-    return best
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # -- structure hints for class names ----------------------------------------
@@ -317,11 +253,7 @@ class SubgroupClassTable:
     extension of subconjugacy, which keeps the mark matrix triangular.
     """
 
-    def __init__(self, G: FiniteGroup, bound: int = DEFAULT_LATTICE_BOUND):
-        if G.order > bound:
-            raise GroupTooLarge(
-                f"lattice too large: order {G.order} exceeds bound {bound}"
-            )
+    def __init__(self, G: FiniteGroup):
         self.group = G
         reps, gens, normalizers, self.all_subgroups, self._fusion = _walk_classes(G)
         hints: dict[str, int] = {}
@@ -438,5 +370,5 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-def subgroup_classes(G: FiniteGroup, bound: int = DEFAULT_LATTICE_BOUND) -> SubgroupClassTable:
-    return SubgroupClassTable(G, bound=bound)
+def subgroup_classes(G: FiniteGroup) -> SubgroupClassTable:
+    return SubgroupClassTable(G)

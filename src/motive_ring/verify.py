@@ -14,8 +14,8 @@ from functools import cache
 from random import Random
 
 from .burnside import BurnsideRing
-from .center import CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
-from .crossed import CrossedBurnsideRing
+from .center import SCAN_SIZE, CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
+from .crossed import SCAN_CLASSES, CrossedBurnsideRing
 from .groups import double_cosets, fixed_cosets
 from .linalg import integer_kernel, integer_rank, sparse_mat_mul
 from .mackey import HeckeAlgebra, MackeyAlgebra, crossed_to_mackey_center
@@ -323,7 +323,7 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
     checks.append(_check("center-image-spans-center", span_failures()))
     checks.append(_check("center-image-of-integral-idempotents", integral_image_failures()))
 
-    if len(table) <= 14:
+    if len(table) <= SCAN_CLASSES:
         oracle = xring.idempotent_oracle()
         mine = sorted(e.coeffs for _, e in xring.dress_idempotents("solvable"))
         theirs = sorted(e.coeffs for e in oracle)
@@ -368,7 +368,7 @@ def center_checks(xring: CrossedBurnsideRing) -> list[Check]:
         for p in prime_divisors(G.order):
             field, blocks = Z.primitive_idempotents(p)
             yield from _family_failures(Z, blocks, f"p={p}: block", f"p={p}: blocks")
-            if field.q**Z.n <= 5000:
+            if field.q**Z.n <= SCAN_SIZE:
                 scan = block_scan_oracle(Z, field)
                 if [b.coeffs for b in scan] != [b.coeffs for b in blocks]:
                     yield f"p={p}: blocks disagree with exhaustive scan"

@@ -3,7 +3,10 @@
 Each is the earlier, slower algorithm the package used before its current
 kernel, and none calls that kernel: the breadth-first closure, the class
 walk that conjugates every new class by all of G, marks as counts of fixed
-cosets, and double-coset meets from a sweep over the elements of G.
+cosets, and double-coset meets from a sweep over the elements of G.  The
+exhaustive oracles for the lattice follow: depth-first growth by
+breadth-first closures, a literal subset scan, and the p-residual as the
+least normal subgroup with p-group quotient.
 """
 
 from __future__ import annotations
@@ -119,3 +122,65 @@ def meets_by_sweep(table, h: int, k: int) -> tuple[tuple[int, int], ...]:
         (table.fusion(H & G.conjugate_subgroup(g, K))[0], g)
         for g in double_cosets(G, H, K)[0]
     )
+
+
+def all_subgroups_dfs(G: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup by depth-first growth, one generator at a time, each
+    closed breadth-first."""
+    trivial = frozenset({0})
+    seen = {key(trivial): trivial}
+    stack = [(trivial, [])]
+    while stack:
+        H, gens = stack.pop()
+        for g in range(1, G.order):
+            if g in H:
+                continue
+            J = closure_bfs(G, gens + [g])
+            if key(J) not in seen:
+                seen[key(J)] = J
+                stack.append((J, gens + [g]))
+    return sorted(seen.values(), key=lambda s: (len(s), key(s)))
+
+
+def all_subgroups_subsets(G: FiniteGroup) -> list[frozenset[int]]:
+    """Literal subset scan (|G| <= 20): every subset closed under the table."""
+    n = G.order
+    if n > 20:
+        raise ValueError("subset scan only supported for tiny groups")
+    others = list(range(1, n))
+    out = []
+    for mask in range(1 << len(others)):
+        subset = {0}
+        m = mask
+        for x in others:
+            if m & 1:
+                subset.add(x)
+            m >>= 1
+        if n % len(subset) != 0:
+            continue
+        if all(G.mul(a, b) in subset for a in subset for b in subset):
+            out.append(frozenset(subset))
+    return sorted(out, key=lambda s: (len(s), key(s)))
+
+
+def _is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def p_residual_oracle(G: FiniteGroup, H, p: int, subgroups_of_G) -> frozenset[int]:
+    """Exhaustive check: minimal normal N of H with H/N a p-group."""
+    Hset = frozenset(H)
+    hits = []
+    for N in subgroups_of_G:
+        if not N <= Hset:
+            continue
+        index = len(Hset) // len(N)
+        if not _is_p_power(index, p):
+            continue
+        if all(G.conjugate_subgroup(h, N) == N for h in Hset):
+            hits.append(N)
+    best = min(hits, key=len)
+    assert all(best <= N for N in hits), "minimal normal with p-quotient not unique"
+    return best

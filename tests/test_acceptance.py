@@ -12,6 +12,8 @@ import json
 import time
 
 from dense_linalg import rank_field
+from reference_checks import is_central
+from reference_groups import p_residual_oracle
 
 from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
 from motive_ring.cli import run
@@ -21,7 +23,7 @@ from motive_ring.mackey import (
     crossed_to_mackey_center,
 )
 from motive_ring.scalars import QQ, ZZ, prime_field
-from motive_ring.subgroups import prime_divisors
+from motive_ring.subgroups import all_subgroups, prime_divisors
 
 F2 = prime_field(2)
 
@@ -195,8 +197,6 @@ def test_criterion_5_p_local_decomposition(ws):
         crit.expect(report["orthogonal"], f"({name},{p}): family not orthogonal")
         crit.expect(report["sum_is_one"], f"({name},{p}): family does not sum to 1")
         # fibers against the independent minimal-normal-subgroup oracle
-        from motive_ring.subgroups import all_subgroups, p_residual_oracle
-
         G = ws.group(name)
         subs = all_subgroups(G)
         expected_fibers: dict[str, list[str]] = {}
@@ -258,7 +258,7 @@ def test_criterion_7_mackey_diagram_suite(ws):
                 f"{name}[{tag}]: unit not preserved",
             )
             for z in imgs:
-                if not mk.is_central(z):
+                if not is_central(mk, z):
                     crit.expect(False, f"{name}[{tag}]: an image is not central")
                     break
             ok = True

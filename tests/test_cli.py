@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motive_ring
 from motive_ring import cli
@@ -51,7 +53,7 @@ def test_span_bound_exceeded_exits_3():
 
 
 def test_bound_sets_every_bound_to_n():
-    # --bound n sets the order, lattice and span bounds to n, so a small n lowers them
+    # --bound n sets the order and span bounds to n, so a small n lowers them
     code, doc, _ = invoke(["subgroups", "--group", "sym:4", "--bound", "10"])
     assert code == 3
     assert "order exceeds bound 10" in doc["error"]
@@ -359,12 +361,6 @@ def test_tsv_flattening():
     )
     assert lines["marks.0.0"] == "2"
     assert lines["command"] == "marks"
-
-
-def test_env_var_overrides_order_bound(monkeypatch):
-    monkeypatch.setenv("MOTIVE_RING_MAX_ORDER", "1000")
-    code, doc, _ = invoke(["marks", "--group", "sym:3"])
-    assert code == 0
 
 
 def test_module_entry_point():
@@ -749,3 +745,541 @@ def test_a_numeral_within_the_int_digit_limit_keeps_its_message():
 def test_commands_that_ignore_the_coefficients_still_ignore_them():
     code, _, _ = invoke(["subgroups", "--group", "sym:3", "--coeff", f"Zp:{OVER_BOUND}"])
     assert code == 0
+
+
+# -- one gate for --coeff and --prime -----------------------------------------
+
+# The grid: every subcommand that reads --coeff or --prime, with each of these
+# tags and --prime values ("-": the flag left out), on sym:3 and on sym:6,
+# which is over the order bound of 200.
+GATE_TAGS = {
+    "-": None, "Z": "Z", "Q": "Q", "Zp:3": "Zp:3", "Zp:4": "Zp:4", "Zp:x": "Zp:x",
+    "Zp:9x30": "Zp:" + "9" * 30, "Zp:1x4400": "Zp:" + "1" * 4400, "Fp:2": "Fp:2", "Fp:4": "Fp:4",
+    "Fp:2:2": "Fp:2:2", "Fp:2:40": "Fp:2:40", "Fp:70001": "Fp:70001", "Fp:x": "Fp:x",
+    "Fp:1:9": "Fp:1:9", "garbage": "garbage",
+}
+GATE_PRIMES = ("-", "2", "4", "70001")
+
+
+def gate_argv(command, group, tag, prime):
+    argv = [command, "--group", group]
+    if GATE_TAGS[tag] is not None:
+        argv += ["--coeff", GATE_TAGS[tag]]
+    if prime != "-":
+        argv += ["--prime", prime]
+    if command == "cbr-multiply":
+        argv += ["--x", "{}", "--y", "{}"]
+    return argv
+
+
+# The outcomes of the grid, (exit code, stdout sha256), each named by its
+# error or by its first argv.  PINNED_REFUSALS maps (subcommand, group, tag)
+# to its outcome under every --prime, or to one outcome per GATE_PRIMES;
+# it was recorded before the coefficients were gated in one place.
+# CHANGED_REFUSALS holds the new outcome where the gate changed it:
+# (a) a Zp tag on a group over the order bound now reports the group;
+# (b) an invalid tag on burnside-idempotents, cbr-idempotents or
+#     motivic-report reports its parse error or its field bound, not
+#     "unsupported coefficients".
+OUTCOMES = {
+    "blocks sym:3 - p2": (0, "33d2a4aaead3ef2a47c541b8cd3a7f29ba39dbcf87fdd0bea3c05a782280eb8c"),
+    "blocks sym:3 Fp:2:2": (0, "0152dc17c19d8fdad933c8761f3c528e4356f029db11e99856368f0be2caf060"),
+    "burnside-idempotents sym:3 -": (0, "d59e34722fadeceed275e3e6f25cab8c0f5a886a6edf20ebcc6e432b9b866e32"),
+    "burnside-idempotents sym:3 Z": (0, "d33b8d0b1230b3f1c2ed5ad7bc42366e03b3a4f0f47beb4478f2b72f455dac36"),
+    "burnside-idempotents sym:3 Zp:3": (0, "023b8a71fd88ab691d157240eae6102ab0c4722f67744d38c1605f262f04ec1d"),
+    "cbr-idempotents sym:3 -": (0, "9f735240fe313f12fd84fa811e088d68291b30cf953fd32d063e22d317940d25"),
+    "cbr-idempotents sym:3 Zp:3": (0, "66df5098faf1c3e769a3210da3fc52d47587eea65091134036158cab9158b4ee"),
+    "cbr-multiply sym:3 -": (0, "03e2bddd6ca1079cab2e44648a2a3cbae563b291f38b02314ebcdabc541429e4"),
+    "cbr-multiply sym:3 Fp:2": (0, "6563ce24faa39d279161a1fdc5125287ea514462b05eda4da143539929ac874a"),
+    "cbr-multiply sym:3 Fp:2:2": (0, "48cecc725d0bb4f88207e7eed59adcdd018f8c81577e33338e355b5d42e26441"),
+    "cbr-multiply sym:3 Q": (0, "873ff97c94b4bbb3725c229f12892507874d73388786662c5958984c904d9646"),
+    "cbr-multiply sym:3 Zp:3": (0, "d5fe3c6f8333a4325f272fcadd6fbb8c723b6708921c2bd25bf6173b1837cad2"),
+    "motivic-report sym:3 -": (0, "3e31fbd8c7df34656468a3e624934858b974b24907e8e13018a68f563e58bac8"),
+    "motivic-report sym:3 Zp:3": (0, "10eba90d46b5d3c02428fabb6f20a46ed522d4cd8171bb3d4e0aca8647e3932b"),
+    "rho sym:3 -": (0, "ed169880c6e3ed1ebe0d6040cbd9da6ea864a12251b9caec3617466bc0c57776"),
+    "rho sym:3 Fp:2": (0, "91f174771cecd5d05ea441a110cc5fa959a0dd563650301c0275929fc00654e8"),
+    "rho sym:3 Fp:2:2": (0, "5b8e7b43e10b36862d7907ee793096d5faa5cf0ff7fe74892f544e7f4dec7788"),
+    "rho sym:3 Q": (0, "6258a163c43172fbff30cc093ed07cab4b70ed554902a67a6895a7ae4205f91e"),
+    "rho sym:3 Zp:3": (0, "ed9a6dd5c6028f4d8827c71977bcea61f0955cf2601e8d2beee98daaaf040df9"),
+    "mackey-check sym:3 -": (1, "4c17f4ea8a5001346903d734802f3ec3af72763470b4ea81ce12403313542cfd"),
+    "mackey-check sym:3 Fp:2": (1, "7295aead3fddad30dc1afcb9bc6ac525264e9ec834be561edcaf29cd55b40582"),
+    "mackey-check sym:3 Fp:2:2": (1, "c634bbb8919eba3906e5567ae0e129cc3128c16cb6fad8357f595bd769afd789"),
+    "mackey-check sym:3 Q": (1, "b34a58864b6370c860820f13f1093ce8ca5d7f6f91779fa2fdd921d70736bd79"),
+    "mackey-check sym:3 Z": (1, "af96d69f7654687efdd4ad41f17d66631de1c6c0736b329e8e807f1e19a4b1f6"),
+    "mackey-check sym:3 Zp:3": (1, "084b00e944f42f724097bc71592e874ab47a4b6cdb59b45b7947f42c7bbd25cc"),
+    "p-local-report sym:3 - p2": (1, "0c9b8ead2a91435fd19343ff41a347a832468c9e41b30ca090c7823dfabf2c68"),
+    "p-local-report sym:3 - p70001": (1, "18ba6a49766cf2de158da6358c5bdf3dc08985135453a864d516b39f905b65f6"),
+    "1-is-not-prime": (2, "5567d4692f0fb92ac5d7a575dd88d0fe6f621974b0751594a67e8c7ac13e273b"),
+    "4-is-not-prime": (2, "2bd534322e3df8707f6211d5e87a64b496a74437098a5be48c1b31b2e4d7da1d"),
+    "blocks-need-prime-field-coefficients-fp-p-e": (2, "4012d2e7c1fbded2ea6d16570b12c7e8a1539cbc446dc542c7169e1d3343b2ad"),
+    "blocks-requires-prime-or-coeff-fp-p-e": (2, "c93282cfb58ceee2150eb881c2baa2e163f83fd2a5e9f037a6ebf59877a97bc3"),
+    "malformed-coefficient-tag-fp-x": (2, "a5b2665323334c7a6be4a73a42ce6c7d4e3e9ca397000de711775e588ac8fe9b"),
+    "malformed-coefficient-tag-zp-x": (2, "469cab930da9c525f9f8c9a0470cc71230e081d2fa2cfb68a179b63f3a32f869"),
+    "p-local-report-requires-prime": (2, "8824783565804e0673f2a00b6e4b3a7979661118faa340d956ff341561ad806c"),
+    "prime-4-and-coeff-fp-2-2-name-different-primes": (2, "c337ce9e35fb3f6cbd771c4f287ca48c4a0e72b517e0dcd5ed7d736476bf5b17"),
+    "prime-4-and-coeff-fp-2-name-different-primes": (2, "8e2a547d0d92520944e47ff90b553e65ec151e4475d9fa980aba52a81dd6e331"),
+    "prime-70001-and-coeff-fp-2-2-name-different-prim": (2, "33f7d348d5295b2b1b654b2e58eebaa53438a79426993c16d0d93d372cfd7b3c"),
+    "prime-70001-and-coeff-fp-2-name-different-primes": (2, "a135699ecca4cbaa81172a6579a87c91fc2375ef2d91325d197e3ebfca194cb5"),
+    "unknown-coefficient-tag-garbage": (2, "8bc9bdce31cdc0bae0bbca591d43e0f29b59ddbc5592db0f4ebc2ac22d91f158"),
+    "unsupported-coefficients-fp-1-9-for-these-idempo": (2, "ad2dc0d35024429f4f65d8b8191de998ac344acdd96240d2d6f885d8d1dab875"),
+    "unsupported-coefficients-fp-1-9-the-summand-deco": (2, "10b1b4fa9b16616e664b57db3f01c569b12bbc2d3ad14a86b9b571db6549b482"),
+    "unsupported-coefficients-fp-2-2-for-these-idempo": (2, "ea795540c8bc2fdced4303068c7434ed951ba154c2907b0da9c6216c4cf4dec7"),
+    "unsupported-coefficients-fp-2-2-the-summand-deco": (2, "d299caa601228b85a710612cd75607405b4183898bb87ed41dc46beae4f0b9e9"),
+    "unsupported-coefficients-fp-2-40-for-these-idemp": (2, "b6d1e08f979a116b973b9aa861105a5439acbc14d47a83d008db9378659f89d7"),
+    "unsupported-coefficients-fp-2-40-the-summand-dec": (2, "0998099070a18fbe60304b3a0dd80a718ea474a0099f95c45cb1350b4cbd205f"),
+    "unsupported-coefficients-fp-2-for-these-idempote": (2, "b437582eab58969b7c190db2a970e592b145cda95c3f0a2fcbd70a0007d24ff5"),
+    "unsupported-coefficients-fp-2-the-summand-decomp": (2, "e28b034d4dd65161f00f26a5b44173d15ac562140d491acc41d4cf176053deb1"),
+    "unsupported-coefficients-fp-4-for-these-idempote": (2, "d23173da4b74a53d198739d465be685a6c493d73965b44f80b2b7c1f2cc40137"),
+    "unsupported-coefficients-fp-4-the-summand-decomp": (2, "644a685097a198d9f70dcb69f18529a7b468d897554e0fc8dd6f99681f8dd079"),
+    "unsupported-coefficients-fp-70001-for-these-idem": (2, "7612211fbf77045a6ca112c948121f063709e2e07a485584e92995ce45d32fe1"),
+    "unsupported-coefficients-fp-70001-the-summand-de": (2, "47320ab4914d3d02f051530ae093b9a93006aa574a8e69130213c8f38171d710"),
+    "unsupported-coefficients-fp-x-for-these-idempote": (2, "d07e219d2a550bcd72a858fdff2983fd17d8a88f188bafe173bbf42d2de33787"),
+    "unsupported-coefficients-fp-x-the-summand-decomp": (2, "006642a96075e61d2af01250cfff0e6f3f7f4a933a36dfd05a714694571e627d"),
+    "unsupported-coefficients-garbage-for-these-idemp": (2, "0583f9df67471e9a13b55edebb476980c31d38d0f80bd43569f786d1885cef7b"),
+    "unsupported-coefficients-garbage-the-summand-dec": (2, "b2d80d64682b5021fcc6f7a333b9bff68f623f581985a42b82723cb6366798bd"),
+    "unsupported-coefficients-q-for-these-idempotents": (2, "e0118ced123227ec35ce626ebee46b6e69590ab54bf475b856cf0309e93e9ff9"),
+    "unsupported-coefficients-q-the-summand-decomposi": (2, "f3dd2bd6548559871e73d153237e52852d061af9a949c16b79a95efdfcc49fda"),
+    "field-too-large-q-2-40-1099511627776-field-bound": (3, "73c9dc9d550b4ebeeba1d6937bf7104e32369173ab3c1ba4f9f3c175ef798e8d"),
+    "field-too-large-q-70001-1-70001-field-bound-6553": (3, "e4d687d757b284eb2fc59208c532afdb072e374cce99fc0484623428c564e49c"),
+    "group-too-large-order-exceeds-bound-200": (3, "c06bec87a77c61d51fb5dbc66d9d277102ed9ab977a85f29a4d2e5bb73ad3fba"),
+    "prime-too-large-p-4400-digits-prime-bound-331704": (3, "c73ec4b4e646985b551edc89abdf351a4d53df74b2a848c797547e52f465eded"),
+    "prime-too-large-p-999999999999999999999999999999": (3, "de4e12a67cd10723b26366fc343928d50079d7b5def2b1869db398f3444df536"),
+}
+PINNED_REFUSALS = {
+    ("burnside-idempotents", "sym:3", "-"): "burnside-idempotents sym:3 -",
+    ("burnside-idempotents", "sym:3", "Z"): "burnside-idempotents sym:3 Z",
+    ("burnside-idempotents", "sym:3", "Q"): "burnside-idempotents sym:3 -",
+    ("burnside-idempotents", "sym:3", "Zp:3"): "burnside-idempotents sym:3 Zp:3",
+    ("burnside-idempotents", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("burnside-idempotents", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("burnside-idempotents", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("burnside-idempotents", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("burnside-idempotents", "sym:3", "Fp:2"): "unsupported-coefficients-fp-2-for-these-idempote",
+    ("burnside-idempotents", "sym:3", "Fp:4"): "unsupported-coefficients-fp-4-for-these-idempote",
+    ("burnside-idempotents", "sym:3", "Fp:2:2"): "unsupported-coefficients-fp-2-2-for-these-idempo",
+    ("burnside-idempotents", "sym:3", "Fp:2:40"): "unsupported-coefficients-fp-2-40-for-these-idemp",
+    ("burnside-idempotents", "sym:3", "Fp:70001"): "unsupported-coefficients-fp-70001-for-these-idem",
+    ("burnside-idempotents", "sym:3", "Fp:x"): "unsupported-coefficients-fp-x-for-these-idempote",
+    ("burnside-idempotents", "sym:3", "Fp:1:9"): "unsupported-coefficients-fp-1-9-for-these-idempo",
+    ("burnside-idempotents", "sym:3", "garbage"): "unsupported-coefficients-garbage-for-these-idemp",
+    ("burnside-idempotents", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("burnside-idempotents", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("burnside-idempotents", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("burnside-idempotents", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("burnside-idempotents", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:3", "-"): "cbr-multiply sym:3 -",
+    ("cbr-multiply", "sym:3", "Z"): "cbr-multiply sym:3 -",
+    ("cbr-multiply", "sym:3", "Q"): "cbr-multiply sym:3 Q",
+    ("cbr-multiply", "sym:3", "Zp:3"): "cbr-multiply sym:3 Zp:3",
+    ("cbr-multiply", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("cbr-multiply", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("cbr-multiply", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("cbr-multiply", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("cbr-multiply", "sym:3", "Fp:2"): "cbr-multiply sym:3 Fp:2",
+    ("cbr-multiply", "sym:3", "Fp:4"): "4-is-not-prime",
+    ("cbr-multiply", "sym:3", "Fp:2:2"): "cbr-multiply sym:3 Fp:2:2",
+    ("cbr-multiply", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",
+    ("cbr-multiply", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",
+    ("cbr-multiply", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",
+    ("cbr-multiply", "sym:3", "Fp:1:9"): "1-is-not-prime",
+    ("cbr-multiply", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",
+    ("cbr-multiply", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("cbr-multiply", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("cbr-multiply", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("cbr-multiply", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-multiply", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:3", "-"): "cbr-idempotents sym:3 -",
+    ("cbr-idempotents", "sym:3", "Z"): "cbr-idempotents sym:3 -",
+    ("cbr-idempotents", "sym:3", "Q"): "unsupported-coefficients-q-for-these-idempotents",
+    ("cbr-idempotents", "sym:3", "Zp:3"): "cbr-idempotents sym:3 Zp:3",
+    ("cbr-idempotents", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("cbr-idempotents", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("cbr-idempotents", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("cbr-idempotents", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("cbr-idempotents", "sym:3", "Fp:2"): "unsupported-coefficients-fp-2-for-these-idempote",
+    ("cbr-idempotents", "sym:3", "Fp:4"): "unsupported-coefficients-fp-4-for-these-idempote",
+    ("cbr-idempotents", "sym:3", "Fp:2:2"): "unsupported-coefficients-fp-2-2-for-these-idempo",
+    ("cbr-idempotents", "sym:3", "Fp:2:40"): "unsupported-coefficients-fp-2-40-for-these-idemp",
+    ("cbr-idempotents", "sym:3", "Fp:70001"): "unsupported-coefficients-fp-70001-for-these-idem",
+    ("cbr-idempotents", "sym:3", "Fp:x"): "unsupported-coefficients-fp-x-for-these-idempote",
+    ("cbr-idempotents", "sym:3", "Fp:1:9"): "unsupported-coefficients-fp-1-9-for-these-idempo",
+    ("cbr-idempotents", "sym:3", "garbage"): "unsupported-coefficients-garbage-for-these-idemp",
+    ("cbr-idempotents", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("cbr-idempotents", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("cbr-idempotents", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("cbr-idempotents", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("cbr-idempotents", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:3", "-"): "rho sym:3 -",
+    ("rho", "sym:3", "Z"): "rho sym:3 -",
+    ("rho", "sym:3", "Q"): "rho sym:3 Q",
+    ("rho", "sym:3", "Zp:3"): "rho sym:3 Zp:3",
+    ("rho", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("rho", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("rho", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("rho", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("rho", "sym:3", "Fp:2"): "rho sym:3 Fp:2",
+    ("rho", "sym:3", "Fp:4"): "4-is-not-prime",
+    ("rho", "sym:3", "Fp:2:2"): "rho sym:3 Fp:2:2",
+    ("rho", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",
+    ("rho", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",
+    ("rho", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",
+    ("rho", "sym:3", "Fp:1:9"): "1-is-not-prime",
+    ("rho", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",
+    ("rho", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("rho", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("rho", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("rho", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("rho", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:3", "-"): "motivic-report sym:3 -",
+    ("motivic-report", "sym:3", "Z"): "motivic-report sym:3 -",
+    ("motivic-report", "sym:3", "Q"): "unsupported-coefficients-q-the-summand-decomposi",
+    ("motivic-report", "sym:3", "Zp:3"): "motivic-report sym:3 Zp:3",
+    ("motivic-report", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("motivic-report", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("motivic-report", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("motivic-report", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("motivic-report", "sym:3", "Fp:2"): "unsupported-coefficients-fp-2-the-summand-decomp",
+    ("motivic-report", "sym:3", "Fp:4"): "unsupported-coefficients-fp-4-the-summand-decomp",
+    ("motivic-report", "sym:3", "Fp:2:2"): "unsupported-coefficients-fp-2-2-the-summand-deco",
+    ("motivic-report", "sym:3", "Fp:2:40"): "unsupported-coefficients-fp-2-40-the-summand-dec",
+    ("motivic-report", "sym:3", "Fp:70001"): "unsupported-coefficients-fp-70001-the-summand-de",
+    ("motivic-report", "sym:3", "Fp:x"): "unsupported-coefficients-fp-x-the-summand-decomp",
+    ("motivic-report", "sym:3", "Fp:1:9"): "unsupported-coefficients-fp-1-9-the-summand-deco",
+    ("motivic-report", "sym:3", "garbage"): "unsupported-coefficients-garbage-the-summand-dec",
+    ("motivic-report", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("motivic-report", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("motivic-report", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("motivic-report", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("motivic-report", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:3", "-"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Z"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Q"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Zp:3"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Zp:4"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Zp:x"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Zp:9x30"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Zp:1x4400"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:2"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:4"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:2:2"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:2:40"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:70001"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:x"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "Fp:1:9"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:3", "garbage"): ("p-local-report-requires-prime", "p-local-report sym:3 - p2", "4-is-not-prime", "p-local-report sym:3 - p70001"),
+    ("p-local-report", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("p-local-report", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:3", "-"): ("blocks-requires-prime-or-coeff-fp-p-e", "blocks sym:3 - p2", "4-is-not-prime", "field-too-large-q-70001-1-70001-field-bound-6553"),
+    ("blocks", "sym:3", "Z"): "blocks-need-prime-field-coefficients-fp-p-e",
+    ("blocks", "sym:3", "Q"): "blocks-need-prime-field-coefficients-fp-p-e",
+    ("blocks", "sym:3", "Zp:3"): "blocks-need-prime-field-coefficients-fp-p-e",
+    ("blocks", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("blocks", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("blocks", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("blocks", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("blocks", "sym:3", "Fp:2"): ("blocks sym:3 - p2", "blocks sym:3 - p2", "prime-4-and-coeff-fp-2-name-different-primes", "prime-70001-and-coeff-fp-2-name-different-primes"),
+    ("blocks", "sym:3", "Fp:4"): "4-is-not-prime",
+    ("blocks", "sym:3", "Fp:2:2"): ("blocks sym:3 Fp:2:2", "blocks sym:3 Fp:2:2", "prime-4-and-coeff-fp-2-2-name-different-primes", "prime-70001-and-coeff-fp-2-2-name-different-prim"),
+    ("blocks", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",
+    ("blocks", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",
+    ("blocks", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",
+    ("blocks", "sym:3", "Fp:1:9"): "1-is-not-prime",
+    ("blocks", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",
+    ("blocks", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("blocks", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("blocks", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("blocks", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("blocks", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:3", "-"): "mackey-check sym:3 -",
+    ("mackey-check", "sym:3", "Z"): "mackey-check sym:3 Z",
+    ("mackey-check", "sym:3", "Q"): "mackey-check sym:3 Q",
+    ("mackey-check", "sym:3", "Zp:3"): "mackey-check sym:3 Zp:3",
+    ("mackey-check", "sym:3", "Zp:4"): "4-is-not-prime",
+    ("mackey-check", "sym:3", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("mackey-check", "sym:3", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("mackey-check", "sym:3", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("mackey-check", "sym:3", "Fp:2"): "mackey-check sym:3 Fp:2",
+    ("mackey-check", "sym:3", "Fp:4"): "4-is-not-prime",
+    ("mackey-check", "sym:3", "Fp:2:2"): "mackey-check sym:3 Fp:2:2",
+    ("mackey-check", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",
+    ("mackey-check", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",
+    ("mackey-check", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",
+    ("mackey-check", "sym:3", "Fp:1:9"): "1-is-not-prime",
+    ("mackey-check", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",
+    ("mackey-check", "sym:6", "-"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Z"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Q"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Zp:3"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Zp:4"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Zp:x"): "malformed-coefficient-tag-zp-x",
+    ("mackey-check", "sym:6", "Zp:9x30"): "prime-too-large-p-999999999999999999999999999999",
+    ("mackey-check", "sym:6", "Zp:1x4400"): "prime-too-large-p-4400-digits-prime-bound-331704",
+    ("mackey-check", "sym:6", "Fp:2"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:4"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:2:2"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:2:40"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:70001"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:x"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "Fp:1:9"): "group-too-large-order-exceeds-bound-200",
+    ("mackey-check", "sym:6", "garbage"): "group-too-large-order-exceeds-bound-200",
+}
+CHANGED_REFUSALS = {
+    ("burnside-idempotents", "sym:3", "Fp:4"): "4-is-not-prime",  # (b)
+    ("burnside-idempotents", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",  # (b)
+    ("burnside-idempotents", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",  # (b)
+    ("burnside-idempotents", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",  # (b)
+    ("burnside-idempotents", "sym:3", "Fp:1:9"): "1-is-not-prime",  # (b)
+    ("burnside-idempotents", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",  # (b)
+    ("burnside-idempotents", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("burnside-idempotents", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("burnside-idempotents", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-multiply", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-multiply", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-multiply", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-idempotents", "sym:3", "Fp:4"): "4-is-not-prime",  # (b)
+    ("cbr-idempotents", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",  # (b)
+    ("cbr-idempotents", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",  # (b)
+    ("cbr-idempotents", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",  # (b)
+    ("cbr-idempotents", "sym:3", "Fp:1:9"): "1-is-not-prime",  # (b)
+    ("cbr-idempotents", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",  # (b)
+    ("cbr-idempotents", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-idempotents", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("cbr-idempotents", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("rho", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("rho", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("rho", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("motivic-report", "sym:3", "Fp:4"): "4-is-not-prime",  # (b)
+    ("motivic-report", "sym:3", "Fp:2:40"): "field-too-large-q-2-40-1099511627776-field-bound",  # (b)
+    ("motivic-report", "sym:3", "Fp:70001"): "field-too-large-q-70001-1-70001-field-bound-6553",  # (b)
+    ("motivic-report", "sym:3", "Fp:x"): "malformed-coefficient-tag-fp-x",  # (b)
+    ("motivic-report", "sym:3", "Fp:1:9"): "1-is-not-prime",  # (b)
+    ("motivic-report", "sym:3", "garbage"): "unknown-coefficient-tag-garbage",  # (b)
+    ("motivic-report", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("motivic-report", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("motivic-report", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("blocks", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("blocks", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("blocks", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("mackey-check", "sym:6", "Zp:x"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("mackey-check", "sym:6", "Zp:9x30"): "group-too-large-order-exceeds-bound-200",  # (a)
+    ("mackey-check", "sym:6", "Zp:1x4400"): "group-too-large-order-exceeds-bound-200",  # (a)
+}
+
+
+def gate_mismatches(command, group, refusals_only=False):
+    mismatches = []
+    for (cmd, grp, tag), pinned in PINNED_REFUSALS.items():
+        if (cmd, grp) != (command, group):
+            continue
+        expected = CHANGED_REFUSALS.get((cmd, grp, tag), pinned)
+        if isinstance(expected, str):
+            expected = (expected,) * len(GATE_PRIMES)
+        for prime, name in zip(GATE_PRIMES, expected):
+            code, sha256 = OUTCOMES[name]
+            if refusals_only and code < 2:
+                continue
+            buf = io.StringIO()
+            got = run(gate_argv(cmd, grp, tag, prime), stream=buf)
+            if (got, hashlib.sha256(buf.getvalue().encode()).hexdigest()) != (code, sha256):
+                mismatches.append(f"{tag} --prime {prime}: want {name}, got {got} {buf.getvalue()!r:.120}")
+    return mismatches
+
+
+GATE_COMMANDS = sorted({cmd for cmd, _, _ in PINNED_REFUSALS})
+
+
+@pytest.mark.parametrize("group", ["sym:3", "sym:6"])
+@pytest.mark.parametrize("command", GATE_COMMANDS)
+def test_coefficient_refusals_are_pinned(command, group):
+    assert gate_mismatches(command, group) == []
+
+
+@pytest.mark.parametrize("command", GATE_COMMANDS)
+def test_every_coefficient_refusal_comes_before_the_lattice(command, monkeypatch):
+    # on sym:3 every refusal of the grid comes from --coeff or --prime
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice built")
+
+    monkeypatch.setattr(cli, "SubgroupClassTable", no_lattice)
+    assert gate_mismatches(command, "sym:3", refusals_only=True) == []
+
+
+def test_the_grid_is_every_command_that_reads_the_coefficients():
+    assert set(GATE_COMMANDS) == set(cli.COEFFICIENTS) | {"p-local-report"}
+    assert len(PINNED_REFUSALS) == len(GATE_COMMANDS) * 2 * len(GATE_TAGS)
+    assert set(CHANGED_REFUSALS) <= set(PINNED_REFUSALS)
+
+
+# The order bound is the one bound on |G| and counts the identity too:
+# (c) a bound below 1 refuses the trivial group as a group, where a separate
+# lattice bound used to refuse it; (d) the environment does not set the
+# order bound, so an order over 200 is refused as a group, whatever
+# MOTIVE_RING_MAX_ORDER says.
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_a_bound_below_one_refuses_the_trivial_group(bound):
+    code, doc, _ = invoke(["subgroups", "--group", "cyclic:1", "--bound", bound])
+    assert (code, doc) == (3, {"error": f"group too large: order exceeds bound {bound}", "exit": 3})
+    code, _, _ = invoke(["subgroups", "--group", "cyclic:1", "--bound", "1"])
+    assert code == 0
+
+
+def test_the_environment_does_not_set_the_order_bound(monkeypatch):
+    monkeypatch.setenv("MOTIVE_RING_MAX_ORDER", "1000")
+    code, doc, _ = invoke(["subgroups", "--group", "sym:6"])
+    assert (code, doc) == (3, {"error": "group too large: order exceeds bound 200", "exit": 3})
+    monkeypatch.setenv("MOTIVE_RING_MAX_ORDER", "2")
+    code, _, _ = invoke(["marks", "--group", "sym:3"])
+    assert code == 0
+
+
+def test_a_mackey_check_tag_is_read_before_the_span_bound():
+    # the coefficients are gated before any subcommand's own bound: the tag
+    # error wins over the span bound (A5 has order 60 > 24)
+    code, doc, _ = invoke(["mackey-check", "--group", "alt:5", "--coeff", "garbage"])
+    assert (code, doc) == (2, {"error": "unknown coefficient tag 'garbage'", "exit": 2})
+    code, doc, _ = invoke(["mackey-check", "--group", "alt:5", "--coeff", "Q"])
+    assert (code, doc) == (3, {"error": "bound exceeded: order 60 > span bound 24", "exit": 3})
+
+
+def test_a_far_point_in_a_generator_is_refused_before_any_permutation():
+    start = time.perf_counter()
+    code, doc, _ = invoke(["cbr-basis", "--group", "gens:(1 2);(3 300000000)"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc) == (3, {"error": "group too large: degree 300000000 exceeds bound 16", "exit": 3})
+    # a spec that is malformed as well keeps its first error
+    code, doc, _ = invoke(["cbr-basis", "--group", "gens:(1 2)(2 30)"])
+    assert (code, doc) == (2, {"error": "cycles are not disjoint", "exit": 2})
+
+
+# -- fuzzing the inputs ---------------------------------------------------------
+
+NUMERALS = st.one_of(
+    st.integers(-5, 80).map(str),
+    st.builds(
+        lambda sign, zeros, n: sign + "0" * zeros + str(n),
+        st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 10**30),
+    ),
+    st.sampled_from(["1" * 4400, "-" + "7" * 4400, "", "x", "1_1", " 3", "\u0663", "2.0"]),
+)
+TAGS = st.one_of(
+    st.sampled_from(["Z", "Q", "z", " Z", "Zp", "Fp", ""]),
+    st.builds(
+        lambda prefix, fields: prefix + ":".join(fields),
+        st.sampled_from(["Zp:", "Fp:", "Qp:", "Z:", ":"]), st.lists(NUMERALS, min_size=1, max_size=3),
+    ),
+    st.text(max_size=12),
+)
+SPECS = st.one_of(
+    st.sampled_from(["sym:3", "cyclic:4", "dihedral:4", "alt:4", "cyclic:1", "sym:x", "dihedral:2", "sym:-1"]),
+    st.builds(lambda body: "gens:" + body, st.text(alphabet="()0123456789 ,;-x", max_size=16)),
+    st.builds(lambda pts: "gens:(" + " ".join(pts) + ")", st.lists(NUMERALS, min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(GATE_COMMANDS + ["subgroups", "cbr-basis"]),
+    spec=SPECS,
+    tag=st.one_of(st.none(), TAGS),
+    prime=st.one_of(st.none(), NUMERALS),
+    bound=st.one_of(st.none(), st.integers(-3, 30).map(str), st.sampled_from(["x", "1" * 4400])),
+)
+def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime, bound):
+    if command == "mackey-check":
+        bound = "8"  # the fuzz is of the input: keep the Mackey algebras small
+    argv = [command, f"--group={spec}"]
+    for flag, value in (("--coeff", tag), ("--prime", prime), ("--bound", bound)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if command == "cbr-multiply":
+        argv += ["--x", "{}", "--y", "{}"]
+    buf = io.StringIO()
+    code = run(argv, stream=buf)
+    assert code in (0, 1, 2, 3)
+    if not buf.getvalue():  # argparse refused the argv, on stderr
+        assert code == 2
+        return
+    doc = json.loads(buf.getvalue())
+    assert isinstance(doc, dict)
+    if code >= 2:
+        assert set(doc) == {"error", "exit"} and doc["exit"] == code

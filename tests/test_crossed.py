@@ -135,7 +135,7 @@ def test_product_matches_orbit_oracle_on_the_regular_quotient_s5():
     table = SubgroupClassTable(construct_group("sym:5"))
     W = table.quotient(table.classes[-1].representative, table.classes[0].representative)
     assert W.degree == W.order == 120
-    xr = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
+    xr = CrossedBurnsideRing(SubgroupClassTable(W))
     assert_sampled_products_match_orbit_oracle(xr, 300, seed=1)
 
 
@@ -458,7 +458,7 @@ def regular_quotient_row(xr, p):
     regular permutation copy of N(1)/1 = G and its own lattice and ring."""
     cls = xr.table.classes[0]
     W = xr.table.quotient(cls.normalizer, cls.representative)
-    wring = CrossedBurnsideRing(SubgroupClassTable(W, bound=W.order))
+    wring = CrossedBurnsideRing(SubgroupClassTable(W))
     f1 = dict(wring.burnside.dress_idempotents(p))[0]
     return W.order, wring.ideal_rank(wring.with_identity_labels(f1))
 
