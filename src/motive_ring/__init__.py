@@ -9,9 +9,9 @@ algebra with its comparison maps.
 """
 
 from .algebra import Algebra, Element
-from .burnside import BurnsideRing, GhostVector, TableOfMarks
-from .center import CenterAlgebra, augmentation
-from .crossed import CrossedBurnsideRing, CrossedGhostVector, CrossedPairClass
+from .burnside import BurnsideRing, TableOfMarks
+from .center import CenterAlgebra
+from .crossed import CrossedBurnsideRing, CrossedPairClass
 from .groups import (
     FiniteGroup,
     GroupTooLarge,
@@ -21,13 +21,7 @@ from .groups import (
     parse_cycles,
     quotient_group,
 )
-from .mackey import (
-    HeckeAlgebra,
-    MackeyAlgebra,
-    SpanBasisElement,
-    center_to_hecke,
-    crossed_to_mackey_center,
-)
+from .mackey import HeckeAlgebra, MackeyAlgebra, SpanBasisElement
 from .scalars import QQ, ZZ, ScalarError, p_local, prime_field, ring_from_tag
 from .subgroups import (
     SubgroupClass,
@@ -42,10 +36,8 @@ __all__ = [
     "CenterAlgebra",
     "CrossedBurnsideRing",
     "Element",
-    "CrossedGhostVector",
     "CrossedPairClass",
     "FiniteGroup",
-    "GhostVector",
     "GroupTooLarge",
     "HeckeAlgebra",
     "MackeyAlgebra",
@@ -58,10 +50,7 @@ __all__ = [
     "SubgroupClassTable",
     "TableOfMarks",
     "ZZ",
-    "augmentation",
-    "center_to_hecke",
     "construct_group",
-    "crossed_to_mackey_center",
     "parse_cycles",
     "p_local",
     "prime_field",

@@ -9,8 +9,10 @@ checks, the cached sparse products and one ``multiply`` over any scalar
 ring.  A commutative algebra also splits into its primitive idempotents
 over a finite field (primitive_idempotents).  The comparison maps between
 the algebras are Z-linear, so each is a set of integer rows, one per basis
-element, read over any scalar ring by Element.image.  The independent
-oracles of the subclasses keep their own loops.
+element; an identity between them is decided once over Z from those rows
+by the one sparse integer combination (combine), and a scalar ring reads
+its verdict off the integer result.  The independent oracles of the
+subclasses keep their own loops.
 """
 
 from __future__ import annotations
@@ -21,6 +23,20 @@ from math import lcm
 
 from .linalg import integer_kernel
 from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
+
+
+def combine(terms, row) -> dict:
+    """The combination sum c row(k) over the pairs (k, c) of terms, where
+    row(k) gives (key, int) pairs: sparse {key: nonzero value}, keys in the
+    order they are first met.  A term with c = 0 is skipped.  The
+    coefficients c are ints, or Fractions for the p-local and rational
+    idempotents."""
+    out: dict = {}
+    for k, c in terms:
+        if c:
+            for key, m in row(k):
+                out[key] = out.get(key, 0) + c * m
+    return {key: v for key, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -61,19 +77,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return all(self.scalar.is_zero(c) for c in self.coeffs)
-
-    def image(self, row) -> dict:
-        """Image under a Z-linear map given by the integer rows row(i) =
-        {key: int} of the basis elements: the sum of c row(i) over the
-        nonzero coefficients c = coeffs[i], read over this element's scalar
-        ring.  Sparse: {key: nonzero value}."""
-        s = self.scalar
-        out: dict = {}
-        for i, c in enumerate(self.coeffs):
-            if not s.is_zero(c):
-                for key, m in row(i).items():
-                    out[key] = s.add(out.get(key, s.zero), s.mul_int(c, m))
-        return {key: v for key, v in out.items() if not s.is_zero(v)}
 
     def to_json(self) -> dict[str, str]:
         labels = self.algebra.labels

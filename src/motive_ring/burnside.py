@@ -25,12 +25,6 @@ class TableOfMarks:
     marks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GhostVector:
-    scalar: ScalarRing
-    values: tuple
-
-
 class BurnsideRing(Algebra):
     """Burnside ring bound to a subgroup class table."""
 
@@ -78,7 +72,9 @@ class BurnsideRing(Algebra):
 
     # -- marks of elements ---------------------------------------------------
 
-    def marks(self, x: Element) -> GhostVector:
+    def marks(self, x: Element) -> tuple:
+        """The ghost vector of x: its marks at every subgroup class, in x's
+        scalar ring."""
         m = self.table_of_marks().marks
         s = x.scalar
         vals = []
@@ -88,7 +84,7 @@ class BurnsideRing(Algebra):
                 if not s.is_zero(c) and m[i][j]:
                     acc = s.add(acc, s.mul(c, s.coerce(m[i][j])))
             vals.append(acc)
-        return GhostVector(s, tuple(vals))
+        return tuple(vals)
 
     def from_marks(self, values, scalar: ScalarRing = QQ) -> Element:
         """Pull a ghost vector back through the triangular mark matrix (over Q)."""

@@ -34,22 +34,6 @@ def ga_mul(G: FiniteGroup, a: dict, b: dict, scalar: ScalarRing) -> dict:
     return out
 
 
-def ga_equal(a: dict, b: dict, scalar: ScalarRing) -> bool:
-    keys = set(a) | set(b)
-    return all(
-        scalar.is_zero(scalar.sub(a.get(k, scalar.zero), b.get(k, scalar.zero)))
-        for k in keys
-    )
-
-
-def augmentation(x: dict, scalar: ScalarRing):
-    """Sum of the coefficients of a group-algebra element."""
-    acc = scalar.zero
-    for v in x.values():
-        acc = scalar.add(acc, v)
-    return acc
-
-
 # -- center in the class-sum basis --------------------------------------------
 
 

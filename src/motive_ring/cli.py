@@ -19,7 +19,11 @@ from random import Random
 from .burnside import BurnsideRing
 from .center import SCAN_SIZE, CenterAlgebra, block_scan_oracle, blocks_in_rho_span
 from .crossed import SCAN_CLASSES, CrossedBurnsideRing
-from .groups import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND, GroupTooLarge, NotNormal, construct_group, parse_cycles
+from .algebra import combine
+from .groups import (
+    DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND, GroupTooLarge, NotNormal, _cycles, _degree, _from_cycles,
+    construct_group,
+)
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
 from .scalars import (
     QQ, ZZ, IntegerRing, PLocalRing, PrimeFieldRing, RationalRing, ScalarError, p_local, parse_int,
@@ -139,7 +143,10 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
             cls = xring.table.class_named(cls_name)
         except KeyError:
             raise UsageError(f"unknown subgroup class {cls_name!r} in {key!r}") from None
-        label = G.element_index(parse_cycles(label_str, G.degree))
+        cycles = _cycles(label_str)
+        if (point := _degree(cycles)) > G.degree:  # before a permutation that wide is built
+            raise UsageError(f"label point {point} exceeds the degree {G.degree} in {key!r}")
+        label = G.element_index(_from_cycles(cycles, G.degree))
         idx = xring.canonical_pair(cls.representative, label)
         coeffs[idx] = scalar.add(coeffs[idx], scalar.parse(value))
     return xring.element(coeffs, scalar)
@@ -231,7 +238,7 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "burnside-idempotents":
         ring = BurnsideRing(table)
-        doc["coeff"] = args.coeff or scalar.tag
+        doc["coeff"] = scalar.tag
         if scalar is QQ:
             idem = ring.rational_idempotents()
             doc["idempotents"] = [
@@ -268,7 +275,7 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "cbr-idempotents":
         xring = CrossedBurnsideRing(table)
-        doc["coeff"] = args.coeff or scalar.tag
+        doc["coeff"] = scalar.tag
         family = xring.dress_idempotents("solvable" if scalar is ZZ else scalar.p)
         doc["idempotents"] = [
             {"residual": table.classes[j].name, "element": e.to_json()}
@@ -297,14 +304,14 @@ def dispatch(args) -> tuple[dict, bool]:
 
     elif name == "motivic-report":
         xring = CrossedBurnsideRing(table)
-        doc["coeff"] = args.coeff or scalar.tag
+        doc["coeff"] = scalar.tag
         family = xring.dress_idempotents("solvable" if scalar is ZZ else scalar.p)
         Z = CenterAlgebra(G)
-        rows = [dict(enumerate(row)) for row in xring.center_image_rows()]
+        rows = xring.center_image_rows()
         summands = []
         survivors = []
         for j, e in family:
-            img = e.image(rows.__getitem__)
+            img = combine(enumerate(e.coeffs), lambda i: enumerate(rows[i]))
             zc = Z.element([img.get(k, 0) for k in range(Z.n)], e.scalar)
             survives = not zc.is_zero()
             if survives:

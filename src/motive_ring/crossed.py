@@ -8,7 +8,8 @@ conjugation.  The fast product uses the double-coset formula
 and is pinned to the definition by an orbit-decomposition oracle that
 multiplies the literal product crossed sets.  Marks take values in the
 group algebras of centralizers; the component at the trivial subgroup is
-the ring map onto the center of kG.
+the ring map onto the center of kG.  Both are integer rows, one per basis
+pair (mark_rows), from which verify decides their identities over Z.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebra import Algebra, Element
-from .burnside import BurnsideRing, GhostVector
-from .center import augmentation as ga_augmentation
-from .center import ga_equal, ga_mul
+from .burnside import BurnsideRing
 from .groups import fixed_cosets, orbits
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
@@ -35,14 +34,6 @@ class CrossedPairClass:
     subgroup_class: int
     label: int  # element index, in the centralizer of the class representative
     name: str
-
-
-@dataclass(frozen=True)
-class CrossedGhostVector:
-    """One central group-algebra element per subgroup class (as dicts)."""
-
-    scalar: ScalarRing
-    components: tuple  # tuple of dict element-index -> scalar
 
 
 class CrossedBurnsideRing(Algebra):
@@ -194,47 +185,6 @@ class CrossedBurnsideRing(Algebra):
                 rows.append(row)
             self._mark_rows[k] = rows
         return self._mark_rows[k]
-
-    def crossed_marks(self, x: Element) -> CrossedGhostVector:
-        """Per subgroup class H: sum of conjugated labels over H-fixed cosets."""
-        return CrossedGhostVector(
-            x.scalar, tuple(x.image(self.mark_rows(k).__getitem__) for k in range(len(self.table)))
-        )
-
-    def ghost_multiply(self, u: CrossedGhostVector, v: CrossedGhostVector) -> CrossedGhostVector:
-        s = u.scalar
-        return CrossedGhostVector(
-            s,
-            tuple(
-                ga_mul(self.group, a, b, s) for a, b in zip(u.components, v.components)
-            ),
-        )
-
-    def ghost_equal(self, u: CrossedGhostVector, v: CrossedGhostVector) -> bool:
-        return all(
-            ga_equal(a, b, u.scalar) for a, b in zip(u.components, v.components)
-        )
-
-    def ghost_augmentation(self, u: CrossedGhostVector) -> GhostVector:
-        """Componentwise coefficient sum; lands in the plain ghost ring."""
-        return GhostVector(
-            u.scalar, tuple(ga_augmentation(c, u.scalar) for c in u.components)
-        )
-
-    def ghost_lift(self, g: GhostVector) -> CrossedGhostVector:
-        """Scalar ghost vector as identity-supported group-algebra tuple."""
-        comps = []
-        for v in g.values:
-            comps.append({} if g.scalar.is_zero(v) else {0: v})
-        return CrossedGhostVector(g.scalar, tuple(comps))
-
-    def center_image(self, x: Element) -> dict:
-        """Image in Z kG: the mark component at the trivial subgroup.
-
-        [H,a] goes to the sum of the conjugates of a over coset
-        representatives of H.
-        """
-        return x.image(self.mark_rows(0).__getitem__)
 
     def center_image_rows(self) -> list[list[int]]:
         """Center images of all basis pairs, as conjugacy-class coordinate rows."""

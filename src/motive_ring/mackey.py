@@ -16,7 +16,8 @@ it by counting fibers, and the projection direction is fixed so the count is
 an algebra map onto matrix products.  Operators on Omega are sparse dicts
 {(to, from): value}.  The projection pi, the central span image zeta of
 the crossed ring and the embedding iota of Z kG are integer rows, built
-once per basis element on this algebra and read over any scalar ring.
+once per basis element on this algebra, from which verify decides the
+identities among them over Z.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element
-from .center import CenterAlgebra
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, double_cosets, orbits
 from .linalg import integer_kernel
@@ -356,11 +356,6 @@ class MackeyAlgebra(Algebra):
             self._iota[k] = row
         return self._iota[k]
 
-    def project(self, x: Element) -> dict:
-        """Image in the endomorphism algebra of the permutation module,
-        sparse: {(to, from): nonzero value}."""
-        return x.image(self.project_matrix)
-
 
 class HeckeAlgebra:
     """End_kG(k Omega): orbit-indicator matrices on Omega x Omega."""
@@ -379,24 +374,3 @@ class HeckeAlgebra:
                 orbit_id[x][y] = idx
         self.n = len(self.orbits)
         self.orbit_id = orbit_id  # orbit_id[x][y]: the orbit of the pair (x, y)
-
-
-# -- the comparison maps on elements ------------------------------------------------
-
-
-def crossed_to_mackey_center(
-    mackey: MackeyAlgebra, xring: CrossedBurnsideRing, x: Element
-) -> Element:
-    """Central span image of a crossed element (MackeyAlgebra.zeta_row)."""
-    s = x.scalar
-    coeffs = [s.zero] * mackey.n
-    for k, v in x.image(lambda i: mackey.zeta_row(xring, i)).items():
-        coeffs[k] = v
-    return Element(mackey, s, tuple(coeffs))
-
-
-def center_to_hecke(mackey: MackeyAlgebra, Z: CenterAlgebra, z: Element) -> dict:
-    """Image of a central group-algebra element z of Z in the Hecke algebra
-    (MackeyAlgebra.iota_row), sparse: {(to, from): nonzero value}, block
-    diagonal over the G/H."""
-    return z.image(mackey.iota_row)

@@ -2,7 +2,12 @@
 
 Each suite returns Check records; a failing check keeps as its detail the
 last reproducer its failure generator yields (_check).  Exhaustive where
-the group is small, seeded sampling above that.
+the group is small, seeded sampling above that.  The marks, the center
+image and the maps of the Mackey algebra are integer rows, so each
+identity between them is decided once over Z: one side is the
+combination of the rows over a sparse product (algebra.combine), the
+other the product of two rows or an entry of the table of marks, and a
+scalar ring reads its verdict off the integer result (_vanishes).
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ from fractions import Fraction
 from functools import cache
 from random import Random
 
+from .algebra import combine
 from .burnside import BurnsideRing
-from .center import SCAN_SIZE, CenterAlgebra, augmentation as ga_augmentation, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
+from .center import SCAN_SIZE, CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_mul
 from .crossed import SCAN_CLASSES, CrossedBurnsideRing
 from .groups import double_cosets, fixed_cosets
 from .linalg import integer_kernel, integer_rank, sparse_mat_mul
-from .mackey import HeckeAlgebra, MackeyAlgebra, crossed_to_mackey_center
+from .mackey import HeckeAlgebra, MackeyAlgebra
 from .scalars import QQ, ZZ, ScalarRing, prime_field
 from .subgroups import SubgroupClassTable, derived_subgroup, prime_divisors
 
@@ -174,18 +180,18 @@ def burnside_checks(ring: BurnsideRing, rng: Random) -> list[Check]:
             if tom[0][i] != G.order // table.classes[i].order:
                 yield f"trivial-subgroup mark wrong at {table.classes[i].name}"
 
+    # the marks of basis element l: column l of the table, sparse
+    ghost = [{k: row[l] for k, row in enumerate(tom) if row[l]} for l in range(n)]
+
     def multiplicative(i, j):
-        x = ring.basis_element(i, QQ)
-        y = ring.basis_element(j, QQ)
-        mx = ring.marks(x).values
-        my = ring.marks(y).values
-        return ring.marks(ring.multiply(x, y)).values == tuple(a * b for a, b in zip(mx, my))
+        lhs = combine(ring.product(i, j), _items(ghost.__getitem__))
+        return lhs == {k: a * ghost[j][k] for k, a in ghost[i].items() if k in ghost[j]}
 
     def rational_failures():
         idem = ring.rational_idempotents()
         yield from _family_failures(ring, idem, "rational idempotents", "rational idempotents")
         for i, e in enumerate(idem):
-            if ring.marks(e).values != tuple(Fraction(1 if k == i else 0) for k in range(n)):
+            if ring.marks(e) != tuple(Fraction(1 if k == i else 0) for k in range(n)):
                 yield f"marks of rational idempotent {table.classes[i].name} not an indicator"
 
     def residual_failures():
@@ -198,7 +204,7 @@ def burnside_checks(ring: BurnsideRing, rng: Random) -> list[Check]:
             )
             fibers = table.residual_fiber_classes(mode)
             for j, e in family:
-                marks = ring.marks(e).values
+                marks = ring.marks(e)
                 for k in range(n):
                     if marks[k] != (scalar.one if k in fibers[j] else scalar.zero):
                         yield f"mode {mode}: marks of f_{table.classes[j].name} not the fiber indicator"
@@ -245,16 +251,18 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 
     checks.append(_check("crossed-ring-axioms", axiom_failures()))
 
-    def marks_multiplicative(i, j):
-        x = xring.basis_element(i)
-        y = xring.basis_element(j)
-        rhs = xring.ghost_multiply(xring.crossed_marks(x), xring.crossed_marks(y))
-        return xring.ghost_equal(xring.crossed_marks(x * y), rhs)
+    # the crossed marks: per subgroup class, one integer row per basis pair
+    marks = [xring.mark_rows(k) for k in range(len(table))]
+
+    def multiplicative(rows, i, j):
+        """rows is a ring map on b_i b_j: the combination of the rows over
+        the product against the group-algebra product of the two rows."""
+        return combine(xring.product(i, j), _items(rows.__getitem__)) == ga_mul(G, rows[i], rows[j], ZZ)
 
     checks.append(_check("crossed-marks-ring-homomorphism", (
         f"crossed marks not multiplicative on ({names[i]},{names[j]})"
         for i, j in _pairs(n, exhaustive, rng)
-        if not marks_multiplicative(i, j)
+        if not all(multiplicative(rows, i, j) for rows in marks)
     )))
 
     rank = integer_rank((dict(enumerate(row)) for row in xring.marks_matrix_rows()), QQ)
@@ -262,14 +270,15 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 
     def square_failures():
         for i in range(n):
-            x = xring.basis_element(i)
-            lhs = xring.ghost_augmentation(xring.crossed_marks(x)).values
-            if lhs != xring.burnside.marks(xring.forget_labels(x)).values:
+            augmented = tuple(sum(rows[i].values()) for rows in marks)
+            if augmented != xring.burnside.marks(xring.forget_labels(xring.basis_element(i))):
                 yield f"augmentation square fails on {names[i]}"
         for k in range(len(table)):
             b = xring.burnside.basis_element(k)
-            lhs = xring.crossed_marks(xring.with_identity_labels(b))
-            if not xring.ghost_equal(lhs, xring.ghost_lift(xring.burnside.marks(b))):
+            embedded = list(enumerate(xring.with_identity_labels(b).coeffs))
+            # the marks of b, lifted to the identity of each group algebra
+            lifted = [{0: m} if m else {} for m in xring.burnside.marks(b)]
+            if any(combine(embedded, _items(rows.__getitem__)) != lift for rows, lift in zip(marks, lifted)):
                 yield f"lift square fails on {table.classes[k].name}"
 
     checks.append(_check("mark-squares-commute", square_failures()))
@@ -279,12 +288,11 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
         if xring.forget_labels(xring.with_identity_labels(b)).coeffs != b.coeffs
     )))
 
-    def ghost_failures():
+    def component_failures():
         sample = range(n) if n <= 30 else [rng.randrange(n) for _ in range(SAMPLE_SIZE)]
         for i in sample:
-            ghost = xring.crossed_marks(xring.basis_element(i))
             for k, cls in enumerate(table.classes):
-                comp = ghost.components[k]
+                comp = marks[k][i]
                 for c in sorted(cls.centralizer):
                     if {G.conj(c, t): v for t, v in comp.items()} != comp:
                         yield f"component {cls.name} of marks({names[i]}) not central"
@@ -292,18 +300,12 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
                     if {G.conj(nrm, t): v for t, v in comp.items()} != comp:
                         yield f"component {cls.name} of marks({names[i]}) not normalizer-stable"
 
-    checks.append(_check("ghost-components-central-and-stable", ghost_failures()))
-
-    def image_multiplicative(i, j):
-        x = xring.basis_element(i)
-        y = xring.basis_element(j)
-        rhs = ga_mul(G, xring.center_image(x), xring.center_image(y), ZZ)
-        return ga_equal(xring.center_image(x * y), rhs, ZZ)
+    checks.append(_check("ghost-components-central-and-stable", component_failures()))
 
     checks.append(_check("center-image-ring-homomorphism", (
         f"center image not multiplicative on ({names[i]},{names[j]})"
         for i, j in _pairs(n, exhaustive, rng)
-        if not image_multiplicative(i, j)
+        if not multiplicative(marks[0], i, j)
     )))
 
     def span_failures():
@@ -316,7 +318,7 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 
     def integral_image_failures():
         for j, e in xring.dress_idempotents("solvable"):
-            img = xring.center_image(e)
+            img = combine(enumerate(e.coeffs), _items(marks[0].__getitem__))
             if img != ({} if table.classes[j].order > 1 else {0: 1}):
                 yield f"center image of the {table.classes[j].name} idempotent is {img}"
 
@@ -357,10 +359,10 @@ def center_checks(xring: CrossedBurnsideRing) -> list[Check]:
             yield "identity class sum is not the unit"
 
     def augmentation_failures():
+        images = xring.mark_rows(0)  # the center image of each basis pair
         for i, pair in enumerate(xring.pairs):
-            img = xring.center_image(xring.basis_element(i))
             points = G.order // xring.table.classes[pair.subgroup_class].order
-            if ga_augmentation(img, ZZ) != points:
+            if sum(images[i].values()) != points:
                 yield f"augmentation of the image of {pair.name} is not {points}"
 
     def block_failures():
@@ -418,18 +420,22 @@ def mackey_checks(
     hk = HeckeAlgebra(mk)
     Z = CenterAlgebra(mk.table.group)
     zeta = [mk.zeta_row(xr, i) for i in range(xr.n)]
-    pi_zeta = [_combine(z.items(), _items(mk.project_matrix)) for z in zeta]
+    pi_zeta = [combine(z.items(), _items(mk.project_matrix)) for z in zeta]
     iota = _items(mk.iota_row)
     # the square pi zeta = iota rho per crossed pair; rho's rows are class coordinates
     diagram = [
-        _difference(pz, _combine(enumerate(rho), iota))
+        _difference(pz, combine(enumerate(rho), iota))
         for pz, rho in zip(pi_zeta, xr.center_image_rows())
     ]
+    unit = _difference(
+        combine(enumerate(xr.one().coeffs), _items(zeta.__getitem__)),
+        {k: c for k, c in enumerate(mk.one().coeffs) if c},
+    )
     embedding = [("unit not preserved", _difference(
-        _combine(enumerate(Z.one().coeffs), iota), {(a, a): 1 for a in range(mk.npoints)}
+        combine(enumerate(Z.one().coeffs), iota), {(a, a): 1 for a in range(mk.npoints)}
     ))] + [
         (f"center embedding not multiplicative on classes ({i},{j})", _difference(
-            _combine(Z.product(i, j), iota), sparse_mat_mul(mk.iota_row(i), mk.iota_row(j), ZZ)
+            combine(Z.product(i, j), iota), sparse_mat_mul(mk.iota_row(i), mk.iota_row(j), ZZ)
         ))
         for i in range(Z.n)
         for j in range(Z.n)
@@ -441,12 +447,12 @@ def mackey_checks(
 
     @cache
     def zeta_defect(i, j):
-        lhs = _combine(xr.product(i, j), _items(zeta.__getitem__))
+        lhs = combine(xr.product(i, j), _items(zeta.__getitem__))
         return _difference(lhs, mk.sparse_product(zeta[i], zeta[j]))
 
     @cache
     def projection_defect(i, j):
-        lhs = _combine(mk.product(i, j), _items(mk.project_matrix))
+        lhs = combine(mk.product(i, j), _items(mk.project_matrix))
         return _difference(lhs, sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j), ZZ))
 
     proj_rows = [_flat(mk.project_matrix(i), mk.npoints) for i in range(mk.n)]
@@ -455,8 +461,7 @@ def mackey_checks(
     for scalar in scalars:
         tag = scalar.tag
 
-        ok = crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs == mk.one(scalar).coeffs
-        checks.append(Check(f"zeta-unital[{tag}]", ok))
+        checks.append(Check(f"zeta-unital[{tag}]", _vanishes(unit, scalar)))
 
         checks.append(_check(f"zeta-lands-in-center[{tag}]", (
             f"image of {xr.pairs[i].name} not central"
@@ -497,18 +502,8 @@ def mackey_checks(
 
 
 def _items(row):
-    """row(k).items(), for _combine."""
+    """row(k).items(), for algebra.combine."""
     return lambda k: row(k).items()
-
-
-def _combine(terms, row) -> dict:
-    """The integer combination of sum c row(k) over the pairs (k, c) of
-    terms, where row(k) gives (key, int) pairs: sparse {key: nonzero int}."""
-    out: dict = {}
-    for k, c in terms:
-        for key, m in row(k):
-            out[key] = out.get(key, 0) + c * m
-    return {key: v for key, v in out.items() if v}
 
 
 def _difference(a: dict, b: dict) -> dict:
@@ -528,8 +523,8 @@ def _vanishes(defect: dict, scalar: ScalarRing) -> bool:
 def _unit_fixes(algebra, units, i: int) -> bool:
     """1 b = b 1 = b for basis element b = i, with the unit given by its
     nonzero (basis index, int) pairs, through the sparse products."""
-    left = _combine(units, lambda e: algebra.product(e, i))
-    right = _combine(units, lambda e: algebra.product(i, e))
+    left = combine(units, lambda e: algebra.product(e, i))
+    right = combine(units, lambda e: algebra.product(i, e))
     return left == right == {i: 1}
 
 

@@ -1,15 +1,20 @@
-"""The Mackey comparison-map checks evaluated per scalar ring on dense
-elements, for the tests only.
+"""The ring and comparison-map checks evaluated on dense elements, for
+the tests only.
 
-verify.mackey_checks decides each integer identity once over Z and reads
-every scalar's verdict off the integer defect.  This module keeps the
-direct evaluation as the reference: every identity is computed again in
-each scalar ring with Algebra.multiply on dense Element tuples, with the
-same samples drawn from rng in the same order, the same check names and
-the same failure details.  It is called after verify.span_checks, which
-draws first.  crossed_axiom_failures is the same kind of reference for
-the unit and associativity of verify.crossed_checks, and associative the
-per-triple reference for the one-pass associativity of both algebras
+verify decides each identity between the comparison maps once over Z,
+from their integer rows and the sparse products, and reads every scalar's
+verdict off the integer result.  This module keeps the direct evaluation
+as the reference: every identity is computed again on dense Element
+tuples with Algebra.multiply, the maps by the per-element walks of
+reference_maps, with the same samples drawn from rng in the same order,
+the same check names and the same failure details.  mackey_map_checks
+does so in each scalar ring and is called after verify.span_checks, which
+draws first; burnside_ring_checks, crossed_ring_checks and
+augmentation_check cover the checks of the marks and of the center image
+in burnside_checks, crossed_checks and center_checks.
+crossed_axiom_failures is the same kind of reference for the unit and
+associativity of verify.crossed_checks, and associative the per-triple
+reference for the one-pass associativity of both algebras
 (verify._nonassociative).  is_central is the center-membership test on a
 dense element.
 """
@@ -18,11 +23,24 @@ from __future__ import annotations
 
 from random import Random
 
-from motive_ring.center import CenterAlgebra
+import reference_maps as walks
+
+from motive_ring.algebra import combine
+from motive_ring.center import CenterAlgebra, ga_mul
 from motive_ring.linalg import integer_rank, sparse_mat_mul
-from motive_ring.mackey import HeckeAlgebra, center_to_hecke, crossed_to_mackey_center
-from motive_ring.scalars import ZZ
-from motive_ring.verify import Check, _check, _combine, _flat, _pairs, hecke_center_dimension
+from motive_ring.mackey import HeckeAlgebra
+from motive_ring.scalars import QQ, ZZ
+from motive_ring.verify import (
+    EXHAUSTIVE_PAIR_ORDER,
+    EXHAUSTIVE_TRIPLE_ORDER,
+    SAMPLE_SIZE,
+    Check,
+    _check,
+    _flat,
+    _pairs,
+    _triples,
+    hecke_center_dimension,
+)
 
 
 def is_central(mk, x) -> bool:
@@ -42,16 +60,16 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
     checks = []
     Z = CenterAlgebra(mk.table.group)
     hk = HeckeAlgebra(mk)
-    # the integer rows of zeta, pi o zeta, pi and iota, read over each scalar
-    zeta_zz = [crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)) for i in range(xr.n)]
-    proj_rows = [_flat(mk.project_matrix(i), mk.npoints) for i in range(mk.n)]
-    comp_rows = [_flat(mk.project(z), mk.npoints) for z in zeta_zz]
-    iota_rows = [_flat(mk.iota_row(k), mk.npoints) for k in range(Z.n)]
+    # zeta, pi o zeta, pi and iota of the basis elements over Z, walked
+    zeta_zz = [walks.crossed_to_mackey_center(mk, xr, xr.basis_element(i, ZZ)) for i in range(xr.n)]
+    proj_rows = [_flat(walks.project(mk, mk.basis_element(i, ZZ)), mk.npoints) for i in range(mk.n)]
+    comp_rows = [_flat(walks.project(mk, z), mk.npoints) for z in zeta_zz]
+    iota_rows = [_flat(walks.center_to_hecke(mk, Z, z), mk.npoints) for z in Z.class_sums(ZZ)]
     for scalar in scalars:
         tag = scalar.tag
         zimgs = [mk.element(z.coeffs, scalar) for z in zeta_zz]
 
-        ok = crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs == mk.one(scalar).coeffs
+        ok = walks.crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs == mk.one(scalar).coeffs
         checks.append(Check(f"zeta-unital[{tag}]", ok))
 
         checks.append(_check(f"zeta-lands-in-center[{tag}]", (
@@ -62,7 +80,7 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
 
         def zeta_multiplicative(i, j):
             x, y = xr.basis_element(i, scalar), xr.basis_element(j, scalar)
-            lhs = crossed_to_mackey_center(mk, xr, xr.multiply(x, y))
+            lhs = walks.crossed_to_mackey_center(mk, xr, xr.multiply(x, y))
             return lhs.coeffs == mk.multiply(zimgs[i], zimgs[j]).coeffs
 
         checks.append(_check(f"zeta-ring-homomorphism[{tag}]", (
@@ -73,7 +91,8 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
 
         def projection_multiplicative(i, j):
             x, y = mk.basis_element(i, scalar), mk.basis_element(j, scalar)
-            return mk.project(mk.multiply(x, y)) == sparse_mat_mul(mk.project(x), mk.project(y), scalar)
+            lhs = walks.project(mk, mk.multiply(x, y))
+            return lhs == sparse_mat_mul(walks.project(mk, x), walks.project(mk, y), scalar)
 
         checks.append(_check(f"projection-algebra-homomorphism[{tag}]", (
             f"projection not multiplicative on spans ({i},{j})"
@@ -87,8 +106,8 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
         ))
 
         def diagram_commutes(i):
-            zc = Z.from_group_algebra(xr.center_image(xr.basis_element(i, scalar)), scalar)
-            return mk.project(zimgs[i]) == center_to_hecke(mk, Z, zc)
+            zc = Z.from_group_algebra(walks.center_image(xr, xr.basis_element(i, scalar)), scalar)
+            return walks.project(mk, zimgs[i]) == walks.center_to_hecke(mk, Z, zc)
 
         checks.append(_check(f"projection-of-zeta-is-hecke-image-of-rho[{tag}]", (
             f"diagram fails on {xr.pairs[i].name}" for i in range(xr.n) if not diagram_commutes(i)
@@ -96,12 +115,12 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
 
         def embedding_failures():
             sums = Z.class_sums(scalar)
-            iota_ops = [center_to_hecke(mk, Z, z) for z in sums]
-            if center_to_hecke(mk, Z, Z.one(scalar)) != {(a, a): scalar.one for a in range(mk.npoints)}:
+            iota_ops = [walks.center_to_hecke(mk, Z, z) for z in sums]
+            if walks.center_to_hecke(mk, Z, Z.one(scalar)) != {(a, a): scalar.one for a in range(mk.npoints)}:
                 yield "unit not preserved"
             for i in range(Z.n):
                 for j in range(Z.n):
-                    lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
+                    lhs = walks.center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
                     if lhs != sparse_mat_mul(iota_ops[i], iota_ops[j], scalar):
                         yield f"center embedding not multiplicative on classes ({i},{j})"
 
@@ -116,6 +135,107 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
         ]))
 
     return checks
+
+
+def burnside_ring_checks(ring, rng: Random) -> list[Check]:
+    """marks-ring-homomorphism of verify.burnside_checks, the only draws
+    of that suite: the marks of b_i b_j over Q against the products of
+    the marks of b_i and b_j."""
+    table = ring.table
+
+    def multiplicative(i, j):
+        x, y = ring.basis_element(i, QQ), ring.basis_element(j, QQ)
+        return ring.marks(x * y) == tuple(a * b for a, b in zip(ring.marks(x), ring.marks(y)))
+
+    return [_check("marks-ring-homomorphism", (
+        f"marks not multiplicative on ({table.classes[i].name},{table.classes[j].name})"
+        for i, j in _pairs(ring.n, ring.group.order <= EXHAUSTIVE_PAIR_ORDER, rng)
+        if not multiplicative(i, j)
+    ))]
+
+
+def crossed_ring_checks(xring, rng: Random) -> list[Check]:
+    """The five checks of verify.crossed_checks on the crossed marks and
+    the center image, in its order and with its draws: the draws of the
+    product-oracle and axiom checks before them are made and discarded."""
+    G, table, n, names = xring.group, xring.table, xring.n, xring.labels
+    exhaustive = G.order <= EXHAUSTIVE_PAIR_ORDER
+    _pairs(n, exhaustive, rng)  # crossed-product-matches-orbit-oracle
+    _pairs(n, exhaustive, rng)  # crossed-ring-axioms: commutativity
+    _triples(n, G.order <= EXHAUSTIVE_TRIPLE_ORDER, rng)  # and associativity
+
+    def marks(x):
+        return walks.crossed_marks(xring, x)
+
+    def image(x):
+        return walks.center_image(xring, x)
+
+    def marks_multiplicative(i, j):
+        x, y = xring.basis_element(i), xring.basis_element(j)
+        return marks(x * y) == tuple(ga_mul(G, a, b, ZZ) for a, b in zip(marks(x), marks(y)))
+
+    def image_multiplicative(i, j):
+        x, y = xring.basis_element(i), xring.basis_element(j)
+        return image(x * y) == ga_mul(G, image(x), image(y), ZZ)
+
+    def square_failures():
+        for i in range(n):
+            x = xring.basis_element(i)
+            if tuple(sum(c.values()) for c in marks(x)) != xring.burnside.marks(xring.forget_labels(x)):
+                yield f"augmentation square fails on {names[i]}"
+        for k in range(len(table)):
+            b = xring.burnside.basis_element(k)
+            lifted = tuple({0: m} if m else {} for m in xring.burnside.marks(b))
+            if marks(xring.with_identity_labels(b)) != lifted:
+                yield f"lift square fails on {table.classes[k].name}"
+
+    def component_failures():
+        sample = range(n) if n <= 30 else [rng.randrange(n) for _ in range(SAMPLE_SIZE)]
+        for i in sample:
+            ghost = marks(xring.basis_element(i))
+            for k, cls in enumerate(table.classes):
+                comp = ghost[k]
+                for c in sorted(cls.centralizer):
+                    if {G.conj(c, t): v for t, v in comp.items()} != comp:
+                        yield f"component {cls.name} of marks({names[i]}) not central"
+                for nrm in G.small_generating_set(cls.normalizer) or [0]:
+                    if {G.conj(nrm, t): v for t, v in comp.items()} != comp:
+                        yield f"component {cls.name} of marks({names[i]}) not normalizer-stable"
+
+    def integral_image_failures():
+        for j, e in xring.dress_idempotents("solvable"):
+            img = image(e)
+            if img != ({} if table.classes[j].order > 1 else {0: 1}):
+                yield f"center image of the {table.classes[j].name} idempotent is {img}"
+
+    return [
+        _check("crossed-marks-ring-homomorphism", (
+            f"crossed marks not multiplicative on ({names[i]},{names[j]})"
+            for i, j in _pairs(n, exhaustive, rng)
+            if not marks_multiplicative(i, j)
+        )),
+        _check("mark-squares-commute", square_failures()),
+        _check("ghost-components-central-and-stable", component_failures()),
+        _check("center-image-ring-homomorphism", (
+            f"center image not multiplicative on ({names[i]},{names[j]})"
+            for i, j in _pairs(n, exhaustive, rng)
+            if not image_multiplicative(i, j)
+        )),
+        _check("center-image-of-integral-idempotents", integral_image_failures()),
+    ]
+
+
+def augmentation_check(xring) -> Check:
+    """augmentation-counts-points of verify.center_checks: the coefficient
+    sum of the center image of each basis pair [D,a] is |G:D|."""
+
+    def failures():
+        for i, pair in enumerate(xring.pairs):
+            points = xring.group.order // xring.table.classes[pair.subgroup_class].order
+            if sum(walks.center_image(xring, xring.basis_element(i)).values()) != points:
+                yield f"augmentation of the image of {pair.name} is not {points}"
+
+    return _check("augmentation-counts-points", failures())
 
 
 def crossed_axiom_failures(xring, triples):
@@ -137,5 +257,5 @@ def crossed_axiom_failures(xring, triples):
 def associative(algebra, i: int, j: int, k: int) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) for one triple, through the sparse
     products."""
-    left = _combine(algebra.product(i, j), lambda m: algebra.product(m, k))
-    return left == _combine(algebra.product(j, k), lambda m: algebra.product(i, m))
+    left = combine(algebra.product(i, j), lambda m: algebra.product(m, k))
+    return left == combine(algebra.product(j, k), lambda m: algebra.product(i, m))

@@ -1,10 +1,11 @@
 """Per-element comparison maps, for the tests only.
 
-Each map walks the cosets or double cosets of every basis element in the
-support of its argument, in the element's scalar ring: the reference for
-the integer rows that motive_ring builds once per algebra and reads through
-Element.image (CrossedBurnsideRing.mark_rows, MackeyAlgebra.zeta_row and
-MackeyAlgebra.iota_row).  It shares no row or memo with them.
+Each map walks the cosets, double cosets or elements of G for every basis
+element in the support of its argument, in the element's scalar ring: the
+reference for the integer rows that motive_ring builds once per algebra
+(CrossedBurnsideRing.mark_rows, MackeyAlgebra.zeta_row, iota_row and
+project_matrix), from which its checks decide each identity over Z.  It
+shares no row or memo with them.
 """
 
 from __future__ import annotations
@@ -93,4 +94,23 @@ def center_to_hecke(mackey, Z, z: Element) -> dict:
             x_pt, y_pt = mackey.point_of(si, 0), mackey.point_of(si, g)
             for v in G.left_cosets(S):
                 _accumulate(op, (mackey.act[v][y_pt], mackey.act[v][x_pt]), coeff, s)
+    return op
+
+
+def project(mackey, x: Element) -> dict:
+    """pi: the span (S, x, y) sends the point g x to g y once per coset gS.
+    Walked over every g in G, each coset is met |S| times, so the counts
+    {(g y, g x): g} are divided by |S|."""
+    G, s = mackey.group, x.scalar
+    op: dict = {}
+    for i, c in enumerate(x.coeffs):
+        if s.is_zero(c):
+            continue
+        b = mackey.basis[i]
+        counts: dict = {}
+        for g in range(G.order):
+            key = (mackey.act[g][b.y], mackey.act[g][b.x])
+            counts[key] = counts.get(key, 0) + 1
+        for key, m in counts.items():
+            _accumulate(op, key, s.mul_int(c, m // len(b.stabilizer)), s)
     return op

@@ -14,14 +14,13 @@ import time
 from dense_linalg import rank_field
 from reference_checks import is_central
 from reference_groups import p_residual_oracle
+from test_crossed import center_image, crossed_marks
+from test_mackey import over, read, zeta
 
-from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_equal, ga_mul
+from motive_ring.algebra import combine
+from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_mul
 from motive_ring.cli import run
 from motive_ring.linalg import integer_rank, sparse_mat_mul
-from motive_ring.mackey import (
-    center_to_hecke,
-    crossed_to_mackey_center,
-)
 from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import all_subgroups, prime_divisors
 
@@ -96,8 +95,8 @@ def test_criterion_2_rho_images_of_a5_idempotents(ws):
     crit = Criterion(2, "images in Z(ZG): 1 for the trivial residual, 0 for the full one", 60)
     xr = ws.crossed("A5")
     family = {ws.table("A5").classes[j].name: e for j, e in xr.dress_idempotents("solvable")}
-    crit.expect(xr.center_image(family["1#1"]) == {0: 1}, "image of the trivial-residual idempotent is not 1")
-    crit.expect(xr.center_image(family["A5#1"]) == {}, "image of the full-residual idempotent is not 0")
+    crit.expect(center_image(xr, family["1#1"]) == {0: 1}, "image of the trivial-residual idempotent is not 1")
+    crit.expect(center_image(xr, family["A5#1"]) == {}, "image of the full-residual idempotent is not 0")
     crit.finish()
 
 
@@ -140,20 +139,14 @@ def test_criterion_4_ring_axioms_and_homomorphisms(ws):
             for j in range(n):
                 x, y = xr.basis_element(i), xr.basis_element(j)
                 xy = x * y
-                if not xr.ghost_equal(
-                    xr.crossed_marks(xy),
-                    xr.ghost_multiply(xr.crossed_marks(x), xr.crossed_marks(y)),
-                ):
+                marks_xy = tuple(ga_mul(xr.group, a, b, ZZ) for a, b in zip(crossed_marks(xr, x), crossed_marks(xr, y)))
+                if crossed_marks(xr, xy) != marks_xy:
                     crit.expect(False, f"{name}: crossed marks not multiplicative on ({i},{j})")
                 lhs = xr.forget_labels(xy)
                 rhs = br.multiply(xr.forget_labels(x), xr.forget_labels(y))
                 if lhs.coeffs != rhs.coeffs:
                     crit.expect(False, f"{name}: label-forgetting not multiplicative on ({i},{j})")
-                if not ga_equal(
-                    xr.center_image(xy),
-                    ga_mul(xr.group, xr.center_image(x), xr.center_image(y), ZZ),
-                    ZZ,
-                ):
+                if center_image(xr, xy) != ga_mul(xr.group, center_image(xr, x), center_image(xr, y), ZZ):
                     crit.expect(False, f"{name}: center image not multiplicative on ({i},{j})")
         nb = len(xr.table)
         for i in range(nb):
@@ -165,17 +158,12 @@ def test_criterion_4_ring_axioms_and_homomorphisms(ws):
                     crit.expect(False, f"{name}: embedding not multiplicative on ({i},{j})")
         for i in range(n):
             x = xr.basis_element(i)
-            if (
-                xr.ghost_augmentation(xr.crossed_marks(x)).values
-                != br.marks(xr.forget_labels(x)).values
-            ):
+            if tuple(sum(c.values()) for c in crossed_marks(xr, x)) != br.marks(xr.forget_labels(x)):
                 crit.expect(False, f"{name}: augmentation square fails on {xr.pairs[i].name}")
         for k in range(nb):
             b = br.basis_element(k)
-            if not xr.ghost_equal(
-                xr.crossed_marks(xr.with_identity_labels(b)),
-                xr.ghost_lift(br.marks(b)),
-            ):
+            lifted = tuple({0: m} if m else {} for m in br.marks(b))
+            if crossed_marks(xr, xr.with_identity_labels(b)) != lifted:
                 crit.expect(False, f"{name}: lift square fails on class {k}")
             if xr.forget_labels(xr.with_identity_labels(b)).coeffs != b.coeffs:
                 crit.expect(False, f"{name}: forget(embed) != id on class {k}")
@@ -248,13 +236,9 @@ def test_criterion_7_mackey_diagram_suite(ws):
             crit.expect(mk.n == 6, f"span dimension of the order-2 group is {mk.n}, expected 6")
         for scalar in (QQ, F2):
             tag = scalar.tag
-            imgs = [
-                crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
-                for i in range(xr.n)
-            ]
+            imgs = [zeta(mk, xr, xr.basis_element(i), scalar) for i in range(xr.n)]
             crit.expect(
-                crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs
-                == mk.one(scalar).coeffs,
+                zeta(mk, xr, xr.one(), scalar).coeffs == mk.one(scalar).coeffs,
                 f"{name}[{tag}]: unit not preserved",
             )
             for z in imgs:
@@ -264,13 +248,8 @@ def test_criterion_7_mackey_diagram_suite(ws):
             ok = True
             for i in range(xr.n):
                 for j in range(xr.n):
-                    prod = xr.multiply(
-                        xr.basis_element(i, scalar), xr.basis_element(j, scalar)
-                    )
-                    if (
-                        crossed_to_mackey_center(mk, xr, prod).coeffs
-                        != mk.multiply(imgs[i], imgs[j]).coeffs
-                    ):
+                    prod = xr.basis_element(i) * xr.basis_element(j)
+                    if zeta(mk, xr, prod, scalar).coeffs != mk.multiply(imgs[i], imgs[j]).coeffs:
                         ok = False
             crit.expect(ok, f"{name}[{tag}]: central span image is not multiplicative")
             rank = rank_field([z.coeffs for z in imgs], scalar)
@@ -280,12 +259,10 @@ def test_criterion_7_mackey_diagram_suite(ws):
                 f"{name}[{tag}]: image rank {rank} != center dimension {dim}",
             )
             ok = True
-            ops = [mk.project(mk.basis_element(i, scalar)) for i in range(mk.n)]
+            ops = [over(mk.project_matrix(i), scalar) for i in range(mk.n)]
             for i in range(mk.n):
                 for j in range(mk.n):
-                    lhs = mk.project(
-                        mk.multiply(mk.basis_element(i, scalar), mk.basis_element(j, scalar))
-                    )
+                    lhs = over(combine(mk.product(i, j), lambda k: mk.project_matrix(k).items()), scalar)
                     if lhs != sparse_mat_mul(ops[i], ops[j], scalar):
                         ok = False
                 if not ok:
@@ -293,9 +270,9 @@ def test_criterion_7_mackey_diagram_suite(ws):
             crit.expect(ok, f"{name}[{tag}]: projection is not an algebra homomorphism")
             ok = True
             for i in range(xr.n):
-                x = xr.basis_element(i, scalar)
-                rho = Z.from_group_algebra(xr.center_image(x), scalar)
-                if mk.project(crossed_to_mackey_center(mk, xr, x)) != center_to_hecke(mk, Z, rho):
+                rho = Z.from_group_algebra(xr.mark_rows(0)[i], ZZ)
+                lhs = read(mk.project_matrix, zeta(mk, xr, xr.basis_element(i), ZZ))
+                if over(lhs, scalar) != over(read(mk.iota_row, rho), scalar):
                     ok = False
             crit.expect(ok, f"{name}[{tag}]: the projection square does not commute")
     crit.finish()

@@ -9,6 +9,7 @@ import typing
 from fractions import Fraction
 
 import pytest
+import reference_maps as walks
 
 import motive_ring
 import motive_ring.algebra as algebra_mod
@@ -41,8 +42,8 @@ def burnside_check(ws, group, x, y, xy):
     """Marks are a ring map into the product ring."""
     ring = ws.burnside(group)
     s = x.scalar
-    mx, my = ring.marks(x).values, ring.marks(y).values
-    assert ring.marks(xy).values == tuple(s.mul(a, b) for a, b in zip(mx, my))
+    mx, my = ring.marks(x), ring.marks(y)
+    assert ring.marks(xy) == tuple(s.mul(a, b) for a, b in zip(mx, my))
 
 
 def crossed_check(ws, group, x, y, xy):
@@ -56,7 +57,7 @@ def center_check(ws, group, x, y, xy):
 def mackey_check(ws, group, x, y, xy):
     """Projection to the Hecke algebra is an algebra map onto operator products."""
     mk = ws.mackey(group)
-    assert mk.project(xy) == sparse_mat_mul(mk.project(x), mk.project(y), x.scalar)
+    assert walks.project(mk, xy) == sparse_mat_mul(walks.project(mk, x), walks.project(mk, y), x.scalar)
 
 
 ALGEBRAS = {
@@ -111,6 +112,13 @@ def test_every_public_annotation_resolves():
                     typing.get_type_hints(fn)
                     resolved += 1
     assert resolved > 100
+
+
+def test_every_name_in_all_imports():
+    namespace: dict = {}
+    exec("from motive_ring import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(motive_ring.__all__)
+    assert len(set(motive_ring.__all__)) == len(motive_ring.__all__)
 
 
 # -- idempotent families ---------------------------------------------------------------

@@ -11,7 +11,6 @@ import motive_ring.center as center
 from motive_ring.algebra import Algebra
 from motive_ring.center import (
     CenterAlgebra,
-    augmentation,
     block_scan_oracle,
     blocks_in_rho_span,
     counted_structure_constants,
@@ -65,26 +64,27 @@ def test_structure_constants_match_convolution(name, ws):
 
 
 def test_augmentation_basics(ws):
+    # the augmentation (coefficient sum) of a class sum is the class size
     Z = ws.center("S3")
-    assert augmentation({}, ZZ) == 0
-    assert augmentation({0: 1}, ZZ) == 1
-    assert augmentation(Z.to_group_algebra(Z.one(ZZ)), ZZ) == 1
+    assert sum(Z.to_group_algebra(Z.one(ZZ)).values()) == 1
+    sums = [sum(Z.to_group_algebra(z).values()) for z in Z.class_sums(ZZ)]
+    assert sums == [len(c) for c in Z.classes] == [1, 3, 2]
 
 
 def test_augmentation_of_center_images_counts_points(ws):
     for name in ["C2", "S3", "A5"]:
         xr = ws.crossed(name)
         G = ws.group(name)
+        images = xr.mark_rows(0)  # the center image of each basis pair
         for i, pair in enumerate(xr.pairs):
-            img = xr.center_image(xr.basis_element(i))
             expected = G.order // xr.table.classes[pair.subgroup_class].order
-            assert augmentation(img, ZZ) == expected
+            assert sum(images[i].values()) == expected
 
 
 def test_c2_center_image_augmentation(ws):
     xr = ws.crossed("C2")
-    img = xr.center_image(xr.basis_element(0))  # the free pair with trivial label
-    assert augmentation(img, ZZ) == 2
+    img = xr.mark_rows(0)[0]  # the free pair with trivial label
+    assert img == {0: 2} and sum(img.values()) == 2
 
 
 # -- blocks --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motive_ring
@@ -156,6 +156,25 @@ def test_cbr_multiply_reads_an_integer_as_its_decimal_string(coeff):
     as_int = invoke([*argv, "--x", '{"[S3#1,()]": 2, "[1#1,()]": -7}'])
     as_text = invoke([*argv, "--x", '{"[S3#1,()]": "2", "[1#1,()]": "-7"}'])
     assert as_int == as_text and as_int[0] == 0
+
+
+@pytest.mark.parametrize("point", ["4", "9", "30000000", "1" + "0" * 4000])
+def test_cbr_multiply_refuses_a_label_point_past_the_degree(point):
+    # refused before a permutation that wide is built, so a far point costs
+    # no memory, with a message that names the point and not the images
+    key = f"[1#1,(1 {point})]"
+    code, doc, _ = invoke(["cbr-multiply", "--group", "sym:3", "--x", json.dumps({key: "1"}), "--y", "{}"])
+    assert (code, doc) == (2, {"error": f"label point {int(point)} exceeds the degree 3 in {key!r}", "exit": 2})
+
+
+@pytest.mark.parametrize("command", ["burnside-idempotents", "cbr-multiply", "cbr-idempotents", "rho", "motivic-report"])
+def test_the_coeff_field_is_the_parsed_ring_tag(command):
+    # a spelling other than the ring's own tag prints as that tag
+    elements = ["--x", "{}", "--y", "{}"] if command == "cbr-multiply" else []
+    for typed, tag in (("Zp:003", "Zp:3"), ("Zp:+3", "Zp:3")):
+        code, doc, _ = invoke([command, "--group", "sym:3", "--coeff", typed, *elements])
+        assert (code, doc["coeff"]) == (0, tag)
+        assert doc == invoke([command, "--group", "sym:3", "--coeff", tag, *elements])[1]
 
 
 def test_rho_images():
@@ -1249,6 +1268,22 @@ TAGS = st.one_of(
     ),
     st.text(max_size=12),
 )
+CLASS_NAMES = st.sampled_from(["1#1", "C2#1", "C3#1", "S3#1", "C4#1", "V4#1", "D8#1", "A4#1", "Foo#1", "1#9", ""])
+LABELS = st.one_of(
+    st.builds(
+        lambda pts: "(" + " ".join(pts) + ")",
+        st.lists(st.one_of(st.integers(-2, 6), st.integers(7, 10**8)).map(str), max_size=3),
+    ),
+    st.sampled_from(["()", "(1 2)(3 4)", "(1 2", "1 2)", "(1 1)", "(1 2)(2 3)", "(a b)", "", "(1,2,3)"]),
+)
+COEFFICIENT_VALUES = st.one_of(
+    st.sampled_from(["1", "-2", "1/2", "x", "", "1" * 4400]),
+    st.integers(-3, 3),
+    st.sampled_from([None, True, 1.5, [1], {"1": 1}]),
+)
+ELEMENTS = st.dictionaries(
+    st.builds(lambda name, label: f"[{name},{label}]", CLASS_NAMES, LABELS), COEFFICIENT_VALUES, max_size=2
+).map(json.dumps)
 SPECS = st.one_of(
     st.sampled_from(["sym:3", "cyclic:4", "dihedral:4", "alt:4", "cyclic:1", "sym:x", "dihedral:2", "sym:-1"]),
     st.builds(lambda body: "gens:" + body, st.text(alphabet="()0123456789 ,;-x", max_size=16)),
@@ -1263,8 +1298,15 @@ SPECS = st.one_of(
     tag=st.one_of(st.none(), TAGS),
     prime=st.one_of(st.none(), NUMERALS),
     bound=st.one_of(st.none(), st.integers(-3, 30).map(str), st.sampled_from(["x", "1" * 4400])),
+    x=st.one_of(st.just("{}"), ELEMENTS),
 )
-def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime, bound):
+@example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[1#1,(1 100000000)]": "1"}')
+@example(command="cbr-multiply", spec="sym:3", tag="Q", prime=None, bound=None, x='{"[C2#1,(1 2)]": "1/2", "[1#1,()]": 3}')
+@example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[Foo#1,()]": "1"}')
+@example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2]": "1"}')
+@example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2)]": "1"}')
+@example(command="cbr-multiply", spec="sym:3", tag="Fp:3", prime=None, bound=None, x='{"[1#1,()]": 1.5}')
+def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime, bound, x):
     if command == "mackey-check":
         bound = "8"  # the fuzz is of the input: keep the Mackey algebras small
     argv = [command, f"--group={spec}"]
@@ -1272,7 +1314,7 @@ def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime
         if value is not None:
             argv.append(f"{flag}={value}")
     if command == "cbr-multiply":
-        argv += ["--x", "{}", "--y", "{}"]
+        argv += ["--x", x, "--y", "{}"]
     buf = io.StringIO()
     code = run(argv, stream=buf)
     assert code in (0, 1, 2, 3)

@@ -1,5 +1,6 @@
-"""The comparison maps rho, the crossed marks, zeta and iota, read off their
-integer rows, against the per-element coset walks of reference_maps."""
+"""The comparison maps rho, the crossed marks, zeta, iota and pi, read off
+their integer rows in every scalar ring, against the per-element walks of
+reference_maps."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import motive_ring.mackey as mackey
 from motive_ring.center import CenterAlgebra
 from motive_ring.crossed import CrossedBurnsideRing
 from motive_ring.groups import FiniteGroup, construct_group
-from motive_ring.mackey import MackeyAlgebra, center_to_hecke, crossed_to_mackey_center
+from motive_ring.mackey import MackeyAlgebra
 from motive_ring.scalars import QQ, ZZ, p_local, prime_field
 from motive_ring.subgroups import SubgroupClassTable
 
@@ -44,15 +45,36 @@ def sample_elements(algebra, scalar):
     return basis + [algebra.zero(scalar)] + mixed
 
 
+def read_over(x, row) -> dict:
+    """The image of x under the Z-linear map with the integer rows row(i),
+    in x's own scalar ring (F_q too, where no integer combination applies):
+    the sum of c row(i) over the coefficients c = x_i, sparse
+    {key: nonzero value}."""
+    s = x.scalar
+    out: dict = {}
+    for i, c in enumerate(x.coeffs):
+        if not s.is_zero(c):
+            for key, m in row(i).items():
+                out[key] = s.add(out.get(key, s.zero), s.mul_int(c, m))
+    return {key: v for key, v in out.items() if not s.is_zero(v)}
+
+
+def sparse(x) -> dict:
+    return {k: c for k, c in enumerate(x.coeffs) if not x.scalar.is_zero(c)}
+
+
 def assert_maps_match_the_walks(xr, mk, Z, scalar):
+    marks = [xr.mark_rows(k).__getitem__ for k in range(len(xr.table))]
     for x in sample_elements(xr, scalar):
-        assert xr.center_image(x) == ref.center_image(xr, x)
-        assert xr.crossed_marks(x).components == ref.crossed_marks(xr, x)
+        assert read_over(x, marks[0]) == ref.center_image(xr, x)
+        assert tuple(read_over(x, row) for row in marks) == ref.crossed_marks(xr, x)
         if mk is not None:
-            assert crossed_to_mackey_center(mk, xr, x).coeffs == ref.crossed_to_mackey_center(mk, xr, x).coeffs
+            assert read_over(x, lambda i: mk.zeta_row(xr, i)) == sparse(ref.crossed_to_mackey_center(mk, xr, x))
     if mk is not None:
         for z in sample_elements(Z, scalar) + [Z.one(scalar)]:
-            assert center_to_hecke(mk, Z, z) == ref.center_to_hecke(mk, Z, z)
+            assert read_over(z, mk.iota_row) == ref.center_to_hecke(mk, Z, z)
+        for y in sample_elements(mk, scalar)[-2:]:  # the mixed elements: every span is in one
+            assert read_over(y, mk.project_matrix) == ref.project(mk, y)
 
 
 @pytest.mark.parametrize("scalar", SCALARS, ids=lambda s: s.tag)
@@ -80,19 +102,22 @@ def test_the_maps_walk_no_cosets_once_the_rows_exist(monkeypatch):
     xr, mk, Z = CrossedBurnsideRing(table), MackeyAlgebra(table), CenterAlgebra(table.group)
     F3 = prime_field(3)
     x, z = sample_elements(xr, F3)[-1], sample_elements(Z, F3)[-1]
+    y = sample_elements(mk, F3)[-1]
     expected = (
         ref.center_image(xr, x),
         ref.crossed_marks(xr, x),
-        ref.crossed_to_mackey_center(mk, xr, x).coeffs,
+        sparse(ref.crossed_to_mackey_center(mk, xr, x)),
         ref.center_to_hecke(mk, Z, z),
+        ref.project(mk, y),
     )
 
     def images():
         return (
-            xr.center_image(x),
-            xr.crossed_marks(x).components,
-            crossed_to_mackey_center(mk, xr, x).coeffs,
-            center_to_hecke(mk, Z, z),
+            read_over(x, xr.mark_rows(0).__getitem__),
+            tuple(read_over(x, xr.mark_rows(k).__getitem__) for k in range(len(xr.table))),
+            read_over(x, lambda i: mk.zeta_row(xr, i)),
+            read_over(z, mk.iota_row),
+            read_over(y, mk.project_matrix),
         )
 
     assert images() == expected  # builds every row

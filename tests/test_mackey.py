@@ -9,15 +9,11 @@ from dense_linalg import mat_mul, nullspace_field, rank_field
 from reference_checks import is_central
 from test_subgroups import gens_specs, small_group
 
+from motive_ring.algebra import combine
 from motive_ring.groups import GroupTooLarge, construct_group
 from motive_ring.linalg import sparse_mat_mul
-from motive_ring.mackey import (
-    HeckeAlgebra,
-    MackeyAlgebra,
-    center_to_hecke,
-    crossed_to_mackey_center,
-)
-from motive_ring.scalars import QQ, prime_field
+from motive_ring.mackey import HeckeAlgebra, MackeyAlgebra
+from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import SubgroupClassTable, subgroup_key
 from motive_ring.verify import hecke_center_dimension
 
@@ -36,6 +32,24 @@ def dense(op, n, scalar):
     for (to, frm), v in op.items():
         mat[to][frm] = v
     return mat
+
+
+def read(row, x) -> dict:
+    """The image of x over Z or Z_(p) under the map with the integer rows
+    row(i)."""
+    return combine(enumerate(x.coeffs), lambda i: row(i).items())
+
+
+def over(op: dict, scalar) -> dict:
+    """An integer operator read over the scalar ring: its nonzero images."""
+    images = {key: scalar.coerce(v) for key, v in op.items()}
+    return {key: v for key, v in images.items() if not scalar.is_zero(v)}
+
+
+def zeta(mk, xr, x, scalar):
+    """The central span image of x over Z, as an element over the scalar ring."""
+    image = read(lambda i: mk.zeta_row(xr, i), x)
+    return mk.element([image.get(k, 0) for k in range(mk.n)], scalar)
 
 
 def orbit_operator(hk, k):
@@ -440,10 +454,7 @@ def test_is_central_matches_the_every_span_commutator(name, scalar, ws):
 def test_zeta_unital(name, scalar, ws):
     mk = ws.mackey(name)
     xr = ws.crossed(name)
-    assert (
-        crossed_to_mackey_center(mk, xr, xr.one(scalar)).coeffs
-        == mk.one(scalar).coeffs
-    )
+    assert zeta(mk, xr, xr.one(), scalar).coeffs == mk.one(scalar).coeffs
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
@@ -451,7 +462,7 @@ def test_zeta_lands_in_center(name, ws):
     mk = ws.mackey(name)
     xr = ws.crossed(name)
     for i in range(xr.n):
-        assert is_central(mk, crossed_to_mackey_center(mk, xr, xr.basis_element(i, QQ)))
+        assert is_central(mk, zeta(mk, xr, xr.basis_element(i), QQ))
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
@@ -459,16 +470,11 @@ def test_zeta_lands_in_center(name, ws):
 def test_zeta_ring_homomorphism(name, scalar, ws):
     mk = ws.mackey(name)
     xr = ws.crossed(name)
-    imgs = [
-        crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
-        for i in range(xr.n)
-    ]
+    imgs = [zeta(mk, xr, xr.basis_element(i), scalar) for i in range(xr.n)]
     for i in range(xr.n):
         for j in range(xr.n):
-            prod = xr.multiply(xr.basis_element(i, scalar), xr.basis_element(j, scalar))
-            lhs = crossed_to_mackey_center(mk, xr, prod)
-            rhs = mk.multiply(imgs[i], imgs[j])
-            assert lhs.coeffs == rhs.coeffs
+            lhs = zeta(mk, xr, xr.basis_element(i) * xr.basis_element(j), scalar)
+            assert lhs.coeffs == mk.multiply(imgs[i], imgs[j]).coeffs
 
 
 def test_zeta_rank_versus_center_dimension(ws):
@@ -478,10 +484,7 @@ def test_zeta_rank_versus_center_dimension(ws):
         mk = ws.mackey(name)
         xr = ws.crossed(name)
         for scalar in (QQ, F2):
-            imgs = [
-                crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))
-                for i in range(xr.n)
-            ]
+            imgs = [zeta(mk, xr, xr.basis_element(i), scalar) for i in range(xr.n)]
             rank = rank_field([z.coeffs for z in imgs], scalar)
             dim = len(mk.center_basis(scalar))
             assert (rank, dim) == (expect_rank, expect_dim)
@@ -544,15 +547,15 @@ def test_hecke_operators_are_equivariant(ws):
 
 def test_projection_of_identity(ws):
     mk = ws.mackey("S3")
-    assert mk.project(mk.one(QQ)) == identity_operator(mk.npoints, QQ)
+    assert read(mk.project_matrix, mk.one()) == identity_operator(mk.npoints, ZZ)
 
 
 def assert_projection_multiplicative(mk, i, j, scalar):
-    """project(i . j) = project(i) project(j), sparse and against the dense product."""
-    lhs = mk.project(mk.multiply(mk.basis_element(i, scalar), mk.basis_element(j, scalar)))
-    a = mk.project(mk.basis_element(i, scalar))
-    b = mk.project(mk.basis_element(j, scalar))
-    assert lhs == sparse_mat_mul(a, b, scalar)
+    """project(i . j) = project(i) project(j), sparse over Z and against the
+    dense product over the scalar ring."""
+    lhs = combine(mk.product(i, j), lambda k: mk.project_matrix(k).items())
+    assert lhs == sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j), ZZ)
+    lhs, a, b = (over(op, scalar) for op in (lhs, mk.project_matrix(i), mk.project_matrix(j)))
     n = mk.npoints
     assert dense(lhs, n, scalar) == mat_mul(dense(a, n, scalar), dense(b, n, scalar), scalar)
 
@@ -579,7 +582,7 @@ def test_projection_surjective_onto_hecke(name, ws):
     hk = HeckeAlgebra(mk)
     n = mk.npoints
     vecs = [
-        [v for row in dense(mk.project(mk.basis_element(i, QQ)), n, QQ) for v in row]
+        [v for row in dense(over(mk.project_matrix(i), QQ), n, QQ) for v in row]
         for i in range(mk.n)
     ]
     assert rank_field(vecs, QQ) == hk.n
@@ -593,30 +596,29 @@ def test_projection_surjective_onto_hecke(name, ws):
 def test_center_embedding_is_unital_ring_homomorphism(name, scalar, ws):
     mk = ws.mackey(name)
     Z = ws.center(name)
-    sums = Z.class_sums(scalar)
-    assert center_to_hecke(mk, Z, Z.one(scalar)) == identity_operator(mk.npoints, scalar)
+    sums = Z.class_sums(ZZ)
+    assert over(read(mk.iota_row, Z.one()), scalar) == identity_operator(mk.npoints, scalar)
     n = mk.npoints
-    ops = [center_to_hecke(mk, Z, z) for z in sums]
+    ops = [mk.iota_row(k) for k in range(Z.n)]
     for i in range(Z.n):
         for j in range(Z.n):
-            lhs = center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
-            assert lhs == sparse_mat_mul(ops[i], ops[j], scalar)
-            rhs = mat_mul(dense(ops[i], n, scalar), dense(ops[j], n, scalar), scalar)
-            assert dense(lhs, n, scalar) == rhs
+            lhs = read(mk.iota_row, Z.multiply(sums[i], sums[j]))
+            assert lhs == sparse_mat_mul(ops[i], ops[j], ZZ)
+            a, b = over(ops[i], scalar), over(ops[j], scalar)
+            rhs = mat_mul(dense(a, n, scalar), dense(b, n, scalar), scalar)
+            assert dense(over(lhs, scalar), n, scalar) == rhs
 
 
 def test_center_embedding_lands_in_hecke_center(ws):
     mk = ws.mackey("C2")
     Z = ws.center("C2")
     hk = HeckeAlgebra(mk)
-    t_sum = Z.class_sums(QQ)[1]
-    op = center_to_hecke(mk, Z, t_sum)
+    t_sum = Z.class_sums(ZZ)[1]
+    op = read(mk.iota_row, t_sum)
     for k in range(hk.n):
-        m = {key: QQ.coerce(v) for key, v in orbit_operator(hk, k).items()}
-        assert sparse_mat_mul(op, m, QQ) == sparse_mat_mul(m, op, QQ)
-    assert sparse_mat_mul(op, op, QQ) == center_to_hecke(
-        mk, Z, Z.multiply(t_sum, t_sum)
-    )
+        m = orbit_operator(hk, k)
+        assert sparse_mat_mul(op, m, ZZ) == sparse_mat_mul(m, op, ZZ)
+    assert sparse_mat_mul(op, op, ZZ) == read(mk.iota_row, Z.multiply(t_sum, t_sum))
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
@@ -626,11 +628,9 @@ def test_square_commutes_on_every_crossed_basis_element(name, scalar, ws):
     xr = ws.crossed(name)
     Z = ws.center(name)
     for i in range(xr.n):
-        x = xr.basis_element(i, scalar)
-        rho = Z.from_group_algebra(xr.center_image(x), scalar)
-        lhs = mk.project(crossed_to_mackey_center(mk, xr, x))
-        rhs = center_to_hecke(mk, Z, rho)
-        assert lhs == rhs
+        rho = Z.from_group_algebra(xr.mark_rows(0)[i], ZZ)
+        lhs = read(mk.project_matrix, zeta(mk, xr, xr.basis_element(i), ZZ))
+        assert over(lhs, scalar) == over(read(mk.iota_row, rho), scalar)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3"])
@@ -648,7 +648,7 @@ def test_composite_reaches_hecke_center(name, scalar, ws):
         [
             v
             for row in dense(
-                mk.project(crossed_to_mackey_center(mk, xr, xr.basis_element(i, scalar))),
+                over(read(mk.project_matrix, zeta(mk, xr, xr.basis_element(i), ZZ)), scalar),
                 mk.npoints,
                 scalar,
             )

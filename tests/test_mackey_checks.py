@@ -1,7 +1,9 @@
 """The Mackey comparison-map checks decided once over Z against their
-per-scalar evaluation on dense elements (reference_checks), the sparse
-unit and associativity checks of the crossed ring against dense products,
-and the one-pass associativity against the per-triple reference."""
+per-scalar evaluation on dense elements (reference_checks), the checks of
+the marks and the center image read off the integer rows against dense
+products and coset walks, the sparse unit and associativity checks of
+the crossed ring against dense products, and the one-pass associativity
+against the per-triple reference."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from conftest import GROUP_SPECS
 
 from motive_ring import verify
 from motive_ring.algebra import Algebra
+from motive_ring.burnside import BurnsideRing
 from motive_ring.crossed import CrossedBurnsideRing
 from motive_ring.groups import construct_group
 from motive_ring.mackey import MackeyAlgebra
@@ -177,3 +180,53 @@ def test_one_pass_associativity_finds_the_reference_failures_of_a_shifted_produc
     assert want and list(verify._nonassociative(mk, triples)) == want
     check = next(c for c in verify.span_checks(mk, Random(seed)) if c.name == "span-associativity")
     assert not check.passed and check.detail == "associativity fails on spans ({},{},{})".format(*want[-1])
+
+
+# -- the ring checks read off the integer rows against dense elements -----------
+
+
+RING_CHECKS = {
+    "marks-ring-homomorphism",
+    "crossed-marks-ring-homomorphism",
+    "mark-squares-commute",
+    "ghost-components-central-and-stable",
+    "center-image-ring-homomorphism",
+    "center-image-of-integral-idempotents",
+    "augmentation-counts-points",
+}
+
+
+def ring_verdicts(br, xr, seed):
+    """The verdicts of RING_CHECKS in the suites of verify-all, in order."""
+    rng = Random(seed)
+    checks = verify.burnside_checks(br, rng) + verify.crossed_checks(xr, rng) + verify.center_checks(xr)
+    return [v for v in verdicts(checks) if v[0] in RING_CHECKS]
+
+
+def reference_ring_verdicts(br, xr, seed):
+    rng = Random(seed)
+    checks = ref.burnside_ring_checks(br, rng) + ref.crossed_ring_checks(xr, rng)
+    return verdicts(checks + [ref.augmentation_check(xr)])
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", SMALL_GROUPS + ["A5"])  # A5 draws its pairs
+def test_ring_checks_from_rows_match_the_dense_reference(name, seed, ws):
+    br, xr = ws.burnside(name), ws.crossed(name)
+    want = reference_ring_verdicts(br, xr, seed)
+    assert {v[0] for v in want} == RING_CHECKS and all(passed for _, passed, _ in want)
+    assert ring_verdicts(br, xr, seed) == want
+
+
+@pytest.mark.parametrize("by", [1, -1])
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_ring_checks_from_rows_fail_as_the_reference_on_a_shifted_product(name, by, ws):
+    table = ws.table(name)
+    br, xr = BurnsideRing(table), CrossedBurnsideRing(table)
+    for ring in (br, xr):
+        shift_cached_product(ring, ring.n // 2, ring.n // 2, by)
+    want = reference_ring_verdicts(br, xr, 7)
+    assert ring_verdicts(br, xr, 7) == want
+    failed = {check for check, passed, _ in want if not passed}
+    hit = {"marks-ring-homomorphism", "crossed-marks-ring-homomorphism", "center-image-ring-homomorphism"}
+    assert failed == hit
