@@ -18,7 +18,6 @@ subclasses keep their own loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .linalg import integer_kernel
@@ -163,34 +162,42 @@ class Algebra:
         """(every e is idempotent, distinct members are orthogonal, the sum is 1)
         for a nonempty list of elements over one scalar ring.
 
-        Over Q and Z_(p), where every coefficient is a Fraction, the family
-        is scaled once by the lcm d of all denominators to integer vectors
-        E = d e, and the checks run over Z: e e = e iff E E = d E, e f = 0
-        iff E F = 0, and the e sum to 1 iff the E sum to d 1.
+        Over Z, Q and Z_(p), whose coefficients are ints or Fractions, the
+        family is scaled once by the lcm d of all denominators to sparse
+        integer vectors E = d e, and the checks run over Z: e e = e iff
+        E E = d E, e f = 0 iff E F = 0, and the e sum to 1 iff the E sum to
+        d 1.  A product multiplies only the nonzero coefficient pairs.  Over
+        F_q the checks run on the dense elements.
         """
         scalar = family[0].scalar
         for e in family:
             self._check(e, scalar)
-        d = 1
-        if all(isinstance(c, Fraction) for e in family for c in e.coeffs):
-            d = lcm(*(c.denominator for e in family for c in e.coeffs))
-            scalar = ZZ
-            family = [
-                Element(self, ZZ, tuple(c.numerator * (d // c.denominator) for c in e.coeffs))
-                for e in family
-            ]
+        if isinstance(scalar, PrimeFieldRing):
+            total = self.zero(scalar)
+            for e in family:
+                total = total + e
+            idempotent = all((e * e).coeffs == e.coeffs for e in family)
+            orthogonal = all(
+                (e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :]
+            )
+            return idempotent, orthogonal, total.coeffs == self.one(scalar).coeffs
+        d = lcm(*(c.denominator for e in family for c in e.coeffs))
+        vectors = [
+            {i: c.numerator * (d // c.denominator) for i, c in enumerate(e.coeffs) if c}
+            for e in family
+        ]
 
-        def times_d(x: Element) -> tuple:
-            return tuple(scalar.mul_int(c, d) for c in x.coeffs)
+        def times(u: dict, v: dict) -> dict:
+            terms = (((i, j), a * b) for i, a in u.items() for j, b in v.items())
+            return combine(terms, lambda ij: self.product(*ij))
 
-        total = self.zero(scalar)
-        for e in family:
-            total = total + e
-        idempotent = all((e * e).coeffs == times_d(e) for e in family)
-        orthogonal = all(
-            (e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :]
+        idempotent = all(times(E, E) == {i: d * c for i, c in E.items()} for E in vectors)
+        orthogonal = not any(
+            times(E, F) for a, E in enumerate(vectors) for F in vectors[a + 1 :]
         )
-        return idempotent, orthogonal, total.coeffs == times_d(self.one(scalar))
+        total = combine(((a, 1) for a in range(len(vectors))), lambda a: vectors[a].items())
+        one = {i: d * c for i, c in enumerate(self.one(ZZ).coeffs) if c}
+        return idempotent, orthogonal, total == one
 
     # -- splitting over finite fields ---------------------------------------
 

@@ -94,29 +94,42 @@ class BurnsideRing(Algebra):
 
     # -- idempotents ----------------------------------------------------------
 
+    def _pullback(self, ghost) -> list[Fraction]:
+        """The element with the given 0/1 marks, by one integer
+        back-substitution scaled by d = |G|: every denominator of a sum of
+        basic rational idempotents divides |G| (Gluck's formula), so each
+        division is exact; a division that is not raises RuntimeError."""
+        m = self.table_of_marks().marks
+        d = self.group.order
+        scaled = [0] * self.n
+        for i in reversed(range(self.n)):
+            acc = d * ghost[i] - sum(m[i][j] * scaled[j] for j in range(i + 1, self.n) if m[i][j])
+            scaled[i], rest = divmod(acc, m[i][i])
+            if rest:
+                raise RuntimeError(f"the marks do not pull back over the denominator {d}")
+        return [Fraction(x, d) for x in scaled]
+
     def rational_idempotents(self) -> list[Element]:
         """Primitive idempotents over Q, one per subgroup class, by ghost inversion."""
-        out = []
-        for i in range(self.n):
-            ghost = [Fraction(1 if j == i else 0) for j in range(self.n)]
-            out.append(self.from_marks(ghost, QQ))
-        return out
+        return [
+            self.element(self._pullback([int(j == i) for j in range(self.n)]), QQ)
+            for i in range(self.n)
+        ]
 
     def dress_idempotents(self, mode) -> list[tuple[int, Element]]:
-        """Idempotents summing basic rational ones over residual fibers.
+        """Idempotents summing basic rational ones over residual fibers: the
+        pullback of each fiber's 0/1 indicator (_pullback).
 
         mode is "solvable" (integer coefficients) or a prime p (p-local
         coefficients).  Returns (residual class index, element) pairs in
         class order.  A coefficient outside the promised ring aborts.
         """
         scalar = ZZ if mode == "solvable" else p_local(mode)  # rejects a non-prime first
-        rational = self.rational_idempotents()
         fibers = self.table.residual_fiber_classes(mode)
         out = []
         for j in sorted(fibers):
-            coeffs = [Fraction(0)] * self.n
-            for i in fibers[j]:
-                coeffs = [a + b for a, b in zip(coeffs, rational[i].coeffs)]
+            members = set(fibers[j])
+            coeffs = self._pullback([int(i in members) for i in range(self.n)])
             try:
                 elem = self.element(coeffs, scalar)
             except ScalarError as exc:

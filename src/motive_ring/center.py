@@ -123,7 +123,8 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
     counted again from the group (counted_structure_constants).  They are
     folded into one quadratic form per coordinate, rows (i <= j, c), and a
     vector x is dropped at the first coordinate k where (x^2)_k != x_k; most
-    vectors fail at coordinate 0.
+    vectors fail at coordinate 0.  Over F_p a form is one int sum, reduced
+    mod p once; over F_q, q = p^e with e > 1, it runs in the field.
     """
     n = Z.n
     if field.q**n > 200000:
@@ -137,11 +138,19 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
         folded[k][key] = folded[k].get(key, 0) + c
     forms = [[(i, j, c) for (i, j), c in form.items() if c % field.p] for form in folded]
 
-    def value(rows, x, y):
-        acc = field.zero
-        for i, j, c in rows:
-            acc = field.add(acc, field.mul_int(field.mul(x[i], y[j]), c))
-        return acc
+    if field.e == 1:  # F_p: one plain int sum, reduced once
+        p = field.p
+
+        def value(rows, x, y):
+            return sum([c * x[i] * y[j] for i, j, c in rows]) % p
+
+    else:
+
+        def value(rows, x, y):
+            acc = field.zero
+            for i, j, c in rows:
+                acc = field.add(acc, field.mul_int(field.mul(x[i], y[j]), c))
+            return acc
 
     zero = (field.zero,) * n
     idems = [

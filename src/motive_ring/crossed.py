@@ -96,11 +96,13 @@ class CrossedBurnsideRing(Algebra):
     def basis_product_oracle(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Multiply two basis pairs by decomposing the literal product set.
 
-        Points are pairs of cosets with the diagonal action, split into
-        orbits through the generators of G; the label of a point is the
-        product of the conjugated labels; each orbit is one transitive
-        crossed set, with the stabilizer rx H rx^-1 n ry K ry^-1 of its
-        first point (rx H, ry K).  The result has the sparse form of product.
+        Points are pairs of cosets (rx H, ry K) with the diagonal action,
+        numbered x |G/K| + y; each generator of G is one permutation of
+        these numbers, and orbits splits them.
+        The label of a point is the product of the conjugated labels; each
+        orbit is one transitive crossed set, with the stabilizer
+        rx H rx^-1 n ry K ry^-1 of its first point.  The result has the
+        sparse form of product.
         """
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
@@ -109,16 +111,17 @@ class CrossedBurnsideRing(Algebra):
         a, b = pi.label, pj.label
         reps_h, where_h = G.coset_lookup(H)
         reps_k, where_k = G.coset_lookup(K)
-        # each generator of G as its permutations of G/H and of G/K
-        gens = [
-            ([where_h[G.mul(g, r)] for r in reps_h], [where_k[G.mul(g, r)] for r in reps_k])
-            for g in G.generator_indices
-        ]
-        points = [(x, y) for x in range(len(reps_h)) for y in range(len(reps_k))]
+        nk = len(reps_k)
+        # each generator of G as one permutation of the flat points
+        perms = []
+        for g in G.generator_indices:
+            row = G._mul[g]
+            on_k = [where_k[row[r]] for r in reps_k]
+            perms.append([hx * nk + ky for hx in (where_h[row[r]] for r in reps_h) for ky in on_k])
         counts: dict[int, int] = {}
-        for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
-            x0, y0 = orbit[0]
-            rx, ry = reps_h[x0], reps_k[y0]
+        for orbit in orbits(range(len(reps_h) * nk), perms, list.__getitem__):
+            start = orbit[0]
+            rx, ry = reps_h[start // nk], reps_k[start % nk]
             stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
             label = G.mul(G.conj(rx, a), G.conj(ry, b))
             k = self.canonical_pair(stab, label)
@@ -246,14 +249,16 @@ class CrossedBurnsideRing(Algebra):
 
         Multiplication by e is a projection onto eA, so the rank is its
         trace: the sum over i of e_i times the sum over j of the structure
-        constant c_ij^j.
+        constant c_ij^j.  A trace that is not an integer shows e is not an
+        idempotent, and raises RuntimeError.
         """
         trace = sum(
             c * sum(m for j in range(self.n) for k, m in self.product(i, j) if k == j)
             for i, c in enumerate(e.coeffs)
             if c
         )
-        assert trace.denominator == 1, "the trace of an idempotent is its integer rank"
+        if trace.denominator != 1:
+            raise RuntimeError(f"trace {trace} is not an integer rank: not an idempotent")
         return int(trace)
 
     def p_local_report(self, p: int) -> dict:

@@ -345,14 +345,14 @@ class FiniteGroup:
                 self._extend(elements, members, gens)
         return gens
 
-    def centralizer(self, elements) -> frozenset[int]:
+    def centralizer(self, elements, among) -> frozenset[int]:
         """Elements commuting with every given element: the centralizer of
-        the subgroup they generate, so a generating set is enough."""
+        the subgroup they generate, so a generating set is enough.  Only the
+        candidates among are tested; any set that contains the centralizer
+        will do, such as a normalizer or range(self.order)."""
         mul = self._mul
         pairs = [(h, mul[h]) for h in elements]
-        return frozenset(
-            g for g, row in enumerate(mul) if all(row[h] == hrow[g] for h, hrow in pairs)
-        )
+        return frozenset(g for g in among if all(mul[g][h] == hrow[g] for h, hrow in pairs))
 
     def conjugate_subgroup(self, g: int, subgroup) -> frozenset[int]:
         """g subgroup g^-1, read straight off the rows of g and of the table."""

@@ -269,7 +269,7 @@ class SubgroupClassTable:
                     order=len(rep),
                     name=f"{hint}#{hints[hint]}",
                     class_size=G.order // len(normalizers[idx]),
-                    centralizer=G.centralizer(gens[idx]),
+                    centralizer=G.centralizer(gens[idx], normalizers[idx]),  # C_G(H) <= N_G(H)
                     normalizer=normalizers[idx],
                 )
             )

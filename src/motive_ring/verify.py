@@ -90,14 +90,26 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
     G = table.group
     class_pairs = [(a, b) for a in table.classes for b in table.classes]
 
+    def conjugation_pass(R):
+        """g R g^-1 once for every g in G: (the stabilizer of R, the set of
+        its distinct conjugates)."""
+        stabilizer, conjugates = set(), set()
+        for g in range(G.order):
+            K = G.conjugate_subgroup(g, R)
+            if K == R:
+                stabilizer.add(g)
+            conjugates.add(K)
+        return stabilizer, conjugates
+
+    passes = [conjugation_pass(cls.representative) for cls in table.classes]
+
     def normalizer_failures():
-        for cls in table.classes:
+        for cls, (stabilizer, _) in zip(table.classes, passes):
             for n in cls.normalizer:
-                if G.conjugate_subgroup(n, cls.representative) != cls.representative:
+                if n not in stabilizer:
                     yield f"class {cls.name}: normalizer element {G.element_string(n)} moves the subgroup"
             for g in range(G.order):
-                inside = G.conjugate_subgroup(g, cls.representative) == cls.representative
-                if inside != (g in cls.normalizer):
+                if (g in stabilizer) != (g in cls.normalizer):
                     yield f"class {cls.name}: stabilizer mismatch at {G.element_string(g)}"
 
     def fusion_failures():
@@ -150,7 +162,7 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
             f"fixed cosets vs subconjugacy mismatch for ({a.name},{b.name})"
             for a, b in class_pairs
             if bool(fixed_cosets(G, a.representative, b.representative))
-            != any(G.conjugate_subgroup(g, a.representative) <= b.representative for g in range(G.order))
+            != any(K <= b.representative for K in passes[a.index][1])
         )),
         _check("derived-series-stabilizes", derived_failures()),
     ]
@@ -289,14 +301,19 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
     )))
 
     def component_failures():
+        # a component is invariant under a group iff under its generators
+        gens = [
+            (G.small_generating_set(cls.centralizer), G.small_generating_set(cls.normalizer))
+            for cls in table.classes
+        ]
         sample = range(n) if n <= 30 else [rng.randrange(n) for _ in range(SAMPLE_SIZE)]
         for i in sample:
-            for k, cls in enumerate(table.classes):
+            for k, (cls, (central, normal)) in enumerate(zip(table.classes, gens)):
                 comp = marks[k][i]
-                for c in sorted(cls.centralizer):
+                for c in central:
                     if {G.conj(c, t): v for t, v in comp.items()} != comp:
                         yield f"component {cls.name} of marks({names[i]}) not central"
-                for nrm in G.small_generating_set(cls.normalizer) or [0]:
+                for nrm in normal:
                     if {G.conj(nrm, t): v for t, v in comp.items()} != comp:
                         yield f"component {cls.name} of marks({names[i]}) not normalizer-stable"
 
@@ -348,14 +365,14 @@ def crossed_checks(xring: CrossedBurnsideRing, rng: Random) -> list[Check]:
 def center_checks(xring: CrossedBurnsideRing) -> list[Check]:
     G = xring.group
     Z = CenterAlgebra(G)
-    sums = Z.class_sums(QQ)
+    sums = Z.class_sums(ZZ)  # integer structure constants: Z decides what Q would
 
     def convolution_failures():
         for i in range(Z.n):
             for j in range(Z.n):
                 if Z.multiply(sums[i], sums[j]).coeffs != Z.multiply_oracle(sums[i], sums[j]).coeffs:
                     yield f"structure constants disagree with convolution at ({i},{j})"
-        if Z.multiply(Z.one(QQ), sums[0]).coeffs != sums[0].coeffs:
+        if Z.multiply(Z.one(ZZ), sums[0]).coeffs != sums[0].coeffs:
             yield "identity class sum is not the unit"
 
     def augmentation_failures():

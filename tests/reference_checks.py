@@ -17,19 +17,32 @@ associativity of verify.crossed_checks, and associative the per-triple
 reference for the one-pass associativity of both algebras
 (verify._nonassociative).  is_central is the center-membership test on a
 dense element.
+
+The oracles of verify-all run on plain ints; their earlier forms are kept
+here as references: the orbit oracle on tuple points (tuple_orbit_product),
+the convolution over Q (convolution_failures_over_q), the block scan in
+the field's own operations (field_block_scan), the Dress and rational
+idempotents as sums of from_marks pullbacks (fraction_dress_idempotents,
+fraction_rational_idempotents), the dense idempotent-family check
+(dense_idempotent_family), and the two group checks that conjugate every
+representative by all of G once per case (conjugation_checks).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+from math import lcm
 from random import Random
 
 import reference_maps as walks
 
-from motive_ring.algebra import combine
-from motive_ring.center import CenterAlgebra, ga_mul
+from motive_ring.algebra import Element, combine
+from motive_ring.center import CenterAlgebra, counted_structure_constants, ga_mul
+from motive_ring.groups import fixed_cosets, orbits
 from motive_ring.linalg import integer_rank, sparse_mat_mul
 from motive_ring.mackey import HeckeAlgebra
-from motive_ring.scalars import QQ, ZZ
+from motive_ring.scalars import QQ, ZZ, ScalarError, p_local
 from motive_ring.verify import (
     EXHAUSTIVE_PAIR_ORDER,
     EXHAUSTIVE_TRIPLE_ORDER,
@@ -259,3 +272,154 @@ def associative(algebra, i: int, j: int, k: int) -> bool:
     products."""
     left = combine(algebra.product(i, j), lambda m: algebra.product(m, k))
     return left == combine(algebra.product(j, k), lambda m: algebra.product(i, m))
+
+
+# -- the oracles of verify-all, before they ran on plain ints -------------------
+
+
+def tuple_orbit_product(xring, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """CrossedBurnsideRing.basis_product_oracle on (x, y) tuple points,
+    split into orbits by groups.orbits with one act call per point."""
+    G = xring.group
+    pi, pj = xring.pairs[i], xring.pairs[j]
+    H = xring.table.classes[pi.subgroup_class].representative
+    K = xring.table.classes[pj.subgroup_class].representative
+    a, b = pi.label, pj.label
+    reps_h, where_h = G.coset_lookup(H)
+    reps_k, where_k = G.coset_lookup(K)
+    gens = [
+        ([where_h[G.mul(g, r)] for r in reps_h], [where_k[G.mul(g, r)] for r in reps_k])
+        for g in G.generator_indices
+    ]
+    points = [(x, y) for x in range(len(reps_h)) for y in range(len(reps_k))]
+    counts: dict[int, int] = {}
+    for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
+        x0, y0 = orbit[0]
+        rx, ry = reps_h[x0], reps_k[y0]
+        stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
+        label = G.mul(G.conj(rx, a), G.conj(ry, b))
+        k = xring.canonical_pair(stab, label)
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def convolution_failures_over_q(Z):
+    """center-multiplication-matches-convolution on the class sums over Q."""
+    sums = Z.class_sums(QQ)
+    for i in range(Z.n):
+        for j in range(Z.n):
+            if Z.multiply(sums[i], sums[j]).coeffs != Z.multiply_oracle(sums[i], sums[j]).coeffs:
+                yield f"structure constants disagree with convolution at ({i},{j})"
+    if Z.multiply(Z.one(QQ), sums[0]).coeffs != sums[0].coeffs:
+        yield "identity class sum is not the unit"
+
+
+def field_block_scan(Z, field) -> list[Element]:
+    """center.block_scan_oracle with every quadratic form evaluated in the
+    field's own operations (ScalarRing add, mul and mul_int)."""
+    n = Z.n
+    counts = counted_structure_constants(Z.group)
+    bilinear: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    folded: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for (i, j, k), c in counts.items():
+        bilinear[k].append((i, j, c))
+        key = (min(i, j), max(i, j))
+        folded[k][key] = folded[k].get(key, 0) + c
+    forms = [[(i, j, c) for (i, j), c in form.items() if c % field.p] for form in folded]
+
+    def value(rows, x, y):
+        acc = field.zero
+        for i, j, c in rows:
+            acc = field.add(acc, field.mul_int(field.mul(x[i], y[j]), c))
+        return acc
+
+    zero = (field.zero,) * n
+    idems = [
+        x
+        for x in product(field.elements(), repeat=n)
+        if x != zero and all(value(rows, x, x) == x[k] for k, rows in enumerate(forms))
+    ]
+
+    def below(f, e):
+        return all(value(rows, e, f) == f[k] for k, rows in enumerate(bilinear))
+
+    minimal = [e for e in idems if not any(f != e and below(f, e) for f in idems)]
+    return [Element(Z, field, e) for e in sorted(minimal)]
+
+
+def fraction_rational_idempotents(ring) -> list[Element]:
+    """The basic rational idempotents, one from_marks pullback each."""
+    return [ring.from_marks([int(j == i) for j in range(ring.n)], QQ) for i in range(ring.n)]
+
+
+def fraction_dress_idempotents(ring, mode) -> list[tuple[int, Element]]:
+    """BurnsideRing.dress_idempotents as Fraction sums of the basic rational
+    idempotents over each residual fiber."""
+    scalar = ZZ if mode == "solvable" else p_local(mode)
+    rational = fraction_rational_idempotents(ring)
+    fibers = ring.table.residual_fiber_classes(mode)
+    out = []
+    for j in sorted(fibers):
+        coeffs = [Fraction(0)] * ring.n
+        for i in fibers[j]:
+            coeffs = [a + b for a, b in zip(coeffs, rational[i].coeffs)]
+        try:
+            out.append((j, ring.element(coeffs, scalar)))
+        except ScalarError as exc:
+            raise RuntimeError(f"residual idempotent for class {j} not in {scalar.tag}") from exc
+    return out
+
+
+def dense_idempotent_family(algebra, family) -> tuple[bool, bool, bool]:
+    """Algebra.idempotent_family on dense elements: over Q and Z_(p) scaled
+    once to Z by the lcm d of the denominators, then E E = d E, E F = 0 and
+    sum E = d 1 by Algebra.multiply."""
+    scalar = family[0].scalar
+    for e in family:
+        algebra._check(e, scalar)
+    d = 1
+    if all(isinstance(c, Fraction) for e in family for c in e.coeffs):
+        d = lcm(*(c.denominator for e in family for c in e.coeffs))
+        scalar = ZZ
+        family = [
+            Element(algebra, ZZ, tuple(c.numerator * (d // c.denominator) for c in e.coeffs))
+            for e in family
+        ]
+
+    def times_d(x: Element) -> tuple:
+        return tuple(scalar.mul_int(c, d) for c in x.coeffs)
+
+    total = algebra.zero(scalar)
+    for e in family:
+        total = total + e
+    idempotent = all((e * e).coeffs == times_d(e) for e in family)
+    orthogonal = all((e * f).is_zero() for a, e in enumerate(family) for f in family[a + 1 :])
+    return idempotent, orthogonal, total.coeffs == times_d(algebra.one(scalar))
+
+
+def conjugation_checks(table) -> list[Check]:
+    """normalizer-is-stabilizer and fixed-points-iff-subconjugate of
+    verify.group_checks, each conjugating the representatives by every
+    element of G in every case."""
+    G = table.group
+
+    def normalizer_failures():
+        for cls in table.classes:
+            for n in cls.normalizer:
+                if G.conjugate_subgroup(n, cls.representative) != cls.representative:
+                    yield f"class {cls.name}: normalizer element {G.element_string(n)} moves the subgroup"
+            for g in range(G.order):
+                inside = G.conjugate_subgroup(g, cls.representative) == cls.representative
+                if inside != (g in cls.normalizer):
+                    yield f"class {cls.name}: stabilizer mismatch at {G.element_string(g)}"
+
+    return [
+        _check("normalizer-is-stabilizer", normalizer_failures()),
+        _check("fixed-points-iff-subconjugate", (
+            f"fixed cosets vs subconjugacy mismatch for ({a.name},{b.name})"
+            for a in table.classes
+            for b in table.classes
+            if bool(fixed_cosets(G, a.representative, b.representative))
+            != any(G.conjugate_subgroup(g, a.representative) <= b.representative for g in range(G.order))
+        )),
+    ]

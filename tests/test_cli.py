@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import motive_ring
 from motive_ring import cli
 from motive_ring.cli import SUBCOMMANDS, run
 from motive_ring.crossed import CrossedBurnsideRing
+from motive_ring.groups import Permutation
 from motive_ring.scalars import PRIME_BOUND
 
 
@@ -583,6 +585,44 @@ PINNED_MACKEY = [
 def test_mackey_stdout_is_pinned(command, group, seed, code, sha256):
     buf = io.StringIO()
     assert run([command, "--group", group, "--seed", str(seed)], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+
+# verify-all at three seeds and burnside-idempotents over four rings, on
+# groups the goldens miss: (the argv, exit code, stdout sha256)
+F21 = "gens:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)"
+VERIFY_SHA = {
+    "sym:4": "499871b4aa7f6dac7f3cd05957fefd53c6bf3e7ead6774643ff1b91e2bc44bbf",
+    "sym:5": "90189c450992fe4f55e071bac998d4ce5955ffcac62091e30e1a9555839ba0d8",
+    "dihedral:8": "6d735aa97cb8523dfb735219278a08afb2770f2c1055bbef22605652da4426ed",
+    F21: "1e86df295a29294823df2e7ee1b42e9775f0a3e138b33a38e675a353abdfe341",
+}
+IDEMPOTENTS_SHA = {
+    ("sym:4", "Q"): "632a4745a6e941f9bd39e0d63a9c3d0bea5ced7f69676106203b54d5d5457637",
+    ("sym:4", "Z"): "7b23d7b60ebc1cbce4e4dd3ef5fdac2ce82aa7cccd5b87ee47309d3839bb61bf",
+    ("sym:4", "Zp:2"): "5c8ad2d2b5fc550f64751da10a9e3669eefa0d42012c09b38b15ce3bf15bf38a",
+    ("sym:4", "Zp:3"): "8e63e7c1e244476db5edf3e91fc51eba636ad9d9ee444f2ce48b702ed2703ae8",
+    ("alt:5", "Q"): "fda21036e45d77c88462d922916fcc1ffed1f258276e7c2e4843a5795244f8a2",
+    ("alt:5", "Z"): "1829ae3093069904a5aa3811adc4dc36bf44246a842041f5d18524038a140029",
+    ("alt:5", "Zp:2"): "1a37bb8157666fa795a1ffd686e6deb894a2a48c52b5b8da3dc7004c58817500",
+    ("alt:5", "Zp:3"): "fb17bbdd59dcee6f0327299f3d63c063a0ea90edf633a793965a33ba2b9335ba",
+    ("sym:5", "Q"): "c05f5c611043759564413bc41917157bbdfdae08d0da000e99fcdd6c635b4519",
+    ("sym:5", "Z"): "5b47d28b2d62c81579986a58a8541c86e61cbf424bf9b761b7298294b29faecd",
+    ("sym:5", "Zp:2"): "0dc5f6c5828def7fa42e95e4d1846beea2ba39b5d1638c9758cabe4ebb202cb1",
+    ("sym:5", "Zp:3"): "35b1d5258fa4b3113c6e5dc5603912aa92fdbcb4b16ed0242bee20343b2bf1dc",
+}
+PINNED_VERIFY = [
+    *((["verify-all", "--group", group, "--seed", seed], 0, sha) for group, sha in VERIFY_SHA.items()
+      for seed in ("0", "7", "1000")),
+    *((["burnside-idempotents", "--group", group, "--coeff", coeff], 0, sha)
+      for (group, coeff), sha in IDEMPOTENTS_SHA.items()),
+]
+
+
+@pytest.mark.parametrize("argv,code,sha256", PINNED_VERIFY, ids=[" ".join(a) for a, _, _ in PINNED_VERIFY])
+def test_verify_and_idempotent_stdout_is_pinned(argv, code, sha256):
+    buf = io.StringIO()
+    assert run(argv, stream=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
 
 
@@ -1252,6 +1292,12 @@ def test_a_far_point_in_a_generator_is_refused_before_any_permutation():
 
 # -- fuzzing the inputs ---------------------------------------------------------
 
+
+def mostly(valid, malformed):
+    """valid in four draws of five, malformed in the fifth."""
+    return st.sampled_from([valid] * 4 + [malformed]).flatmap(lambda strategy: strategy)
+
+
 NUMERALS = st.one_of(
     st.integers(-5, 80).map(str),
     st.builds(
@@ -1260,14 +1306,17 @@ NUMERALS = st.one_of(
     ),
     st.sampled_from(["1" * 4400, "-" + "7" * 4400, "", "x", "1_1", " 3", "\u0663", "2.0"]),
 )
-TAGS = st.one_of(
-    st.sampled_from(["Z", "Q", "z", " Z", "Zp", "Fp", ""]),
+MALFORMED_TAGS = st.one_of(
+    st.sampled_from(["z", " Z", "Zp", "Fp", ""]),
     st.builds(
         lambda prefix, fields: prefix + ":".join(fields),
         st.sampled_from(["Zp:", "Fp:", "Qp:", "Z:", ":"]), st.lists(NUMERALS, min_size=1, max_size=3),
     ),
     st.text(max_size=12),
 )
+TAGS = mostly(st.sampled_from(["Z", "Q", "Zp:2", "Zp:3", "Zp:5", "Fp:2", "Fp:3", "Fp:2:2"]), MALFORMED_TAGS)
+PRIMES = mostly(st.sampled_from(["2", "3", "5", "7"]), NUMERALS)
+BOUNDS = mostly(st.one_of(st.none(), st.integers(-3, 60).map(str)), st.sampled_from(["x", "1" * 4400]))
 CLASS_NAMES = st.sampled_from(["1#1", "C2#1", "C3#1", "S3#1", "C4#1", "V4#1", "D8#1", "A4#1", "Foo#1", "1#9", ""])
 LABELS = st.one_of(
     st.builds(
@@ -1281,32 +1330,45 @@ COEFFICIENT_VALUES = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([None, True, 1.5, [1], {"1": 1}]),
 )
-ELEMENTS = st.dictionaries(
-    st.builds(lambda name, label: f"[{name},{label}]", CLASS_NAMES, LABELS), COEFFICIENT_VALUES, max_size=2
+# keys every group has: the point [1#1,()], and the trivial label on the
+# classes of small groups; a class a group lacks is refused
+VALID_ELEMENTS = st.dictionaries(
+    st.sampled_from(["[1#1,()]", "[C2#1,()]", "[C3#1,()]", "[1#1,(1 2)]"]),
+    st.one_of(st.integers(-3, 3), st.sampled_from(["1", "-2", "3"])),
+    max_size=2,
 ).map(json.dumps)
-SPECS = st.one_of(
-    st.sampled_from(["sym:3", "cyclic:4", "dihedral:4", "alt:4", "cyclic:1", "sym:x", "dihedral:2", "sym:-1"]),
+ELEMENTS = mostly(
+    VALID_ELEMENTS,
+    st.dictionaries(
+        st.builds(lambda name, label: f"[{name},{label}]", CLASS_NAMES, LABELS), COEFFICIENT_VALUES, max_size=2
+    ).map(json.dumps),
+)
+# every group of permutations of four points has order at most 24
+VALID_SPECS = st.one_of(
+    st.sampled_from(["sym:3", "sym:4", "cyclic:1", "cyclic:4", "cyclic:6", "dihedral:4", "dihedral:6", "alt:4"]),
+    st.builds(
+        lambda perms: "gens:" + ";".join(Permutation(p).cycle_string() for p in perms),
+        st.lists(st.permutations(range(4)), min_size=1, max_size=2),
+    ),
+)
+MALFORMED_SPECS = st.one_of(
+    st.sampled_from(["sym:x", "dihedral:2", "sym:-1"]),
     st.builds(lambda body: "gens:" + body, st.text(alphabet="()0123456789 ,;-x", max_size=16)),
     st.builds(lambda pts: "gens:(" + " ".join(pts) + ")", st.lists(NUMERALS, min_size=1, max_size=3)),
 )
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(
-    command=st.sampled_from(GATE_COMMANDS + ["subgroups", "cbr-basis"]),
-    spec=SPECS,
+FUZZ_COMMANDS = GATE_COMMANDS + ["subgroups", "cbr-basis"]
+FUZZ_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True)
+FUZZ_INPUTS = dict(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    spec=mostly(VALID_SPECS, MALFORMED_SPECS),
     tag=st.one_of(st.none(), TAGS),
-    prime=st.one_of(st.none(), NUMERALS),
-    bound=st.one_of(st.none(), st.integers(-3, 30).map(str), st.sampled_from(["x", "1" * 4400])),
+    prime=mostly(PRIMES, st.none()),
+    bound=BOUNDS,
     x=st.one_of(st.just("{}"), ELEMENTS),
 )
-@example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[1#1,(1 100000000)]": "1"}')
-@example(command="cbr-multiply", spec="sym:3", tag="Q", prime=None, bound=None, x='{"[C2#1,(1 2)]": "1/2", "[1#1,()]": 3}')
-@example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[Foo#1,()]": "1"}')
-@example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2]": "1"}')
-@example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2)]": "1"}')
-@example(command="cbr-multiply", spec="sym:3", tag="Fp:3", prime=None, bound=None, x='{"[1#1,()]": 1.5}')
-def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime, bound, x):
+
+
+def fuzz_argv(command, spec, tag, prime, bound, x):
     if command == "mackey-check":
         bound = "8"  # the fuzz is of the input: keep the Mackey algebras small
     argv = [command, f"--group={spec}"]
@@ -1315,13 +1377,46 @@ def test_any_input_exits_0_to_3_with_one_json_document(command, spec, tag, prime
             argv.append(f"{flag}={value}")
     if command == "cbr-multiply":
         argv += ["--x", x, "--y", "{}"]
-    buf = io.StringIO()
-    code = run(argv, stream=buf)
-    assert code in (0, 1, 2, 3)
-    if not buf.getvalue():  # argparse refused the argv, on stderr
-        assert code == 2
-        return
-    doc = json.loads(buf.getvalue())
-    assert isinstance(doc, dict)
-    if code >= 2:
-        assert set(doc) == {"error", "exit"} and doc["exit"] == code
+    return argv
+
+
+def test_any_input_exits_0_to_3_with_one_json_document(monkeypatch):
+    """Every argv exits 0 to 3 with one JSON document (or, refused by
+    argparse, exits 2 with none).  The draws are counted through a wrapped
+    cli.dispatch, so the one run also shows, per subcommand, how many
+    examples reach dispatch and how many run its branch to a document."""
+    drawn, reached = Counter(), Counter()
+    real = cli.dispatch
+
+    def counting(args):
+        drawn[args.command] += 1
+        doc = real(args)
+        reached[args.command] += 1
+        return doc
+
+    monkeypatch.setattr(cli, "dispatch", counting)
+
+    @FUZZ_SETTINGS
+    @given(**FUZZ_INPUTS)
+    @example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[1#1,(1 100000000)]": "1"}')
+    @example(command="cbr-multiply", spec="sym:3", tag="Q", prime=None, bound=None, x='{"[C2#1,(1 2)]": "1/2", "[1#1,()]": 3}')
+    @example(command="cbr-multiply", spec="sym:3", tag=None, prime=None, bound=None, x='{"[Foo#1,()]": "1"}')
+    @example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2]": "1"}')
+    @example(command="cbr-multiply", spec="cyclic:4", tag=None, prime=None, bound=None, x='{"[1#1,(1 2)]": "1"}')
+    @example(command="cbr-multiply", spec="sym:3", tag="Fp:3", prime=None, bound=None, x='{"[1#1,()]": 1.5}')
+    def fuzz(command, spec, tag, prime, bound, x):
+        buf = io.StringIO()
+        code = run(fuzz_argv(command, spec, tag, prime, bound, x), stream=buf)
+        assert code in (0, 1, 2, 3)
+        if not buf.getvalue():  # argparse refused the argv, on stderr
+            assert code == 2
+            return
+        doc = json.loads(buf.getvalue())
+        assert isinstance(doc, dict)
+        if code >= 2:
+            assert set(doc) == {"error", "exit"} and doc["exit"] == code
+
+    fuzz()
+    # 30 to 65 draws per subcommand reach dispatch, 11 to 48 its document
+    for command in FUZZ_COMMANDS:
+        assert reached[command] >= 10, (command, drawn[command], reached[command])

@@ -524,6 +524,15 @@ def test_ideal_rank_trace_matches_elimination(spec):
             assert rank == eliminated_ideal_rank(xr, e)
 
 
+def test_ideal_rank_refuses_a_fractional_trace(ws):
+    xr = ws.crossed("S3")
+    # (1/m) 1 has trace n/m: no integer rank for an m that does not divide n
+    m = next(m for m in range(2, xr.n + 2) if xr.n % m)
+    e = xr.element([c / m for c in xr.one(QQ).coeffs], QQ)
+    with pytest.raises(RuntimeError, match="not an integer rank"):
+        xr.ideal_rank(e)
+
+
 # primitive idempotents of the crossed ring over F_p: more than the Dress
 # family on every pair (2, 2, 3, 3, 3, 3, 9, 5, 7, 8, 5, 16, 18 members)
 CROSSED_PRIMITIVE_COUNTS = {
