@@ -26,7 +26,7 @@ from .groups import (
 )
 from .mackey import DEFAULT_SPAN_BOUND, MackeyAlgebra
 from .scalars import (
-    QQ, ZZ, IntegerRing, PLocalRing, PrimeFieldRing, RationalRing, ScalarError, p_local, parse_int,
+    QQ, ZZ, IntegerRing, PLocalRing, PrimeFieldRing, RationalRing, ScalarError, fraction_too_long, p_local, parse_int,
     prime_field, ring_from_tag,
 )
 from .subgroups import SubgroupClassTable
@@ -138,6 +138,8 @@ def _parse_element(xring: CrossedBurnsideRing, text: str, scalar):
             value = str(value)
         if not isinstance(value, str):
             raise UsageError(f"coefficient of {key!r} must be a string or an integer")
+        if fraction_too_long(value):
+            raise UsageError(f"coefficient of {key!r} has more than {sys.get_int_max_str_digits()} digits")
         cls_name, _, label_str = key[1:-1].partition(",")
         try:
             cls = xring.table.class_named(cls_name)

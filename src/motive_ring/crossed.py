@@ -19,7 +19,7 @@ from math import lcm
 
 from .algebra import Algebra, Element
 from .burnside import BurnsideRing
-from .groups import fixed_cosets, orbits
+from .groups import orbits
 from .scalars import QQ, ZZ, ScalarRing, p_local
 from .subgroups import SubgroupClassTable
 
@@ -169,22 +169,19 @@ class CrossedBurnsideRing(Algebra):
     def mark_rows(self, k: int) -> list[dict[int, int]]:
         """Integer rows of the mark component at subgroup class k, one per
         basis pair: row i counts the conjugates g a g^-1 of the label a of
-        pair [D,a] over the cosets gD whose conjugate gDg^-1 contains the
-        class-k representative.  Built once per class, on first use; class
-        0, the trivial subgroup, alone gives the center image."""
+        pair [D,a] over the cosets gD fixed by the class-k representative,
+        the meets of class k in double_coset_meets, each with g its least
+        member.  Built once per class, on first use; class 0, the trivial
+        subgroup, alone gives the center image."""
         if k not in self._mark_rows:
-            G, classes = self.group, self.table.classes
-            H = classes[k].representative
-            cosets: dict[int, tuple[int, ...]] = {}  # subgroup class D -> fixed cosets
+            G, meets = self.group, self.table.double_coset_meets
             rows = []
             for pair in self.pairs:
-                d = pair.subgroup_class
-                if d not in cosets:
-                    cosets[d] = fixed_cosets(G, H, classes[d].representative)
                 row: dict[int, int] = {}
-                for g in cosets[d]:
-                    t = G.conj(g, pair.label)
-                    row[t] = row.get(t, 0) + 1
+                for c, _, g in meets(k, pair.subgroup_class):
+                    if c == k:
+                        t = G.conj(g, pair.label)
+                        row[t] = row.get(t, 0) + 1
                 rows.append(row)
             self._mark_rows[k] = rows
         return self._mark_rows[k]

@@ -2,7 +2,8 @@
 
 Elements are referred to by index into a canonical (lexicographically
 sorted) element list; all products go through a cached multiplication
-table, so the routines downstream never touch image tuples directly.
+table, so the routines downstream never touch image tuples directly, and
+every coset walk reads the one coset table of FiniteGroup.coset_lookup.
 """
 
 from __future__ import annotations
@@ -361,95 +362,40 @@ class FiniteGroup:
 
     # -- cosets -----------------------------------------------------------
 
-    def left_cosets(self, subgroup) -> list[int]:
-        """Canonical left-coset representatives of the subgroup (least member)."""
-        sub = list(subgroup)
-        seen = [False] * self.order
-        reps = []
-        for g, row in enumerate(self._mul):
-            if seen[g]:
-                continue
-            reps.append(g)
-            for h in sub:
-                seen[row[h]] = True
-        return reps
-
     def coset_lookup(self, subgroup):
-        """(reps, element -> coset index) for left cosets of the subgroup."""
-        reps = self.left_cosets(subgroup)
-        where = [0] * self.order
-        mul = self._mul
-        for idx, r in enumerate(reps):
-            row = mul[r]
-            for h in subgroup:
-                where[row[h]] = idx
+        """(reps, where) for the left cosets gH of the subgroup: reps[c] is
+        the least member of coset c, increasing in c, and where[g] the coset
+        of g.  One pass over the table: an element not yet placed is the
+        least of its coset, whose members are read off its row."""
+        sub = list(subgroup)
+        reps: list[int] = []
+        where = [-1] * self.order
+        for g, row in enumerate(self._mul):
+            if where[g] < 0:
+                c = len(reps)
+                reps.append(g)
+                for h in sub:
+                    where[row[h]] = c
         return reps, where
-
-
-def double_cosets(G: FiniteGroup, H, K) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
-    """(least elements g, cells HgK), in increasing g.
-
-    A cell is a union of left cosets hgK, so an hg already in it adds
-    nothing: each coset is composed once.
-    """
-    Hs, Ks = sorted(H), sorted(K)
-    seen = [False] * G.order
-    reps, cells = [], []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        cell = set()
-        for h in Hs:
-            hg = G.mul(h, g)
-            if hg not in cell:
-                row = G._mul[hg]
-                cell.update([row[k] for k in Ks])
-        for x in cell:
-            seen[x] = True
-        reps.append(g)
-        cells.append(frozenset(cell))
-    return tuple(reps), tuple(cells)
-
-
-def fixed_cosets(G: FiniteGroup, H, K) -> tuple[int, ...]:
-    """Left-coset reps gK with H contained in gKg^-1."""
-    Hgens = G.small_generating_set(frozenset(H)) or [0]
-    Kset = frozenset(K)
-    out = []
-    for g in G.left_cosets(Kset):
-        ginv = G.inv(g)
-        if all(G.mul(G.mul(ginv, h), g) in Kset for h in Hgens):
-            out.append(g)
-    return tuple(out)
 
 
 def quotient_group(G: FiniteGroup, N, J) -> FiniteGroup:
     """N/J as the permutation group of the left-multiplication action of N
-    on the cosets N/J.
+    on the cosets N/J, read off the coset table of J.
 
     J must be normal in N; raises NotNormal otherwise.
     """
     Nset, Jset = frozenset(N), frozenset(J)
     if not Jset <= Nset:
         raise NotNormal("not normal: second subgroup is not contained in the first")
-    for n in Nset:
-        if G.conjugate_subgroup(n, Jset) != Jset:
-            raise NotNormal("not normal")
-    reps = []
-    where = {}
-    for n in sorted(Nset):
-        if n in where:
-            continue
-        idx = len(reps)
-        reps.append(n)
-        for j in Jset:
-            where[G.mul(n, j)] = idx
-    degree = len(reps)
-    gen_idx = G.small_generating_set(Nset)
-    perms = []
-    for n in gen_idx:
-        perms.append(Permutation(where[G.mul(n, r)] for r in reps))
-    W = FiniteGroup(degree, perms, order_bound=max(degree, 1))
+    gens = G.small_generating_set(Nset)
+    if any(G.conjugate_subgroup(n, Jset) != Jset for n in gens):
+        raise NotNormal("not normal")
+    reps, where = G.coset_lookup(Jset)
+    inside = [c for c, r in enumerate(reps) if r in Nset]  # the cosets nJ, n in N
+    position = {c: i for i, c in enumerate(inside)}
+    perms = [Permutation(position[where[G.mul(n, reps[c])]] for c in inside) for n in gens]
+    W = FiniteGroup(len(inside), perms, order_bound=max(len(inside), 1))
     if W.order != len(Nset) // len(Jset):
         raise RuntimeError("quotient order mismatch")  # pragma: no cover
     return W

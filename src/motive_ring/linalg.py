@@ -38,16 +38,16 @@ def solve_upper_triangular(matrix, rhs):
     return x
 
 
-def sparse_mat_mul(a: dict, b: dict, scalar: ScalarRing) -> dict:
-    """Product a b of sparse matrices {(row, col): nonzero scalar ring element}."""
+def sparse_mat_mul(a: dict, b: dict) -> dict:
+    """Product a b of sparse integer matrices {(row, col): nonzero int}."""
     b_rows: dict[int, list] = {}
     for (k, j), y in b.items():
         b_rows.setdefault(k, []).append((j, y))
     out: dict = {}
     for (i, k), x in a.items():
         for j, y in b_rows.get(k, ()):
-            out[(i, j)] = scalar.add(out.get((i, j), scalar.zero), scalar.mul(x, y))
-    return {key: v for key, v in out.items() if not scalar.is_zero(v)}
+            out[(i, j)] = out.get((i, j), 0) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 # -- sparse integer elimination ------------------------------------------------

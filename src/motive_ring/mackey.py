@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Element
 from .crossed import CrossedBurnsideRing
-from .groups import GroupTooLarge, double_cosets, orbits
+from .groups import GroupTooLarge, orbits
 from .linalg import integer_kernel
 from .scalars import ScalarRing, ZZ
 from .subgroups import SubgroupClassTable, subgroup_key
@@ -69,11 +69,8 @@ class MackeyAlgebra(Algebra):
             self._where.append([start + c for c in where])
             self._cosets.append(range(start, len(self.points)))
         self.npoints = len(self.points)
-        # action table: act[g][point]
-        self.act = [[0] * self.npoints for _ in range(G.order)]
-        for pid, (si, r) in enumerate(self.points):
-            for g in range(G.order):
-                self.act[g][pid] = self._where[si][G.mul(g, r)]
+        # action table: act[g][point], the point g rH of the point rH
+        self.act = [[self._where[si][row[r]] for si, r in self.points] for row in G._mul]
         # subgroups by position: generators, conjugates conj[g][si], meets meet[si][sj]
         position = self._position = {H: si for si, H in enumerate(self.subgroups)}
         self._gens = [G.small_generating_set(H) for H in self.subgroups]
@@ -278,17 +275,16 @@ class MackeyAlgebra(Algebra):
         support = sorted(i for block in diagonal.values() for i in block)
         return integer_kernel(rows.values(), self.n, scalar, support=support)
 
-    def commutator(self, x: dict, scalar: ScalarRing) -> dict:
-        """The commutators x b - b x with every basis span b, for x given by
-        its nonzero coefficients {span: value} over the scalar ring: sparse
-        {(b, k): nonzero value}, k the span of the coefficient.
+    def commutator(self, x: dict[int, int]) -> dict[tuple[int, int], int]:
+        """The commutators x b - b x with every basis span b, for the
+        integer combination x given by its nonzero coefficients {span: int}:
+        sparse {(b, k): nonzero int}, k the span of the coefficient.
 
         A product i j is empty unless the source component of i is the
         target component of j, so each span b is multiplied only with the
         support spans that meet it that way; every other product is zero
         on both sides.
         """
-        s = scalar
         source, target = self._source, self._target
         by_source: dict[int, list] = {}  # support spans i by source: i j may be nonzero
         by_target: dict[int, list] = {}  # support spans i by target: j i may be nonzero
@@ -297,25 +293,26 @@ class MackeyAlgebra(Algebra):
             by_target.setdefault(target[i], []).append((i, a))
         out: dict = {}
         for j in range(self.n):
-            diff: dict[int, object] = {}
+            diff: dict[int, int] = {}
             for i, a in by_source.get(target[j], ()):
                 for k, c in self.product(i, j):
-                    diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c))
+                    diff[k] = diff.get(k, 0) + a * c
             for i, a in by_target.get(source[j], ()):
                 for k, c in self.product(j, i):
-                    diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
-            out.update(((j, k), v) for k, v in diff.items() if not s.is_zero(v))
+                    diff[k] = diff.get(k, 0) - a * c
+            out.update(((j, k), v) for k, v in diff.items() if v)
         return out
 
     # -- the comparison maps as integer rows ----------------------------------------------
 
     def project_matrix(self, i: int) -> dict[tuple[int, int], int]:
         """Row of the projection pi onto the Hecke algebra: the operator of
-        basis span i, sparse {(to, from): fiber points}."""
+        basis span i, sparse {(to, from): fiber points}, one per point vS."""
         if i not in self._proj:
             b = self.basis[i]
             op: dict[tuple[int, int], int] = {}
-            for v in self.group.left_cosets(b.stabilizer):
+            for p in self._cosets[self._position[b.stabilizer]]:
+                v = self.points[p][1]
                 key = (self.act[v][b.y], self.act[v][b.x])
                 op[key] = op.get(key, 0) + 1
             self._proj[i] = op
@@ -328,18 +325,19 @@ class MackeyAlgebra(Algebra):
         The pair [L,a] contributes, for every subgroup U and every double
         coset rep w of L\\G/U, the span with stabilizer w^-1 L w n U over
         the point pair (eU, sU) in the U-component, where s = w^-1 a w.
+        The double cosets are the L-orbits on the U-component of Omega, w
+        the rep of each orbit's first point; S is read off by position.
         """
         if i not in self._zeta:
-            G = self.group
+            G, act = self.group, self.act
             pair = xring.pairs[i]
-            L = xring.table.classes[pair.subgroup_class].representative
+            pos = self._position[xring.table.classes[pair.subgroup_class].representative]
             row: dict[int, int] = {}
-            for si, U in enumerate(self.subgroups):
-                for w in double_cosets(G, L, U)[0]:
-                    winv = G.inv(w)
-                    S = G.conjugate_subgroup(winv, L) & U
-                    s = G.conj(winv, pair.label)
-                    k = self.span_index(S, self.point_of(si, 0), self.point_of(si, s))
+            for si, points in enumerate(self._cosets):
+                for orbit in orbits(points, self._gens[pos], lambda h, q: act[h][q]):
+                    winv = G.inv(self.points[orbit[0]][1])
+                    S = self._meet[self._conj[winv][pos]][si]
+                    k = self._index[(S, self.point_of(si, 0), self.point_of(si, G.conj(winv, pair.label)))]
                     row[k] = row.get(k, 0) + 1
             self._zeta[i] = row
         return self._zeta[i]

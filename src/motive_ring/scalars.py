@@ -7,6 +7,7 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -171,6 +172,22 @@ def parse_int(text: str) -> int | str:
             raise
         digits = digits.lstrip("0") or "0"
         return digits if len(digits) > sys.get_int_max_str_digits() else int(digits)
+
+
+_FRACTION = re.compile(r"\s*[-+]?(?=\.?\d)([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*")
+
+
+def fraction_too_long(text: str) -> bool:
+    """True if Fraction(text) would build a numerator or a denominator of
+    more digits than int() converts, before it reduces them: n over d, or
+    the digits of i.f over 10^len(f), one of them scaled by 10^|e|.  Read
+    off the text, so a long exponent costs nothing; another form is left
+    to Fraction, which refuses it."""
+    m = _FRACTION.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    num, den, frac, exp = ((g or "").replace("_", "") for g in m.groups()) if m else ("",) * 4
+    e = int(exp or 0) if len(exp.lstrip("+-0")) <= len(str(limit)) else limit  # a longer |e| is past the limit
+    return max(len(num + frac) + max(e, 0), len(den) or len(frac) + max(-e, 0) + 1) > limit
 
 
 def _shown(n: int | str) -> str:

@@ -6,16 +6,17 @@ its normalizer, grown from the representative by Dimino's closure.  The
 members of a new class are reached by a breadth-first search over the
 generators of G, which gives each its fusion conjugator; the normalizer of
 the representative is read off the images of its generators.  The double
-cosets HgK of two class representatives are the H-orbits on G/K, with
-H n gKg^-1 the stabilizer of gK.  The lattice has no bound of its own: the
-order bound of the group is checked when the group is built.
+cosets HgK of two class representatives are the H-orbits on the coset
+table of K, with H n gKg^-1 the stabilizer of gK; those in H's own class
+are the cosets H fixes.  The lattice has no bound of its own: the order
+bound of the group is checked when the group is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, quotient_group
+from .groups import FiniteGroup, orbits, quotient_group
 
 
 def subgroup_key(subgroup) -> tuple[int, ...]:
@@ -79,22 +80,11 @@ def _walk_classes(G: FiniteGroup):
     add_class(frozenset({0}), [])
     i = 0
     while i < len(reps):
-        joined: set[int] = set()
-        normalizer_gens = G.small_generating_set(normalizers[i])
-        for cg in cyclic.values():
-            if cg in reps[i] or cg in joined:
-                continue
-            orbit = [cg]
-            joined.add(cg)
-            for c in orbit:
-                for n in normalizer_gens:
-                    d = cyclic_of[conj(n, c)]
-                    if d not in joined:
-                        joined.add(d)
-                        orbit.append(d)
-            gens = rep_gens[i] + [cg]
+        outside = [cg for cg in cyclic.values() if cg not in reps[i]]  # N_G(R) keeps them outside
+        for orbit in orbits(outside, G.small_generating_set(normalizers[i]), lambda n, c: cyclic_of[conj(n, c)]):
+            gens = rep_gens[i] + [orbit[0]]
             elements, members = list(reps[i]), set(reps[i])
-            G._extend(elements, members, gens)  # J = <R, cg>, grown from R
+            G._extend(elements, members, gens)  # J = <R, c>, grown from R
             J = frozenset(elements)
             if J not in found:
                 add_class(J, gens)
@@ -317,23 +307,19 @@ class SubgroupClassTable:
     def double_coset_meets(self, h: int, k: int) -> tuple[tuple[int, int, int], ...]:
         """One (class, conjugator, g) per double coset HgK, H and K the
         representatives of classes h and k: g is the least element of HgK
-        and (class, conjugator) is fusion(H n gKg^-1).  Write-once memo, one
-        entry per class pair; the Burnside and crossed basis products read
-        their constants off it.
-
-        The double cosets are the H-orbits on the left cosets G/K, and the
-        least coset representative of an orbit is the least element of its
-        double coset.  H n gKg^-1 is the stabilizer of gK in H.
-        """
+        and (class, conjugator) is fusion(H n gKg^-1), the stabilizer of gK
+        in H.  The double cosets are the H-orbits on G/K, each led by its
+        least coset rep; gK is fixed by H exactly when the class is h.
+        Write-once memo, one entry per class pair: the Burnside and crossed
+        products, the crossed marks and the group checks read it."""
         cache = self._caches.setdefault("meets", {})
         if (h, k) not in cache:
-            mul = self.group._mul
             cosets = self._caches.setdefault("cosets", {})  # class k -> coset_lookup
             if k not in cosets:
                 cosets[k] = self.group.coset_lookup(self.classes[k].representative)
             reps, where = cosets[k]
             H = sorted(self.classes[h].representative)
-            rows = [mul[x] for x in H]
+            rows = [self.group._mul[x] for x in H]
             seen = [False] * len(reps)
             meets = []
             for c, g in enumerate(reps):

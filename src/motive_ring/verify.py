@@ -22,7 +22,6 @@ from .algebra import combine
 from .burnside import BurnsideRing
 from .center import SCAN_SIZE, CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_mul
 from .crossed import SCAN_CLASSES, CrossedBurnsideRing
-from .groups import double_cosets, fixed_cosets
 from .linalg import integer_kernel, integer_rank, sparse_mat_mul
 from .mackey import HeckeAlgebra, MackeyAlgebra
 from .scalars import QQ, ZZ, ScalarRing, prime_field
@@ -126,9 +125,8 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
                     yield f"fusion conjugator wrong for {cls.name} at {G.element_string(g)}"
 
     def coset_failures():
-        for a, b in class_pairs:
-            _, cells = double_cosets(G, a.representative, b.representative)
-            total = sum(len(c) for c in cells)
+        for a, b in class_pairs:  # HgK has |H||K| / |H n gKg^-1| elements
+            total = sum(a.order * b.order // table.classes[c].order for c, _, _ in table.double_coset_meets(a.index, b.index))
             if total != G.order:
                 yield f"double cosets of ({a.name},{b.name}) cover {total} of {G.order}"
 
@@ -161,7 +159,7 @@ def group_checks(table: SubgroupClassTable, rng: Random) -> list[Check]:
         _check("fixed-points-iff-subconjugate", (
             f"fixed cosets vs subconjugacy mismatch for ({a.name},{b.name})"
             for a, b in class_pairs
-            if bool(fixed_cosets(G, a.representative, b.representative))
+            if any(c == a.index for c, _, _ in table.double_coset_meets(a.index, b.index))
             != any(K <= b.representative for K in passes[a.index][1])
         )),
         _check("derived-series-stabilizes", derived_failures()),
@@ -452,7 +450,7 @@ def mackey_checks(
         combine(enumerate(Z.one().coeffs), iota), {(a, a): 1 for a in range(mk.npoints)}
     ))] + [
         (f"center embedding not multiplicative on classes ({i},{j})", _difference(
-            combine(Z.product(i, j), iota), sparse_mat_mul(mk.iota_row(i), mk.iota_row(j), ZZ)
+            combine(Z.product(i, j), iota), sparse_mat_mul(mk.iota_row(i), mk.iota_row(j))
         ))
         for i in range(Z.n)
         for j in range(Z.n)
@@ -460,7 +458,7 @@ def mackey_checks(
 
     @cache
     def central_defect(i):
-        return mk.commutator(zeta[i], ZZ)
+        return mk.commutator(zeta[i])
 
     @cache
     def zeta_defect(i, j):
@@ -470,7 +468,7 @@ def mackey_checks(
     @cache
     def projection_defect(i, j):
         lhs = combine(mk.product(i, j), _items(mk.project_matrix))
-        return _difference(lhs, sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j), ZZ))
+        return _difference(lhs, sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j)))
 
     proj_rows = [_flat(mk.project_matrix(i), mk.npoints) for i in range(mk.n)]
     comp_rows = [_flat(op, mk.npoints) for op in pi_zeta]

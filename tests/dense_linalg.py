@@ -2,9 +2,11 @@
 
 Plain Gaussian elimination on dense rows of scalar ring elements: the
 independent oracle for the sparse integer elimination of
-motive_ring.linalg (integer_kernel, integer_rank) and for
-motive_ring.linalg.sparse_mat_mul; back_substitute is the dense oracle for
-motive_ring.linalg.solve_upper_triangular.  It shares no code with them.
+motive_ring.linalg (integer_kernel, integer_rank); back_substitute is the
+dense oracle for motive_ring.linalg.solve_upper_triangular, and mat_mul
+and operator_product, the product of sparse operators in any scalar
+ring, stand beside motive_ring.linalg.sparse_mat_mul, which multiplies
+over Z only.  It shares no code with them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,27 @@ def mat_mul(a, b, scalar: ScalarRing):
                 if not scalar.is_zero(brow[j]):
                     orow[j] = scalar.add(orow[j], scalar.mul(x, brow[j]))
     return out
+
+
+def dense(op: dict, n: int, scalar: ScalarRing):
+    """A sparse operator {(to, from): value} as a dense n x n matrix."""
+    mat = [[scalar.zero] * n for _ in range(n)]
+    for (to, frm), v in op.items():
+        mat[to][frm] = v
+    return mat
+
+
+def operator_product(a: dict, b: dict, n: int, scalar: ScalarRing) -> dict:
+    """Product a b of sparse operators on n points over the scalar ring:
+    row i of a b is the sum of x times row k of the dense matrix of b over
+    the entries (i, k) = x of a.  Sparse again, the zero entries dropped."""
+    rows_b = dense(b, n, scalar)
+    rows: dict[int, list] = {}
+    for (i, k), x in a.items():
+        row = rows.setdefault(i, [scalar.zero] * n)
+        for j, y in enumerate(rows_b[k]):
+            row[j] = scalar.add(row[j], scalar.mul(x, y))
+    return {(i, j): v for i, row in rows.items() for j, v in enumerate(row) if not scalar.is_zero(v)}
 
 
 def rank_field(rows, ring: ScalarRing) -> int:

@@ -36,11 +36,13 @@ from math import lcm
 from random import Random
 
 import reference_maps as walks
+from dense_linalg import operator_product
+from reference_groups import fixed_cosets, left_cosets
 
 from motive_ring.algebra import Element, combine
 from motive_ring.center import CenterAlgebra, counted_structure_constants, ga_mul
-from motive_ring.groups import fixed_cosets, orbits
-from motive_ring.linalg import integer_rank, sparse_mat_mul
+from motive_ring.groups import orbits
+from motive_ring.linalg import integer_rank
 from motive_ring.mackey import HeckeAlgebra
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local
 from motive_ring.verify import (
@@ -59,12 +61,24 @@ from motive_ring.verify import (
 def is_central(mk, x) -> bool:
     """True if x commutes with every basis span of mk.
 
-    This is the oracle for center membership: it tests the whole basis
-    (MackeyAlgebra.commutator), not the generator_spans that center_basis
-    relies on.
+    This is the oracle for center membership: it tests the whole basis,
+    not the generator_spans that center_basis relies on.  x b - b x is
+    summed in x's own scalar ring over every support span of x, with no
+    filter on the legs, so it shares no code with the integer
+    MackeyAlgebra.commutator that verify reads over each scalar ring.
     """
     s = x.scalar
-    return not mk.commutator({i: a for i, a in enumerate(x.coeffs) if not s.is_zero(a)}, s)
+    support = [(i, a) for i, a in enumerate(x.coeffs) if not s.is_zero(a)]
+    for j in range(mk.n):
+        diff: dict = {}
+        for i, a in support:
+            for k, c in mk.product(i, j):
+                diff[k] = s.add(diff.get(k, s.zero), s.mul_int(a, c))
+            for k, c in mk.product(j, i):
+                diff[k] = s.sub(diff.get(k, s.zero), s.mul_int(a, c))
+        if not all(s.is_zero(v) for v in diff.values()):
+            return False
+    return True
 
 
 def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
@@ -105,7 +119,7 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
         def projection_multiplicative(i, j):
             x, y = mk.basis_element(i, scalar), mk.basis_element(j, scalar)
             lhs = walks.project(mk, mk.multiply(x, y))
-            return lhs == sparse_mat_mul(walks.project(mk, x), walks.project(mk, y), scalar)
+            return lhs == operator_product(walks.project(mk, x), walks.project(mk, y), mk.npoints, scalar)
 
         checks.append(_check(f"projection-algebra-homomorphism[{tag}]", (
             f"projection not multiplicative on spans ({i},{j})"
@@ -134,7 +148,7 @@ def mackey_map_checks(mk, xr, scalars, rng: Random) -> list[Check]:
             for i in range(Z.n):
                 for j in range(Z.n):
                     lhs = walks.center_to_hecke(mk, Z, Z.multiply(sums[i], sums[j]))
-                    if lhs != sparse_mat_mul(iota_ops[i], iota_ops[j], scalar):
+                    if lhs != operator_product(iota_ops[i], iota_ops[j], mk.npoints, scalar):
                         yield f"center embedding not multiplicative on classes ({i},{j})"
 
         checks.append(_check(f"center-embedding-ring-homomorphism[{tag}]", embedding_failures()))
@@ -285,8 +299,9 @@ def tuple_orbit_product(xring, i: int, j: int) -> tuple[tuple[int, int], ...]:
     H = xring.table.classes[pi.subgroup_class].representative
     K = xring.table.classes[pj.subgroup_class].representative
     a, b = pi.label, pj.label
-    reps_h, where_h = G.coset_lookup(H)
-    reps_k, where_k = G.coset_lookup(K)
+    reps_h, reps_k = left_cosets(G, H), left_cosets(G, K)
+    where_h = {G.mul(r, h): x for x, r in enumerate(reps_h) for h in H}
+    where_k = {G.mul(r, k): y for y, r in enumerate(reps_k) for k in K}
     gens = [
         ([where_h[G.mul(g, r)] for r in reps_h], [where_k[G.mul(g, r)] for r in reps_k])
         for g in G.generator_indices

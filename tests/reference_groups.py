@@ -3,15 +3,19 @@
 Each is the earlier, slower algorithm the package used before its current
 kernel, and none calls that kernel: the breadth-first closure, the class
 walk that conjugates every new class by all of G, marks as counts of fixed
-cosets, and double-coset meets from a sweep over the elements of G.  The
-exhaustive oracles for the lattice follow: depth-first growth by
-breadth-first closures, a literal subset scan, and the p-residual as the
-least normal subgroup with p-group quotient.
+cosets, and the coset walks as element sweeps.  The package reads every
+coset off FiniteGroup.coset_lookup and every double coset, with its meet
+H n gKg^-1, off SubgroupClassTable.double_coset_meets; here left_cosets,
+double_cosets and fixed_cosets sweep the elements of G instead, and the
+double-coset meets follow from them.  The exhaustive oracles for the
+lattice follow: depth-first growth by breadth-first closures, a literal
+subset scan, and the p-residual as the least normal subgroup with p-group
+quotient.
 """
 
 from __future__ import annotations
 
-from motive_ring.groups import FiniteGroup, double_cosets
+from motive_ring.groups import FiniteGroup
 
 
 def key(subgroup) -> tuple[int, ...]:
@@ -99,6 +103,44 @@ def walk_classes_by_sweep(G: FiniteGroup):
     return [reps[i] for i in order], [normalizers[i] for i in order], subgroups, fusion
 
 
+def left_cosets(G: FiniteGroup, H) -> list[int]:
+    """The least member of each left coset gH, increasing: each element
+    not in a coset met so far starts one."""
+    H = sorted(H)
+    seen = [False] * G.order
+    reps = []
+    for g in range(G.order):
+        if not seen[g]:
+            reps.append(g)
+            for h in H:
+                seen[G.mul(g, h)] = True
+    return reps
+
+
+def double_cosets(G: FiniteGroup, H, K) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """(least elements g, cells HgK), in increasing g, each cell swept as
+    the products h g k."""
+    seen = [False] * G.order
+    reps, cells = [], []
+    for g in range(G.order):
+        if seen[g]:
+            continue
+        cell = frozenset(G.mul(G.mul(h, g), k) for h in H for k in K)
+        for x in cell:
+            seen[x] = True
+        reps.append(g)
+        cells.append(cell)
+    return tuple(reps), tuple(cells)
+
+
+def fixed_cosets(G: FiniteGroup, H, K) -> tuple[int, ...]:
+    """Left-coset reps g of K with H contained in gKg^-1."""
+    K = frozenset(K)
+    return tuple(
+        g for g in left_cosets(G, K) if all(G.mul(G.mul(G.inv(g), h), g) in K for h in H)
+    )
+
+
 def marks_by_fixed_cosets(G: FiniteGroup, reps) -> tuple[tuple[int, ...], ...]:
     """marks[i][j]: the cosets gK_j with every element of H_i in gK_jg^-1,
     counted as the elements g with H_i <= gK_jg^-1, over |K_j|."""
@@ -115,7 +157,7 @@ def marks_by_fixed_cosets(G: FiniteGroup, reps) -> tuple[tuple[int, ...], ...]:
 
 def meets_by_sweep(table, h: int, k: int) -> tuple[tuple[int, int], ...]:
     """(class of H n gKg^-1, g) per double coset HgK, g its least element,
-    from the element sweep of groups.double_cosets."""
+    from the element sweep double_cosets."""
     G = table.group
     H, K = table.classes[h].representative, table.classes[k].representative
     return tuple(

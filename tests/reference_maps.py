@@ -5,13 +5,15 @@ element in the support of its argument, in the element's scalar ring: the
 reference for the integer rows that motive_ring builds once per algebra
 (CrossedBurnsideRing.mark_rows, MackeyAlgebra.zeta_row, iota_row and
 project_matrix), from which its checks decide each identity over Z.  It
-shares no row or memo with them.
+shares no row or memo with them, and its cosets and double cosets are the
+element sweeps of reference_groups, not the package's coset tables.
 """
 
 from __future__ import annotations
 
+from reference_groups import double_cosets, fixed_cosets, left_cosets
+
 from motive_ring.algebra import Element
-from motive_ring.groups import double_cosets, fixed_cosets
 
 
 def _accumulate(out: dict, key, c, s) -> None:
@@ -32,7 +34,7 @@ def center_image(xring, x: Element) -> dict:
             continue
         pair = xring.pairs[i]
         H = xring.table.classes[pair.subgroup_class].representative
-        for g in G.left_cosets(H):
+        for g in left_cosets(G, H):
             _accumulate(out, G.conj(g, pair.label), c, s)
     return out
 
@@ -92,7 +94,7 @@ def center_to_hecke(mackey, Z, z: Element) -> dict:
                 continue
             S = H & G.conjugate_subgroup(g, H)
             x_pt, y_pt = mackey.point_of(si, 0), mackey.point_of(si, g)
-            for v in G.left_cosets(S):
+            for v in left_cosets(G, S):
                 _accumulate(op, (mackey.act[v][y_pt], mackey.act[v][x_pt]), coeff, s)
     return op
 

@@ -11,7 +11,7 @@ import io
 import json
 import time
 
-from dense_linalg import rank_field
+from dense_linalg import operator_product, rank_field
 from reference_checks import is_central
 from reference_groups import p_residual_oracle
 from test_crossed import center_image, crossed_marks
@@ -20,7 +20,7 @@ from test_mackey import over, read, zeta
 from motive_ring.algebra import combine
 from motive_ring.center import CenterAlgebra, block_scan_oracle, blocks_in_rho_span, ga_mul
 from motive_ring.cli import run
-from motive_ring.linalg import integer_rank, sparse_mat_mul
+from motive_ring.linalg import integer_rank
 from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import all_subgroups, prime_divisors
 
@@ -263,7 +263,7 @@ def test_criterion_7_mackey_diagram_suite(ws):
             for i in range(mk.n):
                 for j in range(mk.n):
                     lhs = over(combine(mk.product(i, j), lambda k: mk.project_matrix(k).items()), scalar)
-                    if lhs != sparse_mat_mul(ops[i], ops[j], scalar):
+                    if lhs != operator_product(ops[i], ops[j], mk.npoints, scalar):
                         ok = False
                 if not ok:
                     break

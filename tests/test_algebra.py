@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 import reference_maps as walks
+from dense_linalg import operator_product
 
 import motive_ring
 import motive_ring.algebra as algebra_mod
 from motive_ring.algebra import Algebra
 from motive_ring.crossed import CrossedBurnsideRing
 from motive_ring.groups import GroupTooLarge, construct_group
-from motive_ring.linalg import sparse_mat_mul
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local, prime_field
 from motive_ring.subgroups import SubgroupClassTable
 
@@ -57,7 +57,7 @@ def center_check(ws, group, x, y, xy):
 def mackey_check(ws, group, x, y, xy):
     """Projection to the Hecke algebra is an algebra map onto operator products."""
     mk = ws.mackey(group)
-    assert walks.project(mk, xy) == sparse_mat_mul(walks.project(mk, x), walks.project(mk, y), x.scalar)
+    assert walks.project(mk, xy) == operator_product(walks.project(mk, x), walks.project(mk, y), mk.npoints, x.scalar)
 
 
 ALGEBRAS = {

@@ -12,8 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from test_cli import invoke
 from test_subgroups import gens_specs, small_group
 
-import motive_ring.crossed as crossed
-import motive_ring.mackey as mackey
 from motive_ring.center import CenterAlgebra
 from motive_ring.crossed import CrossedBurnsideRing
 from motive_ring.groups import FiniteGroup, construct_group
@@ -125,9 +123,8 @@ def test_the_maps_walk_no_cosets_once_the_rows_exist(monkeypatch):
     def walk(*args):
         raise AssertionError("a coset walk after the rows were built")
 
-    monkeypatch.setattr(crossed, "fixed_cosets", walk)
-    monkeypatch.setattr(mackey, "double_cosets", walk)
-    monkeypatch.setattr(FiniteGroup, "left_cosets", walk)
+    monkeypatch.setattr(FiniteGroup, "coset_lookup", walk)
+    monkeypatch.setattr(SubgroupClassTable, "double_coset_meets", walk)
     assert images() == expected
     assert images() == expected
 

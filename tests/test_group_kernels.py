@@ -1,19 +1,27 @@
 """The group-layer kernels against their reference versions.
 
 Dimino closure, the class walk over generator orbits, marks read off the
-lattice and double-coset meets as orbits on G/K, each compared with the
-earlier algorithm kept in reference_groups on the ladder of groups and on
-random permutation groups of order at most 24.
+lattice, and the coset walks (the coset table of coset_lookup, and the
+double-coset meets as orbits on G/K, with the fixed cosets among them),
+each compared with the earlier algorithm kept in reference_groups on the
+ladder of groups and on random permutation groups of order at most 24.
+No reference module may call the kernels it checks: the last test reads
+their imports and calls.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_groups import (
     closure_bfs,
+    fixed_cosets,
     key,
+    left_cosets,
     marks_by_fixed_cosets,
     meets_by_sweep,
     small_generating_set_bfs,
@@ -65,12 +73,17 @@ def assert_marks_agree(table):
 
 def assert_meets_agree(table):
     G = table.group
+    for H in table.all_subgroups:
+        reps, where = G.coset_lookup(H)
+        assert reps == left_cosets(G, H)
+        assert all(G.mul(G.inv(g), reps[where[g]]) in H for g in range(G.order))  # g H = reps[where[g]] H
     for h in range(len(table)):
         H = table.classes[h].representative
         for k in range(len(table)):
             K = table.classes[k].representative
             meets = table.double_coset_meets(h, k)
             assert tuple((idx, g) for idx, _, g in meets) == meets_by_sweep(table, h, k)
+            assert tuple(g for idx, _, g in meets if idx == h) == fixed_cosets(G, H, K)
             for idx, conj, g in meets:
                 meet = H & G.conjugate_subgroup(g, K)
                 assert G.conjugate_subgroup(conj, meet) == table.classes[idx].representative
@@ -115,3 +128,25 @@ def test_lattice_marks_and_meets_match_the_references_on_random_groups(spec):
     table = assert_lattice_agrees(small_group(spec, max_order=24))
     assert_marks_agree(table)
     assert_meets_agree(table)
+
+
+# the coset kernels and the integer-only products of the package
+KERNELS = {"coset_lookup", "double_coset_meets", "commutator", "sparse_mat_mul"}
+
+
+def test_no_reference_imports_or_calls_a_kernel_it_checks():
+    """A reference that shared a kernel with the fast path would pass a
+    defect in it, so no tests/reference_*.py names one: not in an import,
+    as a name, or as an attribute."""
+    paths = sorted(Path(__file__).parent.glob("reference_*.py"))
+    assert len(paths) >= 3
+    for path in paths:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert not names & KERNELS, (path.name, sorted(names & KERNELS))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import GROUP_SPECS
+from reference_groups import double_cosets, fixed_cosets
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.groups import (
@@ -11,8 +12,6 @@ from motive_ring.groups import (
     NotNormal,
     Permutation,
     construct_group,
-    double_cosets,
-    fixed_cosets,
     orbits,
     parse_cycles,
     quotient_group,
@@ -201,10 +200,14 @@ def test_orbit_stabilizer_for_element_centralizers(ws):
 
 def test_full_group_single_coset(ws):
     G = ws.group("S3")
+    table = ws.table("S3")
     full = frozenset(range(G.order))
     reps, _ = double_cosets(G, full, full)
     assert len(reps) == 1
     assert len(fixed_cosets(G, full, full)) == 1
+    top = len(table) - 1
+    assert table.double_coset_meets(top, top) == ((top, 0, 0),)
+    assert G.coset_lookup(full) == ([0], [0] * G.order)
 
 
 def test_trivial_double_cosets_are_elements(ws):
@@ -213,27 +216,39 @@ def test_trivial_double_cosets_are_elements(ws):
     reps, cells = double_cosets(G, triv, triv)
     assert len(reps) == 2
     assert all(len(c) == 1 for c in cells)
+    assert ws.table("C2").double_coset_meets(0, 0) == ((0, 0, 0), (0, 0, 1))
+    assert G.coset_lookup(triv) == ([0, 1], [0, 1])
 
 
 def test_s3_transposition_double_cosets(ws):
     G = ws.group("S3")
     table = ws.table("S3")
-    C2 = table.class_named("C2#1").representative
-    reps, cells = double_cosets(G, C2, C2)
+    c2 = table.class_named("C2#1")
+    reps, cells = double_cosets(G, c2.representative, c2.representative)
     assert len(reps) == 2
     assert sum(len(c) for c in cells) == G.order
+    meets = table.double_coset_meets(c2.index, c2.index)
+    assert [g for _, _, g in meets] == list(reps)
+    assert sorted(c for c, _, _ in meets) == [0, c2.index]  # C2 n gC2g^-1 is 1 or C2
 
 
 def test_double_cosets_partition_everywhere(ws):
+    """The meets of each class pair, as sizes |H||K| / |H n gKg^-1|, add up
+    to |G|, and their g are the least elements of the swept cells."""
     table = ws.table("A4")
     G = ws.group("A4")
     for ca in table.classes:
         for cb in table.classes:
-            _, cells = double_cosets(G, ca.representative, cb.representative)
+            reps, cells = double_cosets(G, ca.representative, cb.representative)
             assert sum(len(c) for c in cells) == G.order
+            meets = table.double_coset_meets(ca.index, cb.index)
+            assert [g for _, _, g in meets] == list(reps)
+            assert [ca.order * cb.order // table.classes[c].order for c, _, _ in meets] == [len(c) for c in cells]
 
 
 def test_fixed_cosets_iff_subconjugate(ws):
+    """The meets in H's own class are H's fixed cosets on G/K, and there is
+    one exactly when H is subconjugate to K."""
     table = ws.table("S4")
     G = ws.group("S4")
     for ca in table.classes:
@@ -244,6 +259,8 @@ def test_fixed_cosets_iff_subconjugate(ws):
                 for g in range(G.order)
             )
             assert bool(fixed) == subconj
+            meets = table.double_coset_meets(ca.index, cb.index)
+            assert tuple(g for c, _, g in meets if c == ca.index) == fixed
     full = frozenset(range(G.order))
     for cb in table.classes:
         fixed = fixed_cosets(G, full, cb.representative)

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from dense_linalg import mat_mul, nullspace_field, rank_field
+from dense_linalg import dense, mat_mul, nullspace_field, rank_field
 from reference_checks import is_central
+from reference_groups import double_cosets, left_cosets
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.algebra import combine
@@ -15,7 +16,7 @@ from motive_ring.linalg import sparse_mat_mul
 from motive_ring.mackey import HeckeAlgebra, MackeyAlgebra
 from motive_ring.scalars import QQ, ZZ, prime_field
 from motive_ring.subgroups import SubgroupClassTable, subgroup_key
-from motive_ring.verify import hecke_center_dimension
+from motive_ring.verify import _vanishes, hecke_center_dimension
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -24,14 +25,6 @@ F4 = prime_field(2, 2)
 
 def identity_operator(n, scalar):
     return {(i, i): scalar.one for i in range(n)}
-
-
-def dense(op, n, scalar):
-    """A sparse operator {(to, from): value} as a dense n x n matrix."""
-    mat = [[scalar.zero] * n for _ in range(n)]
-    for (to, frm), v in op.items():
-        mat[to][frm] = v
-    return mat
 
 
 def read(row, x) -> dict:
@@ -178,12 +171,12 @@ def fibered_product_oracle(mk, i, j):
     canonical = {(subgroup_key(b.stabilizer), b.x, b.y): b.index for b in mk.basis}
     bi, bj = mk.basis[i], mk.basis[j]
     Si, Sj = bi.stabilizer, bj.stabilizer
-    where_i = {G.mul(v, h): v for v in G.left_cosets(Si) for h in Si}
-    where_j = {G.mul(w, h): w for w in G.left_cosets(Sj) for h in Sj}
+    where_i = {G.mul(v, h): v for v in left_cosets(G, Si) for h in Si}
+    where_j = {G.mul(w, h): w for w in left_cosets(G, Sj) for h in Sj}
     fiber = [
         (v, w)
-        for v in G.left_cosets(Si)
-        for w in G.left_cosets(Sj)
+        for v in left_cosets(G, Si)
+        for w in left_cosets(G, Sj)
         if mk.act[v][bi.x] == mk.act[w][bj.y]
     ]
     counts, assigned = {}, set()
@@ -426,23 +419,16 @@ def test_center_vectors_commute(ws):
         assert is_central(mk, mk.element(vec, QQ))
 
 
-def commutes_with_every_span(mk, x):
-    """Oracle for is_central: the commutator x b - b x with every basis span b."""
-    for j in range(mk.n):
-        b = mk.basis_element(j, x.scalar)
-        if not (x * b - b * x).is_zero():
-            return False
-    return True
-
-
 @pytest.mark.parametrize("name", ["C4", "V4", "S3"])
 @pytest.mark.parametrize("scalar", [QQ, F2])
 def test_is_central_matches_the_every_span_commutator(name, scalar, ws):
+    """The integer commutator, read over the scalar ring as verify reads it,
+    against the oracle is_central, which sums in the scalar ring itself."""
     mk = ws.mackey(name)
-    central = [mk.element(vec, scalar) for vec in mk.center_basis(scalar)]
-    spans = [mk.basis_element(a, scalar) for a in mk.generator_spans()]
-    verdicts = [is_central(mk, x) for x in central + spans]
-    assert verdicts == [commutes_with_every_span(mk, x) for x in central + spans]
+    central = mk.center_basis(QQ) if scalar == QQ else [[int(c) for c in v] for v in mk.center_basis(scalar)]
+    spans = [[int(k == a) for k in range(mk.n)] for a in mk.generator_spans()]
+    verdicts = [_vanishes(mk.commutator({i: c for i, c in enumerate(x) if c}), scalar) for x in central + spans]
+    assert verdicts == [is_central(mk, mk.element(x, scalar)) for x in central + spans]
     assert all(verdicts[: len(central)]) and not all(verdicts[len(central) :])
 
 
@@ -504,8 +490,6 @@ def test_hecke_dimensions(ws):
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
 def test_hecke_dimension_is_double_coset_count(name, ws):
-    from motive_ring.groups import double_cosets
-
     mk = ws.mackey(name)
     G = ws.group(name)
     total = 0
@@ -554,7 +538,7 @@ def assert_projection_multiplicative(mk, i, j, scalar):
     """project(i . j) = project(i) project(j), sparse over Z and against the
     dense product over the scalar ring."""
     lhs = combine(mk.product(i, j), lambda k: mk.project_matrix(k).items())
-    assert lhs == sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j), ZZ)
+    assert lhs == sparse_mat_mul(mk.project_matrix(i), mk.project_matrix(j))
     lhs, a, b = (over(op, scalar) for op in (lhs, mk.project_matrix(i), mk.project_matrix(j)))
     n = mk.npoints
     assert dense(lhs, n, scalar) == mat_mul(dense(a, n, scalar), dense(b, n, scalar), scalar)
@@ -603,7 +587,7 @@ def test_center_embedding_is_unital_ring_homomorphism(name, scalar, ws):
     for i in range(Z.n):
         for j in range(Z.n):
             lhs = read(mk.iota_row, Z.multiply(sums[i], sums[j]))
-            assert lhs == sparse_mat_mul(ops[i], ops[j], ZZ)
+            assert lhs == sparse_mat_mul(ops[i], ops[j])
             a, b = over(ops[i], scalar), over(ops[j], scalar)
             rhs = mat_mul(dense(a, n, scalar), dense(b, n, scalar), scalar)
             assert dense(over(lhs, scalar), n, scalar) == rhs
@@ -617,8 +601,8 @@ def test_center_embedding_lands_in_hecke_center(ws):
     op = read(mk.iota_row, t_sum)
     for k in range(hk.n):
         m = orbit_operator(hk, k)
-        assert sparse_mat_mul(op, m, ZZ) == sparse_mat_mul(m, op, ZZ)
-    assert sparse_mat_mul(op, op, ZZ) == read(mk.iota_row, Z.multiply(t_sum, t_sum))
+        assert sparse_mat_mul(op, m) == sparse_mat_mul(m, op)
+    assert sparse_mat_mul(op, op) == read(mk.iota_row, Z.multiply(t_sum, t_sum))
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
