@@ -17,7 +17,6 @@ subclasses keep their own loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .linalg import integer_kernel
@@ -38,13 +37,30 @@ def combine(terms, row) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-@dataclass(frozen=True)
 class Element:
-    """A dense coefficient tuple over the basis of one algebra."""
+    """A dense coefficient tuple over the basis of one algebra.  Two
+    elements are equal when their (algebra, scalar, coeffs) are."""
 
-    algebra: "Algebra"
-    scalar: ScalarRing
-    coeffs: tuple
+    __slots__ = ("algebra", "scalar", "coeffs")
+
+    def __init__(self, algebra: "Algebra", scalar: ScalarRing, coeffs: tuple):
+        self.algebra = algebra
+        self.scalar = scalar
+        self.coeffs = coeffs
+
+    def _fields(self) -> tuple:
+        return (self.algebra, self.scalar, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"Element(algebra={self.algebra!r}, scalar={self.scalar!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         self.algebra._check(other, self.scalar)

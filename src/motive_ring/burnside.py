@@ -8,7 +8,6 @@ back is a back-substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Element
@@ -17,12 +16,14 @@ from .scalars import QQ, ZZ, ScalarRing, ScalarError, p_local
 from .subgroups import SubgroupClassTable
 
 
-@dataclass(frozen=True)
 class TableOfMarks:
     """marks[i][j] = number of cosets of class-j subgroups fixed by class i."""
 
-    class_names: tuple[str, ...]
-    marks: tuple[tuple[int, ...], ...]
+    __slots__ = ("class_names", "marks")
+
+    def __init__(self, class_names: tuple[str, ...], marks: tuple[tuple[int, ...], ...]):
+        self.class_names = class_names
+        self.marks = marks
 
 
 class BurnsideRing(Algebra):

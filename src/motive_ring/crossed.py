@@ -14,7 +14,6 @@ pair (mark_rows), from which verify decides their identities over Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .algebra import Algebra, Element
@@ -26,14 +25,16 @@ from .subgroups import SubgroupClassTable
 SCAN_CLASSES = 14  # idempotent_oracle scans 2^n ghost vectors, n classes up to this
 
 
-@dataclass(frozen=True)
 class CrossedPairClass:
     """Orbit of a (subgroup, centralizer label) pair under conjugation."""
 
-    index: int
-    subgroup_class: int
-    label: int  # element index, in the centralizer of the class representative
-    name: str
+    __slots__ = ("index", "subgroup_class", "label", "name")
+
+    def __init__(self, index: int, subgroup_class: int, label: int, name: str):
+        self.index = index
+        self.subgroup_class = subgroup_class
+        self.label = label  # element index, in the centralizer of the class representative
+        self.name = name
 
 
 class CrossedBurnsideRing(Algebra):

@@ -302,12 +302,21 @@ class FiniteGroup:
 
     def closure(self, gens) -> frozenset[int]:
         """Subgroup generated by the given element indices (Dimino's algorithm)."""
+        return frozenset(self._grow(gens)[0])
+
+    def _grow(self, candidates, size: int = 0) -> tuple[list[int], list[int]]:
+        """(elements, used): the subgroup generated by the candidates, taken
+        in order, where used lists each candidate outside the subgroup
+        generated by those before it.  Stops once the subgroup has size
+        elements (size 0: never)."""
         elements, members, used = [0], {0}, []
-        for g in gens:
+        for g in candidates:
+            if len(elements) == size:
+                break
             if g not in members:
                 used.append(g)
                 self._extend(elements, members, used)
-        return frozenset(elements)
+        return elements, used
 
     def _extend(self, elements, members, gens) -> None:
         """Grow the subgroup H = <gens[:-1]>, listed in elements and held in
@@ -335,16 +344,7 @@ class FiniteGroup:
     def small_generating_set(self, subgroup) -> list[int]:
         """Generators chosen greedily in increasing order: each is the least
         element outside the subgroup generated by the ones before it."""
-        gens: list[int] = []
-        elements, members = [0], {0}
-        n = len(subgroup)
-        for x in sorted(subgroup):
-            if len(elements) == n:
-                break
-            if x not in members:
-                gens.append(x)
-                self._extend(elements, members, gens)
-        return gens
+        return self._grow(sorted(subgroup), len(subgroup))[1]
 
     def centralizer(self, elements, among) -> frozenset[int]:
         """Elements commuting with every given element: the centralizer of

@@ -22,8 +22,6 @@ identities among them over Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, Element
 from .crossed import CrossedBurnsideRing
 from .groups import GroupTooLarge, orbits
@@ -34,14 +32,16 @@ from .subgroups import SubgroupClassTable, subgroup_key
 DEFAULT_SPAN_BOUND = 24
 
 
-@dataclass(frozen=True)
 class SpanBasisElement:
     """Transitive span over Omega x Omega: canonical (stabilizer, x, y)."""
 
-    index: int
-    stabilizer: frozenset[int]
-    x: int
-    y: int
+    __slots__ = ("index", "stabilizer", "x", "y")
+
+    def __init__(self, index: int, stabilizer: frozenset[int], x: int, y: int):
+        self.index = index
+        self.stabilizer = stabilizer
+        self.x = x
+        self.y = y
 
 
 class MackeyAlgebra(Algebra):

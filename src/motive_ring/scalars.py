@@ -56,7 +56,11 @@ class ScalarRing:
         return str(a)
 
     def parse(self, text: str):
-        return self.coerce(Fraction(text))
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ScalarError(f"zero denominator in {text!r}") from None
+        return self.coerce(value)
 
     def __repr__(self):
         return f"<{self.tag}>"

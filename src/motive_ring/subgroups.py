@@ -1,20 +1,22 @@
 """Subgroup lattice: conjugacy classes of subgroups, fusion, residuals.
 
 The production enumeration walks conjugacy classes: it joins one
-representative per class with one cyclic subgroup outside it per orbit of
-its normalizer, grown from the representative by Dimino's closure.  The
-members of a new class are reached by a breadth-first search over the
-generators of G, which gives each its fusion conjugator; the normalizer of
-the representative is read off the images of its generators.  The double
-cosets HgK of two class representatives are the H-orbits on the coset
-table of K, with H n gKg^-1 the stabilizer of gK; those in H's own class
-are the cosets H fixes.  The lattice has no bound of its own: the order
-bound of the group is checked when the group is built.
+representative R per class with one cyclic subgroup <c> per orbit of its
+normalizer, grown from R by Dimino's closure, where <c> has prime-power
+order, c is outside R and c^p is in R.  That reaches every class: for H
+maximal in J, the last power outside H of a prime-power part of an element
+of J outside H is such a c, and J = <H, c>.  The members of a new class are
+reached by a breadth-first search over the generators of G, which gives
+each its fusion conjugator; the normalizer of the representative is closed
+from the Schreier generators of that search, and the same generators drive
+the orbit pass of its class.  The double cosets HgK of two class
+representatives are the H-orbits on the coset table of K, with
+H n gKg^-1 the stabilizer of gK; those in H's own class are the cosets H
+fixes.  The lattice has no bound of its own: the order bound of the group
+is checked when the group is built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, orbits, quotient_group
 
@@ -26,15 +28,22 @@ def subgroup_key(subgroup) -> tuple[int, ...]:
 def _walk_classes(G: FiniteGroup):
     """Conjugacy classes of subgroups by extending one subgroup per class.
 
-    Each class representative R is joined with one cyclic subgroup outside
-    it per N_G(R)-orbit (Neubueser's cyclic extension; conjugate cyclic
-    subgroups give conjugate joins).  Every nontrivial J is <H, c> for a
-    maximal H < J, and conjugating H onto its representative carries J onto
-    a conjugate, so every class is reached.  A join J in no known class is
-    conjugated by a breadth-first search over the generators of G, which
-    reaches each member K once, with a c such that c J c^-1 = K; the
-    representative is the member of least key, and its normalizer is read
-    off the images of its generators.
+    Each class representative R is joined with the cyclic subgroups <c> of
+    prime-power order with c not in R and c^p in R, one per N_G(R)-orbit
+    (Neubueser's cyclic extension, cut down; the condition is
+    N_G(R)-invariant and conjugate cyclic subgroups give conjugate joins).
+    Every class is still reached: take H maximal in a nontrivial J.  An
+    element of J outside H has some prime-power part outside H, and the
+    last power of that part outside H is a c with c^p in H, so J = <H, c>;
+    conjugating H onto its representative carries J onto a conjugate join.
+    A join J in no known class is conjugated by a breadth-first search over
+    the generators s of G, which reaches each member K once, with a c_K
+    such that c_K J c_K^-1 = K; the representative is the member of least
+    key.  Each edge K -> L = sKs^-1 of the search gives the Schreier
+    generator c_L^-1 s c_K of N_G(J), and these generate it, so the
+    normalizer of the representative is their conjugate closure, grown
+    until it has |G| / (class size) elements; its generators also drive
+    the orbit pass of the class.
 
     Returns (representatives, their generators, normalizers, subgroups,
     fusion): classes in (order, key) order, every subgroup in that order,
@@ -45,45 +54,54 @@ def _walk_classes(G: FiniteGroup):
     group_gens = G.generator_indices
     cyclic: dict[frozenset[int], int] = {}  # <g>, listed from powers -> its least generator
     cyclic_of = [0] * G.order  # element -> least generator of its cyclic subgroup
+    pth_power: dict[int, int] = {}  # least generator c of a p-power cyclic subgroup -> c^p
     for g in range(1, G.order):
         powers = [g]
         while powers[-1]:
             powers.append(mul[powers[-1]][g])
-        cyclic_of[g] = cyclic.setdefault(frozenset(powers), g)
+        cyclic_of[g] = c = cyclic.setdefault(frozenset(powers), g)
+        if c == g:
+            p = prime_divisors(len(powers))
+            if len(p) == 1:
+                pth_power[g] = powers[p[0] - 1]
     reps: list[frozenset[int]] = []
     rep_gens: list[list[int]] = []
     normalizers: list[frozenset[int]] = []
+    normalizer_gens: list[list[int]] = []
     found: dict[frozenset[int], tuple[int, int]] = {}
 
     def add_class(J, gens):
-        conjugator = {J: 0}  # member K -> c with c J c^-1 = K
+        conjugator = {J: 0}  # member K -> c_K with c_K J c_K^-1 = K
         members = [J]
+        schreier = []  # c_L^-1 s c_K for each edge K -> L = sKs^-1 off the tree: N_G(J)
         for K in members:
             c = conjugator[K]
             for s in group_gens:
                 L = G.conjugate_subgroup(s, K)
+                sc = mul[s][c]
                 if L not in conjugator:
-                    conjugator[L] = mul[s][c]
+                    conjugator[L] = sc
                     members.append(L)
+                else:
+                    schreier.append(mul[inv[conjugator[L]]][sc])
         rep = min(members, key=subgroup_key)
         c0 = conjugator[rep]
         for K in members:
             found[K] = (len(reps), mul[c0][inv[conjugator[K]]])
-        gens = [conj(c0, x) for x in gens]
-        normalizer = frozenset(
-            g for g, row in enumerate(mul) if all(mul[row[x]][inv[g]] in rep for x in gens)
-        )
+        elements, ngens = G._grow((conj(c0, x) for x in schreier), G.order // len(members))
         reps.append(rep)
-        rep_gens.append(gens)
-        normalizers.append(normalizer)
+        rep_gens.append([conj(c0, x) for x in gens])
+        normalizers.append(frozenset(elements))
+        normalizer_gens.append(ngens)
 
     add_class(frozenset({0}), [])
     i = 0
     while i < len(reps):
-        outside = [cg for cg in cyclic.values() if cg not in reps[i]]  # N_G(R) keeps them outside
-        for orbit in orbits(outside, G.small_generating_set(normalizers[i]), lambda n, c: cyclic_of[conj(n, c)]):
+        R = reps[i]
+        joinable = [c for c, cp in pth_power.items() if c not in R and cp in R]  # N_G(R)-invariant
+        for orbit in orbits(joinable, normalizer_gens[i], lambda n, c: cyclic_of[conj(n, c)]):
             gens = rep_gens[i] + [orbit[0]]
-            elements, members = list(reps[i]), set(reps[i])
+            elements, members = list(R), set(R)
             G._extend(elements, members, gens)  # J = <R, c>, grown from R
             J = frozenset(elements)
             if J not in found:
@@ -220,20 +238,34 @@ def structure_hint(G: FiniteGroup, H) -> str:
 # -- class table -------------------------------------------------------------
 
 
-@dataclass
 class SubgroupClass:
-    """One conjugacy class of subgroups."""
+    """One conjugacy class of subgroups; the residual classes are filled
+    in once the whole table is known."""
 
-    index: int
-    representative: frozenset[int]
-    key: tuple[int, ...]
-    order: int
-    name: str
-    class_size: int
-    centralizer: frozenset[int]
-    normalizer: frozenset[int]
-    solvable_residual: int = -1
-    p_residuals: dict[int, int] = field(default_factory=dict)
+    __slots__ = (
+        "index", "representative", "key", "order", "name", "class_size",
+        "centralizer", "normalizer", "solvable_residual", "p_residuals",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        representative: frozenset[int],
+        name: str,
+        class_size: int,
+        centralizer: frozenset[int],
+        normalizer: frozenset[int],
+    ):
+        self.index = index
+        self.representative = representative
+        self.key = subgroup_key(representative)
+        self.order = len(representative)
+        self.name = name
+        self.class_size = class_size
+        self.centralizer = centralizer
+        self.normalizer = normalizer
+        self.solvable_residual = -1
+        self.p_residuals: dict[int, int] = {}
 
 
 class SubgroupClassTable:
@@ -255,8 +287,6 @@ class SubgroupClassTable:
                 SubgroupClass(
                     index=idx,
                     representative=rep,
-                    key=subgroup_key(rep),
-                    order=len(rep),
                     name=f"{hint}#{hints[hint]}",
                     class_size=G.order // len(normalizers[idx]),
                     centralizer=G.centralizer(gens[idx], normalizers[idx]),  # C_G(H) <= N_G(H)

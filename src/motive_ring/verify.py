@@ -13,7 +13,6 @@ scalar ring reads its verdict off the integer result (_vanishes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from random import Random
@@ -32,11 +31,13 @@ EXHAUSTIVE_TRIPLE_ORDER = 12
 SAMPLE_SIZE = 40
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def as_json(self) -> dict:
         doc = {"name": self.name, "pass": self.passed}

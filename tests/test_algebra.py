@@ -15,6 +15,7 @@ from dense_linalg import operator_product
 import motive_ring
 import motive_ring.algebra as algebra_mod
 from motive_ring.algebra import Algebra
+from motive_ring.burnside import BurnsideRing
 from motive_ring.crossed import CrossedBurnsideRing
 from motive_ring.groups import GroupTooLarge, construct_group
 from motive_ring.scalars import QQ, ZZ, ScalarError, p_local, prime_field
@@ -97,6 +98,21 @@ def test_operands_must_share_algebra_and_scalars(kind, group, ws):
             op(x, other.one(QQ))
         with pytest.raises(ScalarError, match="mixed scalar"):
             op(x, algebra.one(ZZ))
+
+
+def test_elements_are_equal_exactly_when_algebra_scalar_and_coefficients_are(ws):
+    """The equality and hash of a frozen record of (algebra, scalar, coeffs)."""
+    ring = ws.burnside("S3")
+    twin = BurnsideRing(ws.table("S3"))  # the same basis, another algebra
+    coeffs = [1, 0, 2, 0]
+    x = ring.element(coeffs, QQ)
+    same = ring.element([Fraction(c) for c in coeffs], QQ)
+    assert x is not same and x == same and hash(x) == hash(same) and {x: 1}[same] == 1
+    others = [twin.element(coeffs, QQ), ring.element(coeffs, ZZ), ring.element([1, 0, 2, 1], QQ)]
+    for y in others:
+        assert x != y and not x == y
+    assert len({x, same, *others}) == 4
+    assert x.__eq__(x.coeffs) is NotImplemented and x != x.coeffs
 
 
 def test_every_public_annotation_resolves():

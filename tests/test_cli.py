@@ -187,6 +187,14 @@ def test_cbr_multiply_refuses_an_oversized_coefficient_at_once(coeff, value):
     assert (code, doc) == (2, {"error": f"coefficient of {key!r} has more than 4300 digits", "exit": 2})
 
 
+@pytest.mark.parametrize("coeff", ["Z", "Q", "Zp:3"])
+@pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0_0"])
+def test_cbr_multiply_refuses_a_zero_denominator(coeff, value):
+    key = "[1#1,()]"
+    code, doc, _ = invoke(["cbr-multiply", "--group", "sym:3", "--coeff", coeff, "--x", json.dumps({key: value}), "--y", "{}"])
+    assert (code, doc) == (2, {"error": f"zero denominator in {value!r}", "exit": 2})
+
+
 # 1e4000 has 4,001 digits, inside the limit: its bytes from before the refusal stay
 @pytest.mark.parametrize("coeff, sha256", [
     ("Q", "82606e4f2da767228471b0fd9e7fa066478b6097231dcd65c837153ed261a6fc"),
@@ -367,6 +375,15 @@ def test_mackey_check_s4_within_the_span_bound():
         ("zeta-image-spans-mackey-center[Fp:2]", "image rank 18 < center dimension 27"),
     ]
     assert hashlib.sha256(out.stdout).hexdigest() == S4_MACKEY_CHECK_SHA256
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # each command is a cold process: these two modules cost it several
+    # milliseconds of import before any work
+    src = Path(motive_ring.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import motive_ring.cli; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr[-2000:]
 
 
 def mackey_check_results(group, tag):
@@ -1467,10 +1484,12 @@ def test_any_input_exits_0_to_3_with_one_json_document(monkeypatch):
         if code >= 2:
             assert set(doc) == {"error", "exit"} and doc["exit"] == code
 
-    # the oversized coefficient is added after the decorators: the derandomized
-    # draws are seeded from the source of fuzz, decorator lines included, so
-    # one more @example line would redraw all 500 examples
+    # the oversized coefficient and the zero denominator are added after the
+    # decorators: the derandomized draws are seeded from the source of fuzz,
+    # decorator lines included, so one more @example line would redraw all
+    # 500 examples
     fuzz = example(command="cbr-multiply", spec="sym:3", tag="Q", prime=None, bound=None, x='{"[1#1,()]": "1e20000000"}')(fuzz)
+    fuzz = example(command="cbr-multiply", spec="sym:3", tag="Q", prime=None, bound=None, x='{"[1#1,()]": "1/0"}')(fuzz)
     fuzz()
     # 30 to 65 draws per subcommand reach dispatch, 11 to 48 its document
     for command in FUZZ_COMMANDS:

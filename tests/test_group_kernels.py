@@ -4,7 +4,8 @@ Dimino closure, the class walk over generator orbits, marks read off the
 lattice, and the coset walks (the coset table of coset_lookup, and the
 double-coset meets as orbits on G/K, with the fixed cosets among them),
 each compared with the earlier algorithm kept in reference_groups on the
-ladder of groups and on random permutation groups of order at most 24.
+ladder of groups, on random permutation groups of order at most 24 and on
+two `gens:` groups with perfect subgroups.
 No reference module may call the kernels it checks: the last test reads
 their imports and calls.
 """
@@ -31,9 +32,16 @@ from test_subgroups import gens_specs, small_group
 
 from motive_ring.burnside import BurnsideRing
 from motive_ring.groups import construct_group
-from motive_ring.subgroups import SubgroupClassTable
+from motive_ring.subgroups import SubgroupClassTable, derived_subgroup
 
 LADDER = ["sym:3", "dihedral:4", "alt:4", "sym:4", "alt:5", "sym:5"]
+# (spec, order, classes of subgroups): S5 acting on the projective line
+# over F_5 (PGL(2,5), points 1-5 for 0-4 and 6 for infinity), with A5
+# perfect inside it, and the simple PSL(2,7) on 7 points
+PERFECT = [
+    ("gens:(1 2 3 4 5);(2 3 5 4);(1 6)(2 5)", 120, 19),
+    ("gens:(1 2 3 4 5 6 7);(2 3)(4 7)", 168, 15),
+]
 _groups: dict = {}
 
 
@@ -113,6 +121,18 @@ def test_lattice_marks_and_meets_match_the_references_on_the_ladder(spec):
     table = assert_lattice_agrees(ladder_group(spec))
     assert_marks_agree(table)
     assert_meets_agree(table)
+
+
+@pytest.mark.parametrize("spec,order,nclasses", PERFECT)
+def test_lattice_matches_the_sweep_on_groups_with_perfect_subgroups(spec, order, nclasses):
+    G = construct_group(spec)
+    assert G.order == order
+    table = assert_lattice_agrees(G)
+    assert len(table) == nclasses
+    for cls in table.classes:
+        H = cls.representative
+        assert cls.normalizer == frozenset(g for g in range(G.order) if G.conjugate_subgroup(g, H) == H)
+    assert any(len(H) > 1 and derived_subgroup(G, H) == H for H in (c.representative for c in table.classes))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
