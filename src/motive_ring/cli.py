@@ -7,14 +7,21 @@ inputs; --tsv flattens the JSON document into tab-separated lines.
 Inputs are refused in one order, before the work each guards: the group
 (spec, degree, order), then --coeff and --prime, then the lattice is built,
 then a subcommand's own bounds (the span bound, the splitting field).
+
+A well-formed argv is read without argparse: a known subcommand, then its
+options from OPTIONS spelled in full, each followed by a value that does
+not start with '-' and converts (the --tsv flag by none), every required
+option given.  Anything else (help, '=' or abbreviated spellings, '--', a
+stray argument, a missing option, a refused value) goes to argparse,
+imported only then, so output and exit codes stay byte for byte the same.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from random import Random
+from types import SimpleNamespace
 
 from .burnside import BurnsideRing
 from .center import SCAN_SIZE, CenterAlgebra, block_scan_oracle, blocks_in_rho_span
@@ -68,19 +75,70 @@ class UsageError(ValueError):
     pass
 
 
+# every option, in help order: name -> (converter, default, required, help).
+# A flag has no converter; --x and --y are cbr-multiply's alone.
+OPTIONS = {
+    "--group": (str, None, True, "sym:N | alt:N | cyclic:N | dihedral:N | gens:\"<cycles>;...\""),
+    "--coeff": (str, None, False, "Z | Q | Zp:<p> | Fp:<p>[:<e>]"),
+    "--prime": (parse_int, None, False, None),
+    "--bound": (int, None, False, None),
+    "--seed": (int, 0, False, None),
+    "--tsv": (None, False, False, None),
+    "--x": (str, None, True, "element as JSON, e.g. '{\"[C2#1,()]\": \"1\"}'"),
+    "--y": (str, None, True, None),
+}
+
+
+def _options(command: str) -> dict:
+    operands = command == "cbr-multiply"
+    return {name: option for name, option in OPTIONS.items() if operands or name not in ("--x", "--y")}
+
+
 def _prime_option(text: str) -> int | str:
     """--prime, read by parse_int: a numeral too long for int() is refused
     later by the prime or field bound; argparse's own message otherwise."""
     try:
         return parse_int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
-    """The parser, with a subparser for each of names.  When only some are
-    built, the usage line still lists every subcommand, so their usage
-    errors print as they would with the full parser."""
+def read_args(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed argv (see above), read
+    without argparse; None for any other argv."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    options, given = _options(argv[0]), {}
+    tokens = iter(argv[1:])
+    for name in tokens:
+        if name not in options:
+            return None
+        convert = options[name][0]
+        if convert is None:
+            given[name] = True
+            continue
+        value = next(tokens, "-")  # a missing value defers like a dash
+        if value.startswith("-"):
+            return None
+        try:
+            given[name] = convert(value)
+        except ValueError:
+            return None
+    if any(required and name not in given for name, (_, _, required, _) in options.items()):
+        return None
+    return SimpleNamespace(
+        command=argv[0], **{name[2:]: given.get(name, default) for name, (_, default, _, _) in options.items()}
+    )
+
+
+def build_parser(names=SUBCOMMANDS):
+    """The argparse.ArgumentParser, with a subparser for each of names.
+    When only some are built, the usage line still lists every subcommand,
+    so their usage errors print as they would with the full parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="motive-ring",
         description="Exact Burnside / crossed Burnside ring computations",
@@ -89,15 +147,12 @@ def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar=None if names == SUBCOMMANDS else every)
     for name in names:
         p = sub.add_parser(name)
-        p.add_argument("--group", required=True, help="sym:N | alt:N | cyclic:N | dihedral:N | gens:\"<cycles>;...\"")
-        p.add_argument("--coeff", default=None, help="Z | Q | Zp:<p> | Fp:<p>[:<e>]")
-        p.add_argument("--prime", type=_prime_option, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tsv", action="store_true")
-        if name == "cbr-multiply":
-            p.add_argument("--x", required=True, help="element as JSON, e.g. '{\"[C2#1,()]\": \"1\"}'")
-            p.add_argument("--y", required=True)
+        for option, (convert, default, required, help) in _options(name).items():
+            if convert is None:
+                p.add_argument(option, action="store_true")
+            else:  # argparse names the type in its message: --prime's reads int
+                convert = _prime_option if convert is parse_int else convert
+                p.add_argument(option, type=convert, default=default, required=required, help=help)
     return parser
 
 
@@ -181,16 +236,18 @@ def coefficient_ring(args):
 
 def run(argv, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    # a known subcommand needs only its own subparser; anything else (help,
-    # no command, an unknown one) gets all of them, for the full usage text
-    parser = build_parser(argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
+    args = read_args(argv)
+    if args is None:
+        # a known subcommand needs only its own subparser; anything else (help,
+        # no command, an unknown one) gets all of them, for the full usage text
+        parser = build_parser(argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
     try:
         doc, ok = dispatch(args)
     except GroupTooLarge as exc:
