@@ -91,7 +91,7 @@ class Element:
         return acc
 
     def is_zero(self) -> bool:
-        return all(self.scalar.is_zero(c) for c in self.coeffs)
+        return self.coeffs.count(self.scalar.zero) == len(self.coeffs)
 
     def to_json(self) -> dict[str, str]:
         labels = self.algebra.labels
@@ -163,10 +163,11 @@ class Algebra:
         self._check(x, x.scalar)
         self._check(y, x.scalar)
         s = x.scalar
-        ys = [(j, b) for j, b in enumerate(y.coeffs) if not s.is_zero(b)]
-        acc = [s.zero] * self.n
+        zero = s.zero  # ScalarRing.is_zero is this comparison on every ring
+        ys = [(j, b) for j, b in enumerate(y.coeffs) if b != zero]
+        acc = [zero] * self.n
         for i, a in enumerate(x.coeffs):
-            if s.is_zero(a):
+            if a == zero:
                 continue
             for j, b in ys:
                 ab = s.mul(a, b)

@@ -121,10 +121,15 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
 
     It reads no product from the algebra: the structure constants are
     counted again from the group (counted_structure_constants).  They are
-    folded into one quadratic form per coordinate, rows (i <= j, c), and a
-    vector x is dropped at the first coordinate k where (x^2)_k != x_k; most
-    vectors fail at coordinate 0.  Over F_p a form is one int sum, reduced
-    mod p once; over F_q, q = p^e with e > 1, it runs in the field.
+    folded into one quadratic form per coordinate, rows (i <= j, c).  Over
+    F_p a form is one int sum, reduced mod p once; over F_q, q = p^e with
+    e > 1, it runs in the field.  The scan fixes the first dim - 1
+    coordinates, the head, and splits coordinate 0's form in the last
+    coordinate t as A + B t + c t^2, where A sums the rows inside the head,
+    B t the rows that pair a head coordinate with t, and c t^2 the row of t
+    alone.  Only the t with A + B t + c t^2 = x_0, found once per
+    (A, B, x_0), go on to the check (x^2)_k = x_k of every coordinate k;
+    for dim = 1, where x_0 is t itself, every t does.
     """
     n = Z.n
     if field.q**n > 200000:
@@ -152,11 +157,31 @@ def block_scan_oracle(Z: CenterAlgebra, field: PrimeFieldRing) -> list[Element]:
                 acc = field.add(acc, field.mul_int(field.mul(x[i], y[j]), c))
             return acc
 
+    elements = field.elements()
     zero = (field.zero,) * n
+    last = n - 1
+    unit = zero[:last] + (field.one,)  # t = 1 and the head 0
+    head_rows = [r for r in forms[0] if r[1] < last]
+    cross_rows = [r for r in forms[0] if r[0] < last == r[1]]
+    c = value([r for r in forms[0] if r[0] == last], unit, unit)
+    quadratic = [(0, 0, 1), (1, 1, 1), (2, 2, 1)]  # (A, B, c) . (1, t, t^2)
+    powers = [(field.one, t, field.mul(t, t)) for t in elements]
+    roots: dict = {}
+
+    def last_coordinates(head):
+        if not head:
+            return elements
+        key = (value(head_rows, head, head), value(cross_rows, head, unit), head[0])
+        if key not in roots:
+            coeffs = (key[0], key[1], c)
+            roots[key] = [t for t, tt in zip(elements, powers) if value(quadratic, coeffs, tt) == key[2]]
+        return roots[key]
+
     idems = [
         x
-        for x in product(field.elements(), repeat=n)
-        if x != zero and all(value(rows, x, x) == x[k] for k, rows in enumerate(forms))
+        for head in product(elements, repeat=last)
+        for t in last_coordinates(head)
+        if (x := head + (t,)) != zero and all(value(rows, x, x) == x[k] for k, rows in enumerate(forms))
     ]
 
     def below(f, e):  # f <= e, that is e f = f

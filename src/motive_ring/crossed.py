@@ -85,12 +85,18 @@ class CrossedBurnsideRing(Algebra):
     # -- product ---------------------------------------------------------------
 
     def _basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """The double-coset formula read off the table: per meet, the label
+        a . gbg^-1, which centralizes the meet, conjugated by the meet's
+        fusion conjugator c names the pair (canonical_pair keeps the checked
+        lookup for user input)."""
         G = self.group
+        mul, inv, pair_index = G._mul, G._inv, self._pair_index
         pi, pj = self.pairs[i], self.pairs[j]
-        a, b = pi.label, pj.label
+        a_row, b = mul[pi.label], pj.label
         counts: dict[int, int] = {}
         for cls_idx, c, g in self.table.double_coset_meets(pi.subgroup_class, pj.subgroup_class):
-            k = self._fused_pair(cls_idx, c, G.mul(a, G.conj(g, b)))
+            label = a_row[mul[mul[g][b]][inv[g]]]
+            k = pair_index[(cls_idx, mul[mul[c][label]][inv[c]])]
             counts[k] = counts.get(k, 0) + 1
         return tuple(sorted(counts.items()))
 
@@ -99,11 +105,13 @@ class CrossedBurnsideRing(Algebra):
 
         Points are pairs of cosets (rx H, ry K) with the diagonal action,
         numbered x |G/K| + y; each generator of G is one permutation of
-        these numbers, and orbits splits them.
-        The label of a point is the product of the conjugated labels; each
-        orbit is one transitive crossed set, with the stabilizer
-        rx H rx^-1 n ry K ry^-1 of its first point.  The result has the
-        sparse form of product.
+        these numbers.  The orbits are found by this method's own loop, a
+        breadth-first walk from each point not yet seen, in increasing
+        order, marked in a bytearray; it shares no orbit routine with the
+        enumeration of the labels.  The label of a point is the product of
+        the conjugated labels; each orbit is one transitive crossed set,
+        with the stabilizer rx H rx^-1 n ry K ry^-1 of its first point.
+        The result has the sparse form of product.
         """
         G = self.group
         pi, pj = self.pairs[i], self.pairs[j]
@@ -119,9 +127,20 @@ class CrossedBurnsideRing(Algebra):
             row = G._mul[g]
             on_k = [where_k[row[r]] for r in reps_k]
             perms.append([hx * nk + ky for hx in (where_h[row[r]] for r in reps_h) for ky in on_k])
+        npoints = len(reps_h) * nk
+        seen = bytearray(npoints)
         counts: dict[int, int] = {}
-        for orbit in orbits(range(len(reps_h) * nk), perms, list.__getitem__):
-            start = orbit[0]
+        for start in range(npoints):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            orbit = [start]
+            for q in orbit:
+                for perm in perms:
+                    r = perm[q]
+                    if not seen[r]:
+                        seen[r] = 1
+                        orbit.append(r)
             rx, ry = reps_h[start // nk], reps_k[start % nk]
             stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
             label = G.mul(G.conj(rx, a), G.conj(ry, b))

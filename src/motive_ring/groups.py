@@ -9,6 +9,7 @@ every coset walk reads the one coset table of FiniteGroup.coset_lookup.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 
 DEFAULT_DEGREE_BOUND = 16
@@ -326,19 +327,25 @@ class FiniteGroup:
         multiplication by a generator s carries rH to (s r)H, so the
         representatives are reached as products s r, and a product already
         in members names a coset already taken.  Each new coset is read off
-        the table row of its representative.
+        the table row of its representative in one itemgetter call over H.
+        A subgroup with more than |G|/2 elements is G (Lagrange), so a join
+        that passes that size is filled with every element at once.
         """
-        mul = self._mul
+        mul, order = self._mul, self.order
         H = elements[:]
+        coset_of = itemgetter(*H) if len(H) > 1 else lambda row: (row[0],)
         reps = [0]  # H itself, whose products s H are H again or gH
         for r in reps:
             for s in gens:
                 t = mul[s][r]
                 if t not in members:
-                    row = mul[t]
-                    coset = [row[h] for h in H]
+                    coset = coset_of(mul[t])
                     elements.extend(coset)
                     members.update(coset)
+                    if 2 * len(elements) > order:
+                        elements[:] = range(order)
+                        members.update(elements)
+                        return
                     reps.append(t)
 
     def small_generating_set(self, subgroup) -> list[int]:

@@ -20,7 +20,8 @@ dense element.
 
 The oracles of verify-all run on plain ints; their earlier forms are kept
 here as references: the orbit oracle on tuple points (tuple_orbit_product),
-the convolution over Q (convolution_failures_over_q), the block scan in
+the flat-point oracle split by groups.orbits (flat_orbit_product), the
+convolution over Q (convolution_failures_over_q), the block scan in
 the field's own operations (field_block_scan), the Dress and rational
 idempotents as sums of from_marks pullbacks (fraction_dress_idempotents,
 fraction_rational_idempotents), the dense idempotent-family check
@@ -311,6 +312,33 @@ def tuple_orbit_product(xring, i: int, j: int) -> tuple[tuple[int, int], ...]:
     for orbit in orbits(points, gens, lambda g, p: (g[0][p[0]], g[1][p[1]])):
         x0, y0 = orbit[0]
         rx, ry = reps_h[x0], reps_k[y0]
+        stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
+        label = G.mul(G.conj(rx, a), G.conj(ry, b))
+        k = xring.canonical_pair(stab, label)
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def flat_orbit_product(xring, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """CrossedBurnsideRing.basis_product_oracle on the flat points
+    x |G/K| + y, split into orbits by groups.orbits with the generators as
+    permutation lists."""
+    G = xring.group
+    pi, pj = xring.pairs[i], xring.pairs[j]
+    H = xring.table.classes[pi.subgroup_class].representative
+    K = xring.table.classes[pj.subgroup_class].representative
+    a, b = pi.label, pj.label
+    reps_h, reps_k = left_cosets(G, H), left_cosets(G, K)
+    where_h = {G.mul(r, h): x for x, r in enumerate(reps_h) for h in H}
+    where_k = {G.mul(r, k): y for y, r in enumerate(reps_k) for k in K}
+    nk = len(reps_k)
+    perms = []
+    for g in G.generator_indices:
+        on_k = [where_k[G.mul(g, r)] for r in reps_k]
+        perms.append([where_h[G.mul(g, r)] * nk + y for r in reps_h for y in on_k])
+    counts: dict[int, int] = {}
+    for orbit in orbits(range(len(reps_h) * nk), perms, list.__getitem__):
+        rx, ry = reps_h[orbit[0] // nk], reps_k[orbit[0] % nk]
         stab = G.conjugate_subgroup(rx, H) & G.conjugate_subgroup(ry, K)
         label = G.mul(G.conj(rx, a), G.conj(ry, b))
         k = xring.canonical_pair(stab, label)

@@ -161,6 +161,14 @@ SCAN_CASES = [
     ("A5", 5, None),
     ("S5", 3, None),
     ("S5", 2, None),
+    # the scan fixes all but the last coordinate t and solves coordinate
+    # 0's form for t: one coordinate, so no head (C1); a head of one
+    # coordinate with a t^2 term and two blocks (C2 over F_5); a form with
+    # no term in t over F_4 (C4)
+    ("C1", 2, None),
+    ("C1", 3, None),
+    ("C2", 5, None),
+    ("C4", 2, 2),
 ]
 
 
@@ -178,6 +186,27 @@ def test_blocks_match_exhaustive_scan(name, p, exponent, ws):
     scan = block_scan_oracle(Z, field)
     assert [b.coeffs for b in blocks] == [b.coeffs for b in scan]
     assert [b.coeffs for b in scan] == [b.coeffs for b in literal_block_scan(Z, field)]
+
+
+def terms_in_the_last_coordinate(Z, p):
+    """The folded rows (i <= j) of coordinate 0's form, nonzero mod p,
+    that read the last coordinate."""
+    rows: dict = {}
+    for (i, j, k), c in counted_structure_constants(Z.group).items():
+        if k == 0:
+            rows[min(i, j), max(i, j)] = rows.get((min(i, j), max(i, j)), 0) + c
+    return [ij for ij, c in rows.items() if Z.n - 1 in ij and c % p]
+
+
+def test_the_scan_cases_hold_each_shape_of_the_split(ws):
+    """One coordinate, and coordinate 0's form with and without a term in
+    the last coordinate, over F_p and over F_q with e > 1."""
+    shapes = set()
+    for name, p, exponent in SCAN_CASES:
+        _, Z = center_of(name, ws)
+        field, _ = Z.primitive_idempotents(p, exponent)
+        shapes.add("n=1" if Z.n == 1 else (field.e > 1, bool(terms_in_the_last_coordinate(Z, p))))
+    assert shapes == {"n=1", (False, False), (False, True), (True, False), (True, True)}
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

@@ -1,7 +1,8 @@
 """The group-layer kernels against their reference versions.
 
-Dimino closure, the class walk over generator orbits, marks read off the
-lattice, and the coset walks (the coset table of coset_lookup, and the
+Dimino closure, with its joins that end at G or at an index-2 subgroup
+recorded and checked one by one, the class walk over generator orbits,
+marks read off the lattice, and the coset walks (the coset table of coset_lookup, and the
 double-coset meets as orbits on G/K, with the fixed cosets among them),
 each compared with the earlier algorithm kept in reference_groups on the
 ladder of groups, on random permutation groups of order at most 24 and on
@@ -31,7 +32,7 @@ from reference_groups import (
 from test_subgroups import gens_specs, small_group
 
 from motive_ring.burnside import BurnsideRing
-from motive_ring.groups import construct_group
+from motive_ring.groups import FiniteGroup, construct_group
 from motive_ring.subgroups import SubgroupClassTable, derived_subgroup
 
 LADDER = ["sym:3", "dihedral:4", "alt:4", "sym:4", "alt:5", "sym:5"]
@@ -133,6 +134,34 @@ def test_lattice_matches_the_sweep_on_groups_with_perfect_subgroups(spec, order,
         H = cls.representative
         assert cls.normalizer == frozenset(g for g in range(G.order) if G.conjugate_subgroup(g, H) == H)
     assert any(len(H) > 1 and derived_subgroup(G, H) == H for H in (c.representative for c in table.classes))
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "alt:5", *(spec for spec, _, _ in PERFECT)])
+def test_joins_that_reach_the_group_or_an_index_2_subgroup_match_the_closure(spec, monkeypatch):
+    """Every Dimino join of the class walk and of the closures it makes,
+    recorded with its generators; those that end at G (stopped by
+    Lagrange's bound) or at an index-2 subgroup (just under it) are each
+    compared with the breadth-first closure."""
+    G = construct_group(spec)
+    extend = FiniteGroup._extend
+    joins = []
+
+    def recorded(self, elements, members, gens):
+        extend(self, elements, members, gens)
+        joins.append((list(gens), list(elements), set(members)))
+
+    monkeypatch.setattr(FiniteGroup, "_extend", recorded)
+    table = assert_lattice_agrees(G)
+    monkeypatch.undo()
+    by_index = {}
+    for gens, elements, members in joins:
+        index = G.order // len(members)
+        if index <= 2:
+            assert len(elements) == len(members) == len(set(elements)), gens
+            assert frozenset(elements) == closure_bfs(G, gens), gens
+            by_index[index] = by_index.get(index, 0) + 1
+    index_2 = any(len(c.representative) * 2 == G.order for c in table.classes)
+    assert by_index.get(1) and bool(by_index.get(2)) == index_2, by_index
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

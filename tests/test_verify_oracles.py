@@ -1,5 +1,6 @@
 """The oracles of verify-all on plain ints against their earlier forms
-(reference_checks): the crossed orbit oracle on flat points, the integer
+(reference_checks): the crossed orbit oracle on flat points with its own
+orbit loop, against groups.orbits on flat and on tuple points, the integer
 convolution, the int block scan over F_p, the Dress and rational
 idempotents from one integer solve per fiber, the sparse idempotent-family
 check, the one conjugation pass per class of group_checks, and the class
@@ -18,7 +19,7 @@ from test_algebra import broken_families, crossed_ring, true_families
 from test_center import SCAN_CASES, center_of
 from test_subgroups import gens_specs, small_group
 
-from motive_ring import verify
+from motive_ring import crossed, groups, verify
 from motive_ring.burnside import BurnsideRing, TableOfMarks
 from motive_ring.center import CenterAlgebra, block_scan_oracle
 from motive_ring.crossed import CrossedBurnsideRing
@@ -51,6 +52,32 @@ def test_flat_orbit_oracle_matches_tuple_orbits_on_drawn_pairs(name, ws):
     xr = ws.crossed(name)
     rng = Random(name)
     assert_oracle_matches(xr, [(rng.randrange(xr.n), rng.randrange(xr.n)) for _ in range(200)])
+
+
+def oracle_pairs(name, xr):
+    """Every pair of S4 and D8, and 40 drawn pairs of A5."""
+    if name == "A5":
+        rng = Random(name)
+        return [(rng.randrange(xr.n), rng.randrange(xr.n)) for _ in range(40)]
+    return [(i, j) for i in range(xr.n) for j in range(xr.n)]
+
+
+@pytest.mark.parametrize("name", ["S4", "D8", "A5"])
+def test_inline_orbit_oracle_calls_no_orbit_routine_and_matches_the_product(name, ws, monkeypatch):
+    xr = ws.crossed(name)  # built first: its labels come from groups.orbits
+    pairs = oracle_pairs(name, xr)
+    products = [xr._basis_product(i, j) for i, j in pairs]
+    references = [ref.flat_orbit_product(xr, i, j) for i, j in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the product oracle called a routine of the fast path")
+
+    monkeypatch.setattr(groups, "orbits", refuse)
+    monkeypatch.setattr(crossed, "orbits", refuse)
+    monkeypatch.setattr(SubgroupClassTable, "double_coset_meets", refuse)
+    got = [xr.basis_product_oracle(i, j) for i, j in pairs]
+    assert got == products
+    assert got == references
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
