@@ -183,8 +183,10 @@ class Algebra:
         family is scaled once by the lcm d of all denominators to sparse
         integer vectors E = d e, and the checks run over Z: e e = e iff
         E E = d E, e f = 0 iff E F = 0, and the e sum to 1 iff the E sum to
-        d 1.  A product multiplies only the nonzero coefficient pairs.  Over
-        F_q the checks run on the dense elements.
+        d 1.  A product multiplies only the nonzero coefficient pairs, in a
+        plain loop over the basis products; a commutative algebra squares E
+        over the pairs i <= j of its support, the terms i < j doubled.
+        Over F_q the checks run on the dense elements.
         """
         scalar = family[0].scalar
         for e in family:
@@ -204,9 +206,20 @@ class Algebra:
             for e in family
         ]
 
+        product = self.product
+
         def times(u: dict, v: dict) -> dict:
-            terms = (((i, j), a * b) for i, a in u.items() for j, b in v.items())
-            return combine(terms, lambda ij: self.product(*ij))
+            square = u is v and self.commutative
+            items = list(v.items())
+            out: dict = {}
+            for x, (i, a) in enumerate(u.items()):
+                for j, b in items[x:] if square else items:
+                    ab = a * b
+                    if square and j != i:
+                        ab += ab  # the term of (j, i) as well
+                    for k, m in product(i, j):
+                        out[k] = out.get(k, 0) + ab * m
+            return {k: c for k, c in out.items() if c}
 
         idempotent = all(times(E, E) == {i: d * c for i, c in E.items()} for E in vectors)
         orthogonal = not any(

@@ -78,11 +78,12 @@ class BurnsideRing(Algebra):
         scalar ring."""
         m = self.table_of_marks().marks
         s = x.scalar
+        zero = s.zero  # ScalarRing.is_zero is this comparison on every ring
         vals = []
         for i in range(self.n):
-            acc = s.zero
+            acc = zero
             for j, c in enumerate(x.coeffs):
-                if not s.is_zero(c) and m[i][j]:
+                if c != zero and m[i][j]:
                     acc = s.add(acc, s.mul(c, s.coerce(m[i][j])))
             vals.append(acc)
         return tuple(vals)
@@ -99,7 +100,8 @@ class BurnsideRing(Algebra):
         """The element with the given 0/1 marks, by one integer
         back-substitution scaled by d = |G|: every denominator of a sum of
         basic rational idempotents divides |G| (Gluck's formula), so each
-        division is exact; a division that is not raises RuntimeError."""
+        division is exact; a division that is not raises RuntimeError.
+        A zero entry stays the int 0."""
         m = self.table_of_marks().marks
         d = self.group.order
         scaled = [0] * self.n
@@ -108,7 +110,7 @@ class BurnsideRing(Algebra):
             scaled[i], rest = divmod(acc, m[i][i])
             if rest:
                 raise RuntimeError(f"the marks do not pull back over the denominator {d}")
-        return [Fraction(x, d) for x in scaled]
+        return [Fraction(x, d) if x else 0 for x in scaled]
 
     def rational_idempotents(self) -> list[Element]:
         """Primitive idempotents over Q, one per subgroup class, by ghost inversion."""
@@ -117,27 +119,33 @@ class BurnsideRing(Algebra):
             for i in range(self.n)
         ]
 
+    def dress_idempotent(self, mode, fiber) -> Element:
+        """The idempotent of one residual fiber (a list of class indices):
+        the pullback of its 0/1 indicator (_pullback), over Z for mode
+        "solvable" and over Z_(p) for a prime p.  A coefficient outside
+        that ring aborts."""
+        scalar = ZZ if mode == "solvable" else p_local(mode)  # rejects a non-prime first
+        members = set(fiber)
+        coeffs = self._pullback([int(i in members) for i in range(self.n)])
+        try:
+            return self.element(coeffs, scalar)
+        except ScalarError as exc:
+            # residual fibers always produce coefficients in the target
+            # ring; landing here means the fiber computation is broken
+            j = self.table.residual_class(fiber[0], mode)
+            raise RuntimeError(
+                f"residual idempotent for class {j} not in {scalar.tag}: {exc}"
+            ) from exc
+
     def dress_idempotents(self, mode) -> list[tuple[int, Element]]:
-        """Idempotents summing basic rational ones over residual fibers: the
-        pullback of each fiber's 0/1 indicator (_pullback).
+        """Idempotents summing basic rational ones over residual fibers, one
+        dress_idempotent per fiber.
 
         mode is "solvable" (integer coefficients) or a prime p (p-local
         coefficients).  Returns (residual class index, element) pairs in
-        class order.  A coefficient outside the promised ring aborts.
+        class order.
         """
-        scalar = ZZ if mode == "solvable" else p_local(mode)  # rejects a non-prime first
+        if mode != "solvable":
+            p_local(mode)  # rejects a non-prime before any residual
         fibers = self.table.residual_fiber_classes(mode)
-        out = []
-        for j in sorted(fibers):
-            members = set(fibers[j])
-            coeffs = self._pullback([int(i in members) for i in range(self.n)])
-            try:
-                elem = self.element(coeffs, scalar)
-            except ScalarError as exc:
-                # residual fibers always produce coefficients in the target
-                # ring; landing here means the fiber computation is broken
-                raise RuntimeError(
-                    f"residual idempotent for class {j} not in {scalar.tag}: {exc}"
-                ) from exc
-            out.append((j, elem))
-        return out
+        return [(j, self.dress_idempotent(mode, fibers[j])) for j in sorted(fibers)]

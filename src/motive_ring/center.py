@@ -23,11 +23,12 @@ from .scalars import PrimeFieldRing, ScalarRing, ZZ
 
 def ga_mul(G: FiniteGroup, a: dict, b: dict, scalar: ScalarRing) -> dict:
     out: dict = {}
+    zero = scalar.zero  # ScalarRing.is_zero is this comparison on every ring
     for x, cx in a.items():
         for y, cy in b.items():
             k = G.mul(x, y)
-            s = scalar.add(out.get(k, scalar.zero), scalar.mul(cx, cy))
-            if scalar.is_zero(s):
+            s = scalar.add(out.get(k, zero), scalar.mul(cx, cy))
+            if s == zero:
                 out.pop(k, None)
             else:
                 out[k] = s

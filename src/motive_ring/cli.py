@@ -36,7 +36,7 @@ from .scalars import (
     QQ, ZZ, IntegerRing, PLocalRing, PrimeFieldRing, RationalRing, ScalarError, fraction_too_long, p_local, parse_int,
     prime_field, ring_from_tag,
 )
-from .subgroups import SubgroupClassTable
+from .subgroups import SubgroupClassTable, prime_divisors
 from . import verify
 
 SUBCOMMANDS = [
@@ -273,6 +273,9 @@ def dispatch(args) -> tuple[dict, bool]:
     name = args.command
 
     if name == "subgroups":
+        for mode in ["solvable", *prime_divisors(G.order)]:
+            for k in range(len(table)):
+                table.residual_class(k, mode)
         doc["classes"] = [
             {
                 "name": c.name,

@@ -63,6 +63,7 @@ class CrossedBurnsideRing(Algebra):
         self.n = len(pairs)
         self.labels = tuple(p.name for p in pairs)
         self._mark_rows: dict[int, list[dict[int, int]]] = {}
+        self._traces: dict[int, int] = {}  # pair i -> T_i, the sum over j of c_ij^j
 
     # -- canonicalization ---------------------------------------------------
 
@@ -108,7 +109,9 @@ class CrossedBurnsideRing(Algebra):
         these numbers.  The orbits are found by this method's own loop, a
         breadth-first walk from each point not yet seen, in increasing
         order, marked in a bytearray; it shares no orbit routine with the
-        enumeration of the labels.  The label of a point is the product of
+        enumeration of the labels.  The cosets are numbered by this
+        method's own pass over the table rows, not by the coset table that
+        the fast product reads.  The label of a point is the product of
         the conjugated labels; each orbit is one transitive crossed set,
         with the stabilizer rx H rx^-1 n ry K ry^-1 of its first point.
         The result has the sparse form of product.
@@ -118,8 +121,22 @@ class CrossedBurnsideRing(Algebra):
         H = self.table.classes[pi.subgroup_class].representative
         K = self.table.classes[pj.subgroup_class].representative
         a, b = pi.label, pj.label
-        reps_h, where_h = G.coset_lookup(H)
-        reps_k, where_k = G.coset_lookup(K)
+
+        def cosets(S):
+            # the least member x of each coset xS, in increasing order, and
+            # the number of the coset of each element
+            S = list(S)
+            reps, where = [], [-1] * G.order
+            for x, row in enumerate(G._mul):
+                if where[x] < 0:
+                    c = len(reps)
+                    reps.append(x)
+                    for s in S:
+                        where[row[s]] = c
+            return reps, where
+
+        reps_h, where_h = cosets(H)
+        reps_k, where_k = cosets(K)
         nk = len(reps_k)
         # each generator of G as one permutation of the flat points
         perms = []
@@ -261,19 +278,42 @@ class CrossedBurnsideRing(Algebra):
 
     # -- p-local decomposition report -------------------------------------------------
 
+    def _trace(self, i: int) -> int:
+        """T_i, the sum over j of the structure constant c_ij^j: the trace of
+        multiplication by the basis pair i = [H,a], cached per pair.
+
+        A term of [H,a][K,b] lies in class k only if K fixes a coset gH,
+        so only classes k with a nonzero mark at H count.  Those cosets
+        are the meets of class k in double_coset_meets(k, h), the
+        orientation the products cache, each with g its least member;
+        inverting the double coset KgH gives the term of H g^-1 K, which is
+        conjugate to [K, (g a g^-1) b]."""
+        if i not in self._traces:
+            G, table = self.group, self.table
+            mul, pair_index = G._mul, self._pair_index
+            pi = self.pairs[i]
+            h, a = pi.subgroup_class, pi.label
+            marks = self.burnside.table_of_marks().marks
+            fixed: dict[int, list[int]] = {}  # class k -> g a g^-1 for each coset gH fixed by K
+            for k in range(h + 1):
+                if marks[k][h]:
+                    fixed[k] = [G.conj(g, a) for c, _, g in table.double_coset_meets(k, h) if c == k]
+            trace = 0
+            for j, pj in enumerate(self.pairs):
+                if pj.subgroup_class in fixed:
+                    k, b = pj.subgroup_class, pj.label
+                    trace += sum(1 for t in fixed[k] if pair_index[(k, mul[t][b])] == j)
+            self._traces[i] = trace
+        return self._traces[i]
+
     def ideal_rank(self, e: Element) -> int:
         """Rank over Q of the ideal eA, for an idempotent e over Q or Z_(p).
 
         Multiplication by e is a projection onto eA, so the rank is its
-        trace: the sum over i of e_i times the sum over j of the structure
-        constant c_ij^j.  A trace that is not an integer shows e is not an
-        idempotent, and raises RuntimeError.
+        trace, the sum over i of e_i T_i (_trace).  A trace that is not an
+        integer shows e is not an idempotent, and raises RuntimeError.
         """
-        trace = sum(
-            c * sum(m for j in range(self.n) for k, m in self.product(i, j) if k == j)
-            for i, c in enumerate(e.coeffs)
-            if c
-        )
+        trace = sum(c * self._trace(i) for i, c in enumerate(e.coeffs) if c)
         if trace.denominator != 1:
             raise RuntimeError(f"trace {trace} is not an integer rank: not an idempotent")
         return int(trace)
@@ -300,8 +340,10 @@ class CrossedBurnsideRing(Algebra):
             else:
                 W = self.table.quotient(cls.normalizer, cls.representative)
                 wring = CrossedBurnsideRing(SubgroupClassTable(W))
-                # the trivial class is first in the quotient's ordering
-                f1 = dict(wring.dress_idempotents(p))[0]
+                # only the idempotent at the trivial class, first in the
+                # quotient's ordering, is read
+                fiber = wring.table.residual_fiber_classes(p)[0]
+                f1 = wring.with_identity_labels(wring.burnside.dress_idempotent(p, fiber))
                 order_w = W.order
                 rank_w = wring.ideal_rank(f1)
             components.append(

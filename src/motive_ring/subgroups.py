@@ -156,17 +156,12 @@ def solvable_residual(G: FiniteGroup, H) -> frozenset[int]:
 
 
 def p_residual(G: FiniteGroup, H, p: int) -> frozenset[int]:
-    """Smallest normal subgroup of H with p-group quotient.
-
-    Computed as the stable term of H |-> <elements of H of order prime to p>.
-    """
-    cur = frozenset(H)
-    while True:
-        pprime = [x for x in cur if G.element_order(x) % p != 0]
-        nxt = G.closure(pprime)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """O^p(H), the smallest normal subgroup of H with p-group quotient: the
+    closure of the elements of H of order prime to p, in one pass.  That
+    closure N is normal, and each h in H is its p-part times its p'-part,
+    so hN has p-power order and H/N is a p-group; a normal M with H/M a
+    p-group holds every p'-element of H, so M contains N."""
+    return G.closure([x for x in H if G.element_order(x) % p != 0])
 
 
 def residual(G: FiniteGroup, H, mode) -> frozenset[int]:
@@ -239,8 +234,10 @@ def structure_hint(G: FiniteGroup, H) -> str:
 
 
 class SubgroupClass:
-    """One conjugacy class of subgroups; the residual classes are filled
-    in once the whole table is known."""
+    """One conjugacy class of subgroups.  Its residual classes are filled
+    in by SubgroupClassTable.residual_class, one mode at a time, on first
+    request: solvable_residual is -1 and p_residuals holds only the primes
+    asked for until then."""
 
     __slots__ = (
         "index", "representative", "key", "order", "name", "class_size",
@@ -293,11 +290,6 @@ class SubgroupClassTable:
                     normalizer=normalizers[idx],
                 )
             )
-        for cls in self.classes:
-            res = solvable_residual(G, cls.representative)
-            cls.solvable_residual = self.fusion(res)[0]
-            for p in prime_divisors(G.order):
-                cls.p_residuals[p] = self.fusion(p_residual(G, cls.representative, p))[0]
         self._caches: dict = {}
 
     def __len__(self):
@@ -317,14 +309,16 @@ class SubgroupClassTable:
         raise KeyError(name)
 
     def residual_class(self, class_index: int, mode) -> int:
+        """Class of the residual of class class_index's representative for
+        mode ("solvable" or a prime p), computed on first request and kept
+        on the SubgroupClass."""
         cls = self.classes[class_index]
         if mode == "solvable":
+            if cls.solvable_residual < 0:
+                cls.solvable_residual = self.fusion(solvable_residual(self.group, cls.representative))[0]
             return cls.solvable_residual
         if mode not in cls.p_residuals:
-            # primes not dividing the order leave every subgroup p-perfect
-            cls.p_residuals[mode] = self.fusion(
-                p_residual(self.group, cls.representative, mode)
-            )[0]
+            cls.p_residuals[mode] = self.fusion(p_residual(self.group, cls.representative, mode))[0]
         return cls.p_residuals[mode]
 
     def residual_fiber_classes(self, mode) -> dict[int, list[int]]:
@@ -339,9 +333,12 @@ class SubgroupClassTable:
         representatives of classes h and k: g is the least element of HgK
         and (class, conjugator) is fusion(H n gKg^-1), the stabilizer of gK
         in H.  The double cosets are the H-orbits on G/K, each led by its
-        least coset rep; gK is fixed by H exactly when the class is h.
+        least coset rep; gK is fixed by H exactly when the class is h.  An
+        orbit that meets gK once is free: its stabilizer is trivial, and
+        the trivial subgroup's fusion is appended without building it.
         Write-once memo, one entry per class pair: the Burnside and crossed
-        products, the crossed marks and the group checks read it."""
+        products, the crossed marks, the trace of multiplication and the
+        group checks read it."""
         cache = self._caches.setdefault("meets", {})
         if (h, k) not in cache:
             cosets = self._caches.setdefault("cosets", {})  # class k -> coset_lookup
@@ -350,6 +347,7 @@ class SubgroupClassTable:
             reps, where = cosets[k]
             H = sorted(self.classes[h].representative)
             rows = [self.group._mul[x] for x in H]
+            free = self._fusion[frozenset({0})]
             seen = [False] * len(reps)
             meets = []
             for c, g in enumerate(reps):
@@ -358,8 +356,11 @@ class SubgroupClassTable:
                 orbit = [where[row[g]] for row in rows]  # hgK for h in H
                 for d in orbit:
                     seen[d] = True
-                stabilizer = frozenset([x for x, d in zip(H, orbit) if d == c])
-                meets.append((*self.fusion(stabilizer), g))
+                if orbit.count(c) == 1:
+                    meets.append((*free, g))
+                else:
+                    stabilizer = frozenset([x for x, d in zip(H, orbit) if d == c])
+                    meets.append((*self.fusion(stabilizer), g))
             cache[(h, k)] = tuple(meets)
         return cache[(h, k)]
 

@@ -13,6 +13,7 @@ from test_center import literal_block_scan
 from test_mackey import read
 from test_subgroups import gens_specs, small_group
 
+from motive_ring.burnside import BurnsideRing
 from motive_ring.center import ga_mul
 from motive_ring.groups import construct_group, orbits, parse_cycles
 from motive_ring.linalg import integer_rank
@@ -473,6 +474,39 @@ def test_p_local_trivial_class_row_matches_the_regular_quotient(name, ws):
         assert (row["quotient_order"], row["quotient_ideal_rank"]) == regular_quotient_row(xr, p)
 
 
+@pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("A5", 3), ("A5", 5)])
+def test_the_quotient_side_builds_only_the_trivial_class_idempotent(name, p, ws, monkeypatch):
+    """Each N(J)/J builds one Dress idempotent, at its trivial class, and its
+    rank equals that of the full family's member there, by elimination."""
+    xr = CrossedBurnsideRing(ws.table(name))
+    families, singles = [], []
+    family_of, single_of = BurnsideRing.dress_idempotents, BurnsideRing.dress_idempotent
+
+    def family(ring, mode):
+        families.append(ring)
+        return family_of(ring, mode)
+
+    def single(ring, mode, fiber):
+        singles.append((ring, fiber))
+        return single_of(ring, mode, fiber)
+
+    monkeypatch.setattr(BurnsideRing, "dress_idempotents", family)
+    monkeypatch.setattr(BurnsideRing, "dress_idempotent", single)
+    report = xr.p_local_report(p)
+    monkeypatch.undo()
+    assert families == [xr.burnside]
+    quotients = [(ring, fiber) for ring, fiber in singles if ring is not xr.burnside]
+    rows = [row for row in report["components"] if row["residual"] != "1#1"]
+    assert len(quotients) == len(rows)
+    for (ring, fiber), row in zip(quotients, rows):
+        assert 0 in fiber and ring.table.residual_class(0, p) == 0
+        wring = CrossedBurnsideRing(ring.table)
+        f1 = wring.with_identity_labels(dict(ring.dress_idempotents(p))[0])
+        assert (ring.group.order, eliminated_ideal_rank(wring, f1)) == (
+            row["quotient_order"], row["quotient_ideal_rank"]
+        )
+
+
 def test_serialization_roundtrip(ws):
     xr = ws.crossed("A5")
     _, e = xr.dress_idempotents("solvable")[0]
@@ -522,6 +556,29 @@ def test_ideal_rank_trace_matches_elimination(spec):
             rank = xr.ideal_rank(e)
             assert type(rank) is int
             assert rank == eliminated_ideal_rank(xr, e)
+
+
+def full_row_traces(xr):
+    """T_i = sum over j of c_ij^j for every basis pair i, from the full
+    product rows."""
+    return [
+        sum(m for j in range(xr.n) for k, m in xr.product(i, j) if k == j) for i in range(xr.n)
+    ]
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4", "alt:4", "sym:4", "alt:5", "sym:5"])
+def test_trace_per_pair_matches_the_full_row_trace_on_the_ladder(spec):
+    xr = CrossedBurnsideRing(SubgroupClassTable(construct_group(spec)))
+    traces = [xr._trace(i) for i in range(xr.n)]  # read before any product is cached
+    assert traces == full_row_traces(xr)
+    assert traces[xr.one().coeffs.index(1)] == xr.n  # the unit [G,1] acts as the identity
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_trace_per_pair_matches_the_full_row_trace_on_random_groups(spec):
+    xr = CrossedBurnsideRing(SubgroupClassTable(small_group(spec, max_order=24)))
+    assert [xr._trace(i) for i in range(xr.n)] == full_row_traces(xr)
 
 
 def test_ideal_rank_refuses_a_fractional_trace(ws):

@@ -81,7 +81,13 @@ def assert_marks_agree(table):
 
 
 def assert_meets_agree(table):
+    """The meets of every class pair against meets_by_sweep; returns the
+    number of pairs with a nontrivial H whose H-orbits on G/K include a free
+    one (the trivial fusion, taken without building the stabilizer) and
+    the number with none."""
     G = table.group
+    trivial = table.fusion(frozenset({0}))
+    kinds = {True: 0, False: 0}
     for H in table.all_subgroups:
         reps, where = G.coset_lookup(H)
         assert reps == left_cosets(G, H)
@@ -96,6 +102,11 @@ def assert_meets_agree(table):
             for idx, conj, g in meets:
                 meet = H & G.conjugate_subgroup(g, K)
                 assert G.conjugate_subgroup(conj, meet) == table.classes[idx].representative
+            free = [(idx, conj) for idx, conj, _ in meets if idx == 0]
+            assert all(meet == trivial for meet in free)
+            if h:
+                kinds[bool(free)] += 1
+    return kinds[True], kinds[False]
 
 
 @pytest.mark.parametrize("spec", LADDER)
@@ -121,7 +132,8 @@ def test_small_generating_set_matches_the_greedy_reference(spec):
 def test_lattice_marks_and_meets_match_the_references_on_the_ladder(spec):
     table = assert_lattice_agrees(ladder_group(spec))
     assert_marks_agree(table)
-    assert_meets_agree(table)
+    with_free, without_free = assert_meets_agree(table)
+    assert with_free and without_free
 
 
 @pytest.mark.parametrize("spec,order,nclasses", PERFECT)

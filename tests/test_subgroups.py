@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference_groups import all_subgroups_dfs, all_subgroups_subsets, p_residual_oracle
 
+import motive_ring.subgroups as subgroups_mod
+from motive_ring import cli
 from motive_ring.groups import GroupTooLarge, Permutation, construct_group
 from motive_ring.subgroups import (
     SubgroupClassTable,
@@ -169,12 +172,76 @@ def test_p_residual_examples(ws):
     assert len(p_residual(A4, fullA4, 3)) == 4
 
 
-@pytest.mark.parametrize("name,p", [("S3", 2), ("S3", 3), ("A4", 2), ("A4", 3), ("S4", 2), ("D8", 2), ("A5", 2), ("A5", 5)])
+@pytest.mark.parametrize("name,p", [
+    ("S3", 2), ("S3", 3), ("D8", 2), ("A4", 2), ("A4", 3), ("S4", 2), ("S4", 3),
+    ("A5", 2), ("A5", 3), ("A5", 5), ("S5", 2), ("S5", 3), ("S5", 5),
+])
 def test_p_residual_against_minimal_normal_oracle(name, p, ws):
-    G = ws.group(name)
+    G = construct_group("sym:5") if name == "S5" else ws.group(name)
     subs = all_subgroups(G)
     for H in subs:
         assert p_residual(G, H, p) == p_residual_oracle(G, H, p, subs)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(gens_specs())
+def test_one_closure_p_residual_matches_the_oracle_on_random_groups(spec):
+    G = small_group(spec)
+    table = SubgroupClassTable(G)
+    for p in (2, 3, 5, 7):
+        for cls in table.classes:
+            H = cls.representative
+            assert p_residual(G, H, p) == p_residual_oracle(G, H, p, table.all_subgroups)
+
+
+def test_building_the_table_computes_no_residual(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a residual was computed while building the table")
+
+    monkeypatch.setattr(subgroups_mod, "solvable_residual", refuse)
+    monkeypatch.setattr(subgroups_mod, "p_residual", refuse)
+    table = SubgroupClassTable(construct_group("sym:5"))
+    assert all(c.solvable_residual == -1 and c.p_residuals == {} for c in table.classes)
+    monkeypatch.undo()
+    assert table.residual_class(3, 2) == table.classes[3].p_residuals[2]
+    assert table.classes[3].solvable_residual == -1  # one mode at a time
+    assert table.residual_class(3, "solvable") == table.classes[3].solvable_residual >= 0
+
+
+def test_residuals_are_computed_per_mode_on_first_use(ws):
+    G = ws.group("A5")
+    table = SubgroupClassTable(G)
+    subs = table.all_subgroups
+    for k, cls in enumerate(table.classes):
+        H = cls.representative
+        assert table.residual_class(k, "solvable") == table.fusion(solvable_residual(G, H))[0]
+        for p in (2, 3, 5, 7):  # 7 does not divide |G|: every subgroup is 7-perfect
+            assert table.residual_class(k, p) == table.fusion(p_residual_oracle(G, H, p, subs))[0]
+        assert sorted(cls.p_residuals) == [2, 3, 5, 7]
+
+
+def test_cbr_idempotents_at_p_3_computes_only_3_residuals(monkeypatch):
+    calls = []
+    p_residual_of = subgroups_mod.p_residual
+
+    def recorded(G, H, p):
+        calls.append(p)
+        return p_residual_of(G, H, p)
+
+    def refuse(*args):
+        raise AssertionError("the solvable residual was computed")
+
+    monkeypatch.setattr(subgroups_mod, "p_residual", recorded)
+    monkeypatch.setattr(subgroups_mod, "solvable_residual", refuse)
+    assert cli.run(["cbr-idempotents", "--group", "sym:5", "--coeff", "Zp:3"]) == 0
+    assert set(calls) == {3} and len(calls) == 19  # once per class of S5
+
+
+def test_the_subgroups_command_reads_every_residual_mode(capsys):
+    assert cli.run(["subgroups", "--group", "sym:4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(sorted(c["p_residuals"]) == ["2", "3"] for c in doc["classes"])
+    assert [c["solvable_residual"] for c in doc["classes"]] == ["1#1"] * len(doc["classes"])
 
 
 def test_derived_series_short_and_stable(ws):

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 import reference_checks as ref
 from hypothesis import HealthCheck, given, settings
-from test_algebra import broken_families, crossed_ring, true_families
+from test_algebra import broken_families, crossed_ring, literal_idempotent_family, true_families
 from test_center import SCAN_CASES, center_of
 from test_subgroups import gens_specs, small_group
 
@@ -23,7 +23,7 @@ from motive_ring import crossed, groups, verify
 from motive_ring.burnside import BurnsideRing, TableOfMarks
 from motive_ring.center import CenterAlgebra, block_scan_oracle
 from motive_ring.crossed import CrossedBurnsideRing
-from motive_ring.scalars import ZZ, PrimeFieldRing
+from motive_ring.scalars import QQ, ZZ, PrimeFieldRing
 from motive_ring.subgroups import SubgroupClassTable, prime_divisors
 
 LADDER = ["S3", "D8", "A4", "S4", "A5", "S5"]
@@ -78,6 +78,20 @@ def test_inline_orbit_oracle_calls_no_orbit_routine_and_matches_the_product(name
     got = [xr.basis_product_oracle(i, j) for i, j in pairs]
     assert got == products
     assert got == references
+
+
+@pytest.mark.parametrize("name", ["S4", "D8", "A5"])
+def test_product_oracle_numbers_its_own_cosets(name, ws, monkeypatch):
+    xr = ws.crossed(name)
+    pairs = oracle_pairs(name, xr)
+    products = [xr.product(i, j) for i, j in pairs]  # every fast product cached first
+
+    def refuse(*args):
+        raise AssertionError("the product oracle read the coset table of the fast path")
+
+    monkeypatch.setattr(groups.FiniteGroup, "coset_lookup", refuse)
+    assert [xr.basis_product_oracle(i, j) for i, j in pairs] == products
+    assert products == [xr._basis_product(i, j) for i, j in pairs]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -196,6 +210,43 @@ def test_sparse_family_check_matches_the_dense_check(name, ws):
     xr = ws.crossed(name)
     scaled = [xr.element([3 * c for c in xr.one().coeffs], ZZ)]
     assert xr.idempotent_family(scaled) == ref.dense_idempotent_family(xr, scaled) == (False, True, False)
+
+
+def corner_families(M):
+    """Families [e, 1 - e] of the Mackey algebra M over Q with e = d + x/2,
+    d a diagonal span of the unit and x a span with d x = x, x d = 0 and
+    x x = 0, so that e is idempotent although x e != e x; a symmetric
+    square (d d + 2 d x / 2) would read e e as d + x."""
+    one = M.one(QQ)
+    diagonal = [i for i, c in enumerate(one.coeffs) if c]
+    families = []
+    for i in diagonal:
+        d = M.basis_element(i, QQ)
+        for j in range(M.n):
+            x = M.basis_element(j, QQ)
+            if (d * x).coeffs == x.coeffs and (x * d).is_zero() and (x * x).is_zero():
+                e = d + M.element([c / 2 for c in x.coeffs], QQ)
+                families.append([e, one - e])
+    return families
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_idempotent_family_matches_both_references_commutative_or_not(name, ws):
+    cases = []
+    if name == "S3":
+        M = ws.mackey("S3")
+        assert not M.commutative
+        cases = [(M, family) for family in corner_families(M)]
+        assert len(cases) == 64
+    cases += [(algebra, family) for algebra, family in true_families(name, ws) if len(family) >= 2]
+    for algebra, family in cases:
+        assert algebra.idempotent_family(family) == (True, True, True)
+        assert ref.dense_idempotent_family(algebra, family) == (True, True, True)
+        assert literal_idempotent_family(algebra, family) == (True, True, True)
+        for broken, facts in broken_families(family):
+            assert algebra.idempotent_family(broken) == facts
+            assert ref.dense_idempotent_family(algebra, broken) == facts
+            assert literal_idempotent_family(algebra, broken) == facts
 
 
 # -- the conjugation pass of group_checks ----------------------------------------------------------
