@@ -7,7 +7,9 @@ subclass supplies its basis size ``n``, its ``labels``, ``one()`` and the
 hook ``_basis_product(i, j)``; this module supplies the elements, their
 checks, the cached sparse products and one ``multiply`` over any scalar
 ring.  A commutative algebra also splits into its primitive idempotents
-over a finite field (primitive_idempotents).  The comparison maps between
+over a finite field (primitive_idempotents), on one F_p matrix of
+Frobenius x -> x^p and the power projectors 1 - (b - lam)^(q-1) of its
+fixed vectors b.  The comparison maps between
 the algebras are Z-linear, so each is a set of integer rows, one per basis
 element; an identity between them is decided once over Z from those rows
 by the one sparse integer combination (combine), and a scalar ring reads
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .linalg import integer_kernel
+from .linalg import integer_kernel, sparse_mat_mul
 from .scalars import PrimeFieldRing, ScalarError, ScalarRing, ZZ, prime_field
 
 
@@ -231,52 +233,54 @@ class Algebra:
 
     # -- splitting over finite fields ---------------------------------------
 
-    def _splitting_exponent(self, p: int) -> int:
-        """Order of x -> x^p on the semisimple part of the algebra over F_p,
-        which the basis spans once raised to a power p^k >= n.  It is the lcm
-        of the residue degrees of the primitive idempotents: F_{p^e} is the
-        least field where they all split."""
-        Fp = prime_field(p)
-        pk = p
-        while pk < self.n:
-            pk *= p
-        e = 1
-        for i in range(self.n):
-            s = self.basis_element(i, Fp) ** pk
-            t, period = s**p, 1
-            while t.coeffs != s.coeffs:
-                t, period = t**p, period + 1
-            e = lcm(e, period)
-        return e
-
     def primitive_idempotents(
         self, p: int, exponent: int | None = None
     ) -> tuple[PrimeFieldRing, list[Element]]:
         """The field F_q, q = p^exponent, and the primitive orthogonal
         idempotents of this commutative algebra over F_q, sorted; they sum to 1.
 
-        Without an explicit exponent the field is the least one over which
-        every idempotent splits (see _splitting_exponent).  Building F_q
-        checks q against scalars.MAX_FIELD_ORDER, before any splitting
-        work.  Each vector b of an F_p basis of the fixed space of
-        x -> x^q combines the idempotents;
-        the Lagrange projectors prod_{mu != lam} (b - mu) / (lam - mu) over
-        the roots lam of its minimal polynomial sort them by coefficient in
-        b, so the nonzero products of the projectors of all b are the
-        primitive idempotents.
+        x -> x^p is F_p-linear, one matrix F over F_p whose row i is the
+        p-th power of basis element i; its powers are sparse products mod p.
+        Without an explicit exponent, e is the order of F on its stable
+        image, the least e with F^(k+e) = F^k for p^k >= n, and F_q is the
+        least field over which every idempotent splits.  Building F_q checks
+        q against scalars.MAX_FIELD_ORDER before any splitting work.  The
+        kernel of F^e - 1 over F_p spans over F_q what the idempotents span.
+        Each vector b of its basis has b^q = b, so at a root lam of b's
+        minimal polynomial 1 - (b - lam)^(q-1) is the sum of the idempotents
+        where b is lam; the nonzero products of these projectors over all b
+        are the primitive idempotents.
         """
         if not self.commutative:
             raise ValueError("primitive idempotents are split only in a commutative algebra")
-        if exponent is None:
-            exponent = self._splitting_exponent(p)
-        field = prime_field(p, exponent)
+        if exponent is not None:
+            field = prime_field(p, exponent)
         Fp = prime_field(p)
         n = self.n
-        frob = [(self.basis_element(i, Fp) ** field.q).coeffs for i in range(n)]
-        rows = [{j: frob[j][i] - (i == j) for j in range(n)} for i in range(n)]
+        rows = [(self.basis_element(i, Fp) ** p).coeffs for i in range(n)]
+        frob = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+        frob_powers = [{(i, i): 1 for i in range(n)}]  # frob_powers[t] is F^t
+
+        def frob_power(t: int) -> dict:
+            while len(frob_powers) <= t:
+                product = sparse_mat_mul(frob_powers[-1], frob).items()
+                frob_powers.append({key: c % p for key, c in product if c % p})
+            return frob_powers[t]
+
+        if exponent is None:
+            k = 1
+            while p**k < n:
+                k += 1
+            exponent = 1
+            while frob_power(k + exponent) != frob_power(k):
+                exponent += 1
+            field = prime_field(p, exponent)
+        rows = [{i: -1} for i in range(n)]
+        for (j, i), c in frob_power(exponent).items():
+            rows[i][j] = rows[i].get(j, 0) + c
         fixed = integer_kernel(rows, n, Fp)
-        one = self.one(field).coeffs
-        idempotents = [self.one(field)]
+        one = self.one(field)
+        idempotents = [one]
         for v in fixed:
             if len(idempotents) == len(fixed):
                 break
@@ -298,17 +302,9 @@ class Algebra:
                     roots.append(lam)
                     if len(roots) == degree:
                         break
-            bq = self.element(v, field).coeffs
-            projectors = []
-            for lam in roots:
-                piece = self.one(field)
-                for mu in roots:
-                    if mu != lam:
-                        scale = field.inv(field.sub(lam, mu))
-                        shifted = (field.sub(c, field.mul(mu, u)) for c, u in zip(bq, one))
-                        factor = tuple(field.mul(scale, c) for c in shifted)
-                        piece = piece * Element(self, field, factor)
-                projectors.append(piece)
+            b = self.element(v, field)
+            scaled = (Element(self, field, tuple(field.mul(lam, u) for u in one.coeffs)) for lam in roots)
+            projectors = [one - (b - lam_one) ** (field.q - 1) for lam_one in scaled]
             idempotents = [f for e in idempotents for P in projectors if not (f := e * P).is_zero()]
         if len(idempotents) != len(fixed):
             raise RuntimeError("splitting did not reach the expected count")

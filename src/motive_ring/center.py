@@ -3,9 +3,10 @@
 Group-algebra elements are dicts element-index -> scalar; an element of
 the center stores one coefficient per conjugacy class (class-sum basis).
 The blocks of Z F_q G are its primitive idempotents, split by the algebra
-core (Algebra.primitive_idempotents); this module keeps the exhaustive
-scan that checks them without the core's products, and the test that they
-lie in the span of the crossed ring's center images.
+core on the Frobenius matrix of x -> x^p (Algebra.primitive_idempotents);
+this module keeps the exhaustive scan that checks them without the core's
+products, and the test that they lie in the span of the crossed ring's
+center images.
 """
 
 from __future__ import annotations

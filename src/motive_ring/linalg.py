@@ -1,8 +1,9 @@
 """Exact linear algebra over the scalar rings.
 
 Every matrix eliminated here has integer entries (commutant equations,
-span projections, marks, ideal multiplication matrices, Frobenius and
-minimal-polynomial equations of the center, spans of center images), and
+span projections, marks, ideal multiplication matrices, the powers of the
+Frobenius matrix less 1 and the minimal polynomials of the finite-field
+split, spans of center images), and
 all of them go through one sparse elimination over the ints: integer_kernel
 returns right kernels and integer_rank returns ranks.  Over Z, Q and Z_(p)
 it is fraction free, each row kept primitive by its gcd in the manner of

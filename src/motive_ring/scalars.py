@@ -101,11 +101,6 @@ class RationalRing(ScalarRing):
             return Fraction(value)
         raise ScalarError(f"cannot coerce {value!r} into Q")
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
 
 class PLocalRing(ScalarRing):
     """Rationals whose denominator is coprime to a fixed prime p."""
@@ -329,23 +324,6 @@ class PrimeFieldRing(ScalarRing):
         if self.e == 1:
             return a * n % self.p
         return tuple(x * n % self.p for x in a)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, n: int):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
 
     def elements(self):
         if self.e == 1:

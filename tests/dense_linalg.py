@@ -6,14 +6,23 @@ motive_ring.linalg (integer_kernel, integer_rank); back_substitute is the
 dense oracle for motive_ring.linalg.solve_upper_triangular, and mat_mul
 and operator_product, the product of sparse operators in any scalar
 ring, stand beside motive_ring.linalg.sparse_mat_mul, which multiplies
-over Z only.  It shares no code with them.
+over Z only.  It shares no code with them, and inverts a pivot itself
+(inverse): the scalar rings keep no inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from motive_ring.scalars import ScalarRing
+from motive_ring.scalars import PrimeFieldRing, ScalarRing
+
+
+def inverse(x, ring: ScalarRing):
+    """1/x for nonzero x: over F_q the member of ring.elements() whose
+    product with x is 1, found by a scan; over Q the Fraction 1/x."""
+    if isinstance(ring, PrimeFieldRing):
+        return next(y for y in ring.elements() if ring.mul(x, y) == ring.one)
+    return 1 / Fraction(x)
 
 
 def mat_mul(a, b, scalar: ScalarRing):
@@ -72,7 +81,7 @@ def _echelon_field(rows, ring: ScalarRing):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inv(m[r][c])
+        inv = inverse(m[r][c], ring)
         m[r] = [ring.mul(inv, x) for x in m[r]]
         for i in range(len(m)):
             if i != r and not ring.is_zero(m[i][c]):
